@@ -199,7 +199,6 @@ fn main() {
             let (bi, ci) = cells[i / shapes.len()];
             let (c, r) = shapes[i % shapes.len()];
             let mut m = MachineConfig::small(c, r);
-            m.host_threads = opts.host_threads.max(1);
             m.profile = i % shapes.len() == 0;
             let out = benches[bi].run(m, configs[ci].1.clone());
             assert!(

@@ -97,7 +97,6 @@ fn via_server(addr: &str, flags: &[String]) {
     let mut sanitize = false;
     let mut faults = String::new();
     let mut fidelity = String::new();
-    let mut host_threads: usize = 1;
     let mut check = false;
     let mut write = false;
     let mut it = flags.iter();
@@ -118,12 +117,6 @@ fn via_server(addr: &str, flags: &[String]) {
             "--sanitize" => sanitize = true,
             "--faults" => faults = value("--faults"),
             "--fidelity" => fidelity = value("--fidelity"),
-            "--host-threads" => {
-                host_threads = value("--host-threads")
-                    .parse::<usize>()
-                    .expect("--host-threads must be an integer")
-                    .max(1);
-            }
             "--check-golden" => check = true,
             "--write-golden" => write = true,
             "--jobs" => {
@@ -171,7 +164,6 @@ fn via_server(addr: &str, flags: &[String]) {
         spec.sanitize = sanitize;
         spec.faults = faults.clone();
         spec.fidelity = fidelity.clone();
-        spec.host_threads = host_threads;
         // An `auto` submission to a daemon without a calibration table
         // comes back as an `error` response — collected as a per-
         // experiment failure below, like any other rejection.

@@ -9,8 +9,8 @@
 //! `mosaic-serve`), executes experiments by running the sibling
 //! harness binaries, and memoizes results in the content-addressed
 //! cache under `results/cache/`. Worker-pool and per-child `--jobs`
-//! budgets follow the sweep-pool rule: concurrent simulations times
-//! host threads per simulation must not exceed the host's cores.
+//! budgets follow the sweep-pool rule: one simulation is one OS thread,
+//! so `workers × child_jobs` must not exceed the host's cores.
 //!
 //! Drains gracefully on a `shutdown` request: new submissions are
 //! rejected, queued and running jobs complete, then the process exits.
@@ -20,7 +20,6 @@ use mosaic_bench::service::BinExecutor;
 use mosaic_chaos::HostFaultPlan;
 use mosaic_model::CalibrationTable;
 use mosaic_serve::{Executor, FaultyExecutor, SchedConfig, Server, ServerConfig};
-use mosaic_sim::MachineConfig;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -29,7 +28,6 @@ fn main() {
     let mut cfg = ServerConfig::default();
     let mut workers: Option<usize> = None;
     let mut child_jobs: Option<usize> = None;
-    let mut host_threads: usize = 1;
     let mut chaos_host = HostFaultPlan::default();
     let mut calibration: Option<PathBuf> = None;
     let mut escalate_bound_ppm: Option<u64> = None;
@@ -59,12 +57,6 @@ fn main() {
                         .parse()
                         .expect("--child-jobs must be an integer"),
                 );
-            }
-            "--host-threads" => {
-                host_threads = value("--host-threads")
-                    .parse::<usize>()
-                    .expect("--host-threads must be an integer")
-                    .max(1);
             }
             "--timeout-secs" => {
                 cfg.sched.job_timeout = Duration::from_secs(
@@ -109,10 +101,9 @@ fn main() {
                     "mosaic serve daemon\n\
                      options: --addr HOST:PORT      bind address (default 127.0.0.1:9118; port 0 = ephemeral)\n         \
                      --queue-cap N          admission-control queue depth cap (default 64)\n         \
-                     --workers N            concurrent jobs (default: host cores / threads-per-sim)\n         \
-                     --child-jobs N         --jobs handed to each experiment child (default: fill the budget)\n         \
-                     --host-threads N       window-parallel engine threads per simulation (default 1;\n                                \
-                     results byte-identical, budget shrinks workers to compensate)\n         \
+                     --workers N            concurrent jobs (default: host cores)\n         \
+                     --child-jobs N         --jobs handed to each experiment child (default: fill the\n                                \
+                     budget workers x child-jobs <= host cores)\n         \
                      --timeout-secs N       per-job wall-clock timeout (default 600)\n         \
                      --cache-dir PATH       on-disk result cache (default results/cache)\n         \
                      --no-cache-dir         memory-only cache\n         \
@@ -138,19 +129,14 @@ fn main() {
     }
 
     // Budget concurrent simulations the same way the sweep pool does:
-    // each simulation of the default 8x4 experiment mesh occupies
-    // cores + host_threads host threads, and workers × child_jobs of
-    // them may run at once — so
-    // workers × child_jobs × host_threads_per_run ≤ host cores holds
-    // whatever the window-parallel setting.
-    let mut budget_machine = MachineConfig::small(8, 4);
-    budget_machine.host_threads = host_threads;
-    let threads_per_sim = budget_machine.host_threads_per_run();
+    // each simulation occupies one host thread and workers × child_jobs
+    // of them may run at once, so the defaults keep
+    // workers × child_jobs ≤ host cores.
     let host = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let workers = workers.unwrap_or_else(|| (host / threads_per_sim).max(1));
-    let child_jobs = child_jobs.unwrap_or_else(|| (host / (workers * threads_per_sim)).max(1));
+    let workers = workers.unwrap_or(host).max(1);
+    let child_jobs = child_jobs.unwrap_or(host / workers).max(1);
     cfg.sched = SchedConfig {
         workers,
         ..cfg.sched
@@ -181,15 +167,15 @@ fn main() {
     }
 
     let mut executor =
-        BinExecutor::beside_current_exe(child_jobs, host_threads).expect("locate harness binaries");
+        BinExecutor::beside_current_exe(child_jobs).expect("locate harness binaries");
     // Analytic children must read the exact table the escalation
     // decisions came from, wherever the daemon was started — forward
     // it absolutized rather than letting each child re-resolve the
     // committed default against its own working directory.
     executor.calibration = table_path.map(|p| std::fs::canonicalize(&p).unwrap_or(p));
     eprintln!(
-        "serve: {} workers x {} child jobs x {} engine threads ({} host threads/sim, {} host cores), queue cap {}, timeout {:?}, {} attempts/job",
-        workers, child_jobs, host_threads, threads_per_sim, host, cfg.sched.queue_cap,
+        "serve: {} workers x {} child jobs (1 host thread/sim, {} host cores), queue cap {}, timeout {:?}, {} attempts/job",
+        workers, child_jobs, host, cfg.sched.queue_cap,
         cfg.sched.job_timeout, cfg.sched.retry.max_attempts
     );
     let executor: Arc<dyn Executor> = if chaos_host.is_empty() {

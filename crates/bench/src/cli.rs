@@ -39,11 +39,6 @@ pub struct Options {
     /// Host threads for independent simulation cells (`--jobs`);
     /// `None` = pick a default from the host/machine core counts.
     pub jobs: Option<usize>,
-    /// Host threads *within* each simulation (`--host-threads`):
-    /// `MachineConfig::host_threads` for the window-parallel engine.
-    /// Purely a host performance knob — results are byte-identical for
-    /// every value (CI diffs goldens and profiles across 1/2/4).
-    pub host_threads: usize,
     /// Golden-number mode.
     pub golden: GoldenMode,
     /// Directory for golden files (`--golden-dir`); `None` = the
@@ -118,7 +113,6 @@ impl Options {
             cols: default_cols,
             rows: default_rows,
             jobs: None,
-            host_threads: 1,
             golden: GoldenMode::Run,
             golden_dir: None,
             sanitize: false,
@@ -169,14 +163,6 @@ impl Options {
                         .parse()
                         .expect("--jobs must be an integer");
                     opts.jobs = Some(n.max(1));
-                }
-                "--host-threads" => {
-                    let n: usize = args
-                        .next()
-                        .expect("--host-threads needs a value")
-                        .parse()
-                        .expect("--host-threads must be an integer");
-                    opts.host_threads = n.max(1);
                 }
                 "--check-golden" => opts.golden = GoldenMode::Check,
                 "--write-golden" => opts.golden = GoldenMode::Write,
@@ -237,8 +223,6 @@ impl Options {
                          --cols N --rows N          mesh dimensions\n         \
                          --paper                    16x8 = 128 cores (paper machine)\n         \
                          --jobs N                   host threads for independent cells\n         \
-                         --host-threads N           host threads per simulation (window-parallel\n                                    \
-                         engine; results byte-identical for every N)\n         \
                          --check-golden             verify against results/golden/ (exit 1 on drift)\n         \
                          --write-golden             re-bless results/golden/ with this run\n         \
                          --golden-dir PATH          read/write goldens under PATH instead\n         \
@@ -274,7 +258,6 @@ impl Options {
         m.sanitize = self.sanitize;
         m.faults = self.faults.clone();
         m.profile = self.profile;
-        m.host_threads = self.host_threads.max(1);
         m.fidelity = self.fidelity;
         m.checkpoint_every = self.checkpoint_every;
         m.checkpoint_dir = self.checkpoint_dir.clone();
@@ -368,10 +351,9 @@ impl Options {
     }
 
     /// Host threads to use for a sweep of `cells` independent cells:
-    /// `--jobs` if given, else `min(host_cores / threads_per_run,
-    /// cells)` with a floor of 1 — each simulation already spawns one
-    /// OS thread per simulated core, so the pool stays bounded by the
-    /// host, not oversubscribed by it.
+    /// `--jobs` if given, else `min(host_cores, cells)` — one
+    /// simulation occupies exactly one OS thread, whatever its core
+    /// count.
     pub fn effective_jobs(&self, cells: usize) -> usize {
         let cells = cells.max(1);
         match self.jobs {
@@ -380,7 +362,7 @@ impl Options {
                 let host = std::thread::available_parallelism()
                     .map(|n| n.get())
                     .unwrap_or(1);
-                (host / self.machine().host_threads_per_run()).clamp(1, cells)
+                host.clamp(1, cells)
             }
         }
     }

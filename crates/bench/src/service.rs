@@ -56,12 +56,8 @@ pub struct BinExecutor {
     /// own directory — all `mosaic-bench` bins install side by side).
     pub exe_dir: PathBuf,
     /// `--jobs` handed to each child, budgeted so
-    /// `workers × child_jobs × host_threads_per_run ≤ host cores`.
+    /// `workers × child_jobs ≤ host cores`.
     pub child_jobs: usize,
-    /// Default `--host-threads` per simulation (the window-parallel
-    /// engine); a spec's own `host_threads` can raise it per job. Part
-    /// of the same budget: `host_threads_per_run` grows with it.
-    pub host_threads: usize,
     /// Calibration table forwarded to analytic children
     /// (`--calibration`). `None` leaves the child resolving the
     /// committed default relative to its own working directory —
@@ -72,10 +68,7 @@ pub struct BinExecutor {
 
 impl BinExecutor {
     /// An executor running the binaries next to the current one.
-    pub fn beside_current_exe(
-        child_jobs: usize,
-        host_threads: usize,
-    ) -> std::io::Result<BinExecutor> {
+    pub fn beside_current_exe(child_jobs: usize) -> std::io::Result<BinExecutor> {
         let exe = std::env::current_exe()?;
         let exe_dir = exe
             .parent()
@@ -84,7 +77,6 @@ impl BinExecutor {
         Ok(BinExecutor {
             exe_dir,
             child_jobs: child_jobs.max(1),
-            host_threads: host_threads.max(1),
             calibration: None,
         })
     }
@@ -191,13 +183,6 @@ impl Executor for BinExecutor {
             }
         }
         cmd.args(["--jobs", &self.child_jobs.to_string()]);
-        let host_threads = spec.host_threads.max(self.host_threads);
-        if host_threads > 1 {
-            // Window-parallel engine inside each simulation. Omitted at
-            // the default so legacy argv (and child behaviour) is
-            // unchanged; the digest ignores it either way.
-            cmd.args(["--host-threads", &host_threads.to_string()]);
-        }
         if spec.checkpoint_every > 0 {
             // Durability knob: checkpoints land in the job's scratch
             // directory, so a crashed child leaves its images behind

@@ -11,9 +11,9 @@
 //! pool ([`run_cells`]), and *collects results in deterministic cell
 //! order* — progress callbacks fire in exactly the order the old serial
 //! driver used, so all output (tables, golden JSON, progress lines) is
-//! bit-identical for any `--jobs` value. The pool is bounded because
-//! each simulation itself spawns one OS thread per simulated core (see
-//! [`MachineConfig::host_threads_per_run`]).
+//! bit-identical for any `--jobs` value. One simulation is one OS
+//! thread (its cores are coroutines on it), so the pool's default size
+//! is simply the host's core count.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};

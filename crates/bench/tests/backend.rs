@@ -2,9 +2,9 @@
 //! side:
 //!
 //! 1. `CycleBackend` is a transparent pass-through — the committed
-//!    golden numbers reproduce *byte-for-byte* through the seam at
-//!    every host-thread count, so threading a `Backend` through the
-//!    harnesses changed nothing about the cycle-accurate truth.
+//!    golden numbers reproduce *byte-for-byte* through the seam, so
+//!    threading a `Backend` through the harnesses changed nothing
+//!    about the cycle-accurate truth.
 //! 2. `AnalyticBackend` is a pure function of (machine, calibration):
 //!    deterministic across calls, and monotone non-increasing in core
 //!    count for static-loop demands (`span_hop == 0` — the property
@@ -30,33 +30,29 @@ fn committed_table1_tiny() -> String {
 }
 
 #[test]
-fn cycle_backend_reproduces_committed_goldens_at_every_host_thread_count() {
+fn cycle_backend_reproduces_committed_goldens() {
     let committed_text = committed_table1_tiny();
     let committed = GoldenFile::parse(&committed_text).expect("committed golden parses");
-    let host = std::thread::available_parallelism()
+    // Sweep-pool budget: one simulation is one host thread.
+    let jobs = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    for host_threads in [1usize, 2, 4] {
-        let mut machine = MachineConfig::small(8, 4);
-        machine.host_threads = host_threads;
-        // Sweep-pool budget: jobs x host-threads-per-sim <= host cores.
-        let jobs = (host / host_threads).max(1);
-        let rows = sweep::table1_sweep_backend(Scale::Tiny, &machine, &CycleBackend, jobs);
-        let mut fresh = GoldenFile::new("table1", "tiny", 8, 4);
-        fresh.push_sweep(&rows);
-        // Cell-level diff first: on failure it names the drifted cell
-        // instead of dumping two JSON blobs.
-        let drift = committed.diff(&fresh);
-        assert!(
-            drift.is_empty(),
-            "host_threads={host_threads}: cells drifted from committed golden: {drift:?}"
-        );
-        assert_eq!(
-            fresh.to_json(),
-            committed_text,
-            "host_threads={host_threads}: serialized golden is not byte-identical"
-        );
-    }
+    let machine = MachineConfig::small(8, 4);
+    let rows = sweep::table1_sweep_backend(Scale::Tiny, &machine, &CycleBackend, jobs);
+    let mut fresh = GoldenFile::new("table1", "tiny", 8, 4);
+    fresh.push_sweep(&rows);
+    // Cell-level diff first: on failure it names the drifted cell
+    // instead of dumping two JSON blobs.
+    let drift = committed.diff(&fresh);
+    assert!(
+        drift.is_empty(),
+        "cells drifted from committed golden: {drift:?}"
+    );
+    assert_eq!(
+        fresh.to_json(),
+        committed_text,
+        "serialized golden is not byte-identical"
+    );
 }
 
 // ---------------------------------------------------------------- //

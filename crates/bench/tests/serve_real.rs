@@ -26,7 +26,6 @@ fn real_tiny_job_twice_second_is_cache_hit() {
     let executor = BinExecutor {
         exe_dir,
         child_jobs: 1,
-        host_threads: 1,
         calibration: None,
     };
     let cfg = ServerConfig {

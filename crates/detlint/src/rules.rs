@@ -93,8 +93,7 @@ pub const RULES: &[RuleInfo] = &[
         name: "flag-parity",
         summary: "a crates/bench/src/bin binary neither constructs the shared \
                   Options CLI nor spells the standard flag set \
-                  (--sanitize/--profile/--faults/--host-threads/--fidelity/\
-                  --check-golden)",
+                  (--sanitize/--profile/--faults/--fidelity/--check-golden)",
     },
     RuleInfo {
         code: "D008",
@@ -528,7 +527,6 @@ fn flag_parity(path: &str, lexed: &Lexed) -> Vec<Finding> {
         "--sanitize",
         "--profile",
         "--faults",
-        "--host-threads",
         "--fidelity",
         "--check-golden",
     ];
@@ -555,7 +553,7 @@ fn flag_parity(path: &str, lexed: &Lexed) -> Vec<Finding> {
         message: format!(
             "harness binary neither calls Options::parse nor handles the standard \
              flags {} — new bins must not ship without the shared \
-             sanitize/profile/faults/host-threads/fidelity/golden plumbing",
+             sanitize/profile/faults/fidelity/golden plumbing",
             missing.join(", ")
         ),
     }]

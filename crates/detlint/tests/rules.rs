@@ -136,7 +136,7 @@ fn d007_flag_parity_for_bench_bins() {
     let f = scan("d007_bare_bin.rs", "crates/bench/src/bin/fixture.rs");
     assert_eq!(spans(&f, "D007"), vec![(1, 1)], "{f:?}");
     let msg = &f.iter().find(|x| x.rule == "D007").unwrap().message;
-    for flag in ["--sanitize", "--profile", "--faults", "--host-threads"] {
+    for flag in ["--sanitize", "--profile", "--faults", "--fidelity"] {
         assert!(msg.contains(flag), "missing {flag} in {msg}");
     }
     assert!(

@@ -124,8 +124,8 @@ impl Mesh {
 
     /// Router pipeline latency charged per hop, in cycles. This is the
     /// smallest cross-component latency in the machine, which makes it
-    /// the conservative lookahead quantum of the window-parallel engine
-    /// in `mosaic-sim`.
+    /// the conservative lookahead `mosaic-sim` sizes its event-queue
+    /// days from.
     pub fn hop_latency(&self) -> Cycle {
         self.hop_latency
     }

@@ -14,7 +14,6 @@
 //! wire-maximal behaviour described by Jung et al. (NOCS '20).
 
 use crate::{LinkId, Route};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A node's position on the physical grid, including LLC rows.
@@ -65,8 +64,23 @@ pub struct MeshConfig {
     ruche_x: u16,
     /// `(from, to)` endpoints for every unidirectional link.
     links: Vec<(NodeId, NodeId)>,
-    /// Precomputed route (list of link ids) for every `(src, dst)` pair.
-    routes: Vec<Vec<LinkId>>,
+    /// Precomputed routes for every `(src, dst)` pair in compressed
+    /// rows: pair `src * n + dst` owns
+    /// `route_links[route_offsets[pair]..route_offsets[pair + 1]]`.
+    route_offsets: Vec<u32>,
+    route_links: Vec<LinkId>,
+}
+
+/// Directions a node can have an outgoing link in; indexes the
+/// per-node table [`MeshConfig::new`] routes through.
+#[derive(Clone, Copy)]
+enum Dir {
+    East,
+    West,
+    South,
+    North,
+    RucheEast,
+    RucheWest,
 }
 
 impl fmt::Debug for MeshConfig {
@@ -93,26 +107,28 @@ impl MeshConfig {
         let grid_rows = core_rows + 2;
         let n = cols as usize * grid_rows as usize;
 
-        let mut links = Vec::new();
-        let mut link_of: BTreeMap<(u32, u32), LinkId> = BTreeMap::new();
-        let mut add_link = |from: u32, to: u32, links: &mut Vec<(NodeId, NodeId)>| {
-            let id = LinkId(links.len() as u32);
-            links.push((NodeId(from), NodeId(to)));
-            link_of.insert((from, to), id);
-        };
-
         let node = |x: u16, y: u16| -> u32 { y as u32 * cols as u32 + x as u32 };
+
+        // Links are numbered in the order they are added; `out[node]`
+        // remembers the id of the node's outgoing link per direction so
+        // routing below is an index, not a search.
+        let mut links = Vec::new();
+        let mut out = vec![[LinkId(u32::MAX); 6]; n];
+        let mut add_link = |from: u32, to: u32, dir: Dir| {
+            out[from as usize][dir as usize] = LinkId(links.len() as u32);
+            links.push((NodeId(from), NodeId(to)));
+        };
 
         // Local links: 4-neighbour, both directions.
         for y in 0..grid_rows {
             for x in 0..cols {
                 if x + 1 < cols {
-                    add_link(node(x, y), node(x + 1, y), &mut links);
-                    add_link(node(x + 1, y), node(x, y), &mut links);
+                    add_link(node(x, y), node(x + 1, y), Dir::East);
+                    add_link(node(x + 1, y), node(x, y), Dir::West);
                 }
                 if y + 1 < grid_rows {
-                    add_link(node(x, y), node(x, y + 1), &mut links);
-                    add_link(node(x, y + 1), node(x, y), &mut links);
+                    add_link(node(x, y), node(x, y + 1), Dir::South);
+                    add_link(node(x, y + 1), node(x, y), Dir::North);
                 }
             }
         }
@@ -121,57 +137,58 @@ impl MeshConfig {
             for y in 0..grid_rows {
                 for x in 0..cols {
                     if x + ruche_x < cols {
-                        add_link(node(x, y), node(x + ruche_x, y), &mut links);
-                        add_link(node(x + ruche_x, y), node(x, y), &mut links);
+                        add_link(node(x, y), node(x + ruche_x, y), Dir::RucheEast);
+                        add_link(node(x + ruche_x, y), node(x, y), Dir::RucheWest);
                     }
                 }
             }
         }
 
-        // Precompute X-then-Y routes for all pairs.
-        let mut routes = vec![Vec::new(); n * n];
+        // Precompute X-then-Y routes for all pairs, in pair order.
+        let mut route_offsets = Vec::with_capacity(n * n + 1);
+        let mut route_links = Vec::new();
         for sy in 0..grid_rows {
             for sx in 0..cols {
                 for dy in 0..grid_rows {
                     for dx in 0..cols {
-                        let src = node(sx, sy);
-                        let dst = node(dx, dy);
-                        if src == dst {
-                            continue;
-                        }
-                        let mut path = Vec::new();
+                        route_offsets.push(route_links.len() as u32);
                         let mut x = sx;
                         // X dimension first, taking express hops greedily.
                         while x != dx {
-                            let dist = dx.abs_diff(x);
-                            let step = if ruche_x > 1 && dist >= ruche_x {
-                                ruche_x
-                            } else {
-                                1
+                            let express = ruche_x > 1 && dx.abs_diff(x) >= ruche_x;
+                            let (dir, nx) = match (dx > x, express) {
+                                (true, true) => (Dir::RucheEast, x + ruche_x),
+                                (true, false) => (Dir::East, x + 1),
+                                (false, true) => (Dir::RucheWest, x - ruche_x),
+                                (false, false) => (Dir::West, x - 1),
                             };
-                            let nx = if dx > x { x + step } else { x - step };
-                            path.push(link_of[&(node(x, sy), node(nx, sy))]);
+                            route_links.push(out[node(x, sy) as usize][dir as usize]);
                             x = nx;
                         }
                         // Then Y.
                         let mut y = sy;
                         while y != dy {
-                            let ny = if dy > y { y + 1 } else { y - 1 };
-                            path.push(link_of[&(node(x, y), node(x, ny))]);
+                            let (dir, ny) = if dy > y {
+                                (Dir::South, y + 1)
+                            } else {
+                                (Dir::North, y - 1)
+                            };
+                            route_links.push(out[node(x, y) as usize][dir as usize]);
                             y = ny;
                         }
-                        routes[src as usize * n + dst as usize] = path;
                     }
                 }
             }
         }
+        route_offsets.push(route_links.len() as u32);
 
         MeshConfig {
             cols,
             core_rows,
             ruche_x,
             links,
-            routes,
+            route_offsets,
+            route_links,
         }
     }
 
@@ -276,8 +293,9 @@ impl MeshConfig {
     /// The precomputed X-then-Y route from `src` to `dst` (empty when
     /// `src == dst`).
     pub fn route(&self, src: NodeId, dst: NodeId) -> Route<'_> {
-        let n = self.node_count();
-        Route::new(&self.routes[src.index() * n + dst.index()])
+        let pair = src.index() * self.node_count() + dst.index();
+        let (start, end) = (self.route_offsets[pair], self.route_offsets[pair + 1]);
+        Route::new(&self.route_links[start as usize..end as usize])
     }
 
     /// The `(from, to)` endpoints of every unidirectional link.
@@ -368,6 +386,70 @@ mod tests {
         assert_eq!(plain, 15);
         assert_eq!(express, 5); // 15 = 3 * 5 express hops, no local hops
         assert!(express < plain);
+    }
+
+    /// The route builder this module used before routes were stored in
+    /// compressed rows: a `(from, to) -> link` map filled while the
+    /// link table is enumerated, searched once per hop. Kept as the
+    /// reference the indexed builder must reproduce link for link.
+    fn reference_routes(cfg: &MeshConfig) -> Vec<Vec<LinkId>> {
+        use std::collections::BTreeMap;
+        let (cols, grid_rows, ruche_x) = (cfg.cols, cfg.core_rows + 2, cfg.ruche_x);
+        let link_of: BTreeMap<(NodeId, NodeId), LinkId> = cfg
+            .link_table()
+            .iter()
+            .enumerate()
+            .map(|(i, &ends)| (ends, LinkId(i as u32)))
+            .collect();
+        let node = |x: u16, y: u16| NodeId(y as u32 * cols as u32 + x as u32);
+        let mut routes = Vec::new();
+        for sy in 0..grid_rows {
+            for sx in 0..cols {
+                for dy in 0..grid_rows {
+                    for dx in 0..cols {
+                        let mut path = Vec::new();
+                        let mut x = sx;
+                        while x != dx {
+                            let dist = dx.abs_diff(x);
+                            let step = if ruche_x > 1 && dist >= ruche_x {
+                                ruche_x
+                            } else {
+                                1
+                            };
+                            let nx = if dx > x { x + step } else { x - step };
+                            path.push(link_of[&(node(x, sy), node(nx, sy))]);
+                            x = nx;
+                        }
+                        let mut y = sy;
+                        while y != dy {
+                            let ny = if dy > y { y + 1 } else { y - 1 };
+                            path.push(link_of[&(node(x, y), node(x, ny))]);
+                            y = ny;
+                        }
+                        routes.push(path);
+                    }
+                }
+            }
+        }
+        routes
+    }
+
+    #[test]
+    fn indexed_routes_match_the_map_based_reference_pairwise() {
+        for cfg in [MeshConfig::new(16, 8, 3), MeshConfig::new(5, 3, 0)] {
+            let reference = reference_routes(&cfg);
+            let n = cfg.node_count();
+            assert_eq!(reference.len(), n * n);
+            for src in 0..n {
+                for dst in 0..n {
+                    assert_eq!(
+                        cfg.route(NodeId(src as u32), NodeId(dst as u32)).links(),
+                        reference[src * n + dst].as_slice(),
+                        "{cfg:?}: route {src} -> {dst}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

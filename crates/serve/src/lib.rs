@@ -21,7 +21,7 @@
 //!   byte-identical results as an uninterrupted run.
 //! - [`scheduler`] — bounded FIFO queue with typed `overloaded`
 //!   admission control, a worker pool sized like `mosaic-bench`'s
-//!   sweep pool (`workers × host_threads_per_run ≤ host cores`),
+//!   sweep pool (`workers × child_jobs ≤ host cores`),
 //!   per-job `catch_unwind` panic isolation, wall-clock timeouts,
 //!   cancellation, and graceful drain.
 //! - [`protocol`] / [`server`] / [`client`] — newline-delimited JSON

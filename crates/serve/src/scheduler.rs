@@ -60,9 +60,9 @@ pub struct SchedConfig {
     /// useful as a drain/maintenance mode and exercised by tests.
     pub queue_cap: usize,
     /// Worker threads executing jobs. Size this so
-    /// `workers × host_threads_per_run ≤ host cores` (each simulation
-    /// spawns one OS thread per simulated core — same rule
-    /// `mosaic-bench`'s sweep pool applies per cell).
+    /// `workers × child_jobs ≤ host cores` (each simulation is one OS
+    /// thread — same rule `mosaic-bench`'s sweep pool applies per
+    /// cell).
     pub workers: usize,
     /// Per-*attempt* wall-clock timeout; expiry marks the job
     /// `timeout`, flags it cancelled, and abandons its thread. A

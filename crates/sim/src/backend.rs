@@ -9,7 +9,7 @@
 //! * [`CycleBackend`] — the existing cycle-accurate discrete-event
 //!   engine, wrapped byte-for-byte: it calls straight through to the
 //!   caller's execution closure, so every committed golden number is
-//!   unchanged at every `host_threads` value; or
+//!   unchanged; or
 //! * [`AnalyticBackend`] — `mosaic-model`'s queueing/throughput
 //!   formulas, answering from a [`CalibrationTable`] in microseconds
 //!   and *refusing* families the table does not cover (no silent
@@ -108,8 +108,8 @@ pub trait Backend: Sync {
 
 /// The cycle-accurate engine behind the seam: a transparent
 /// pass-through to [`BackendJob::execute`], byte-for-byte identical to
-/// calling the engine directly (CI pins this against committed goldens
-/// at `--host-threads 1/2/4`).
+/// calling the engine directly (`crates/bench/tests/backend.rs` pins
+/// this against committed goldens).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CycleBackend;
 

@@ -165,28 +165,6 @@ impl CalendarQueue {
             }
         }
     }
-
-    /// Visit queued events in ascending *day* order (bucket by bucket;
-    /// unordered within a bucket, overflow last). Stops early when `f`
-    /// returns `false`. The parallel engine uses this to find the
-    /// soonest not-yet-delivered wakes; within-bucket order does not
-    /// matter there because delivery order is simulation-invisible.
-    pub fn scan(&self, mut f: impl FnMut(Event) -> bool) {
-        let cursor_day = self.day(self.cursor);
-        for d in 0..BUCKETS as u64 {
-            let day = cursor_day + d;
-            for &ev in &self.buckets[(day % BUCKETS as u64) as usize] {
-                if !f(ev) {
-                    return;
-                }
-            }
-        }
-        for &ev in &self.overflow {
-            if !f(ev) {
-                return;
-            }
-        }
-    }
 }
 
 impl Default for CalendarQueue {
@@ -260,25 +238,5 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 102);
-    }
-
-    #[test]
-    fn scan_visits_everything_and_stops_early() {
-        let mut q = CalendarQueue::with_width(2);
-        q.push(1, 0, 0);
-        q.push(2, 1, 1);
-        q.push(5000, 2, 2);
-        let mut seen = Vec::new();
-        q.scan(|e| {
-            seen.push(e);
-            true
-        });
-        assert_eq!(seen.len(), 3);
-        let mut count = 0;
-        q.scan(|_| {
-            count += 1;
-            false
-        });
-        assert_eq!(count, 1);
     }
 }

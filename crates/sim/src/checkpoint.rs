@@ -19,11 +19,12 @@
 //!
 //! ## What a checkpoint means
 //!
-//! Core behaviours are host OS-thread closures; their continuations
-//! cannot be serialized. A checkpoint therefore captures *machine*
-//! state at a canonical event boundary — which is byte-identical
-//! across `host_threads` values, because all machine mutation happens
-//! engine-side in `(cycle, seq)` order. Resume is **verified
+//! Core behaviours are host closures suspended on coroutine stacks
+//! full of host pointers; their continuations cannot be serialized. A
+//! checkpoint therefore captures *machine* state at a canonical event
+//! boundary — which is byte-identical from run to run, because all
+//! machine mutation happens engine-side in `(cycle, seq)` order.
+//! Resume is **verified
 //! re-execution**: the engine replays deterministically from cycle
 //! zero and byte-compares the machine against the checkpoint at its
 //! recorded boundary, hard-failing on any divergence. The wall-clock

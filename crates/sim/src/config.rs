@@ -51,16 +51,6 @@ pub struct MachineConfig {
     /// plan with bit flips corrupts state on purpose and is expected
     /// to be caught by divergence checking.
     pub faults: Option<FaultPlan>,
-    /// Host threads one run of the discrete-event engine may keep
-    /// runnable at once. `1` (the default) is the classic sequential
-    /// engine: exactly one thread — engine or a single woken core — is
-    /// ever on a host CPU. `N > 1` enables the window-parallel engine:
-    /// the event loop plus up to `N - 1` simulated-core threads
-    /// computing ahead inside their lookahead windows. Purely a host
-    /// performance knob — every simulated number (cycles, counters,
-    /// payloads, profiles) is byte-identical for every value; see
-    /// `docs/determinism.md`.
-    pub host_threads: usize,
     /// Which backend answers runs of this machine: the cycle-accurate
     /// engine (`Cycle`, the default — byte-identical goldens), the
     /// calibrated analytic model (`Analytic`), or per-family
@@ -71,9 +61,9 @@ pub struct MachineConfig {
     /// Checkpoint cadence in simulated cycles: the engine serializes
     /// the machine at the first event boundary at or past every
     /// multiple (see `crate::checkpoint`). `0` (the default) disables
-    /// checkpointing. A host durability knob like `host_threads`:
-    /// excluded from job digests, and every simulated number is
-    /// byte-identical whatever the cadence.
+    /// checkpointing. A host durability knob: excluded from job
+    /// digests, and every simulated number is byte-identical whatever
+    /// the cadence.
     pub checkpoint_every: Cycle,
     /// Directory checkpoint files are written into when
     /// `checkpoint_every > 0` (created on demand; default
@@ -139,7 +129,6 @@ impl MachineConfig {
             sanitize: false,
             profile: false,
             faults: None,
-            host_threads: 1,
             fidelity: Fidelity::Cycle,
             checkpoint_every: 0,
             checkpoint_dir: None,
@@ -167,27 +156,12 @@ impl MachineConfig {
                 self.llc.banks, slots
             ));
         }
-        if self.host_threads == 0 {
-            return Err("machine config: host_threads must be at least 1".into());
-        }
         Ok(())
     }
 
     /// Number of cores.
     pub fn core_count(&self) -> usize {
         self.cols as usize * self.rows as usize
-    }
-
-    /// Host OS threads one simulation of this machine occupies: the
-    /// engine runs each simulated core's behaviour closure on its own
-    /// (mostly parked) thread, plus the coordinating engine thread,
-    /// plus — with the window-parallel engine — up to
-    /// `host_threads - 1` additional core threads runnable at once.
-    /// Harnesses that run many simulations concurrently divide the
-    /// host's parallelism by this to size their job pool
-    /// (`workers × child_jobs × host_threads_per_run ≤ host cores`).
-    pub fn host_threads_per_run(&self) -> usize {
-        self.core_count() + self.host_threads.max(1)
     }
 
     /// Build the matching mesh description.
@@ -212,23 +186,6 @@ mod tests {
         assert_eq!(c.core_count(), 128);
         assert_eq!(c.llc.banks, 32);
         assert_eq!(c.spm_size, 4096);
-    }
-
-    #[test]
-    fn host_threads_cover_every_core_plus_engine() {
-        assert_eq!(MachineConfig::small(4, 2).host_threads_per_run(), 9);
-        assert_eq!(MachineConfig::small(1, 1).host_threads_per_run(), 2);
-    }
-
-    #[test]
-    fn parallel_host_threads_widen_the_run_budget() {
-        let mut c = MachineConfig::small(4, 2);
-        assert_eq!(c.host_threads, 1, "sequential engine is the default");
-        c.host_threads = 4;
-        assert_eq!(c.host_threads_per_run(), 8 + 4);
-        assert!(c.validate().is_ok());
-        c.host_threads = 0;
-        assert!(c.validate().is_err(), "zero host threads is rejected");
     }
 
     #[test]

@@ -1,34 +1,13 @@
 //! The discrete-event engine.
 //!
-//! Each simulated core runs its behaviour closure on a dedicated OS
-//! thread, written in ordinary *blocking* style against [`CoreApi`].
-//! The engine owns the [`Machine`] and applies core requests strictly
-//! in global `(cycle, seq)` order, so simulation is bit-deterministic.
-//! See the crate docs for the protocol.
-//!
-//! ## Host parallelism (`MachineConfig::host_threads`)
-//!
-//! With `host_threads = 1` (the default) the engine wakes exactly one
-//! core thread at a time: classic sequential discrete-event execution.
-//! With `host_threads = N > 1` it runs the *window-parallel* engine:
-//! up to `N - 1` core threads compute ahead of the barrier at once.
-//! This is a conservative-lookahead scheme specialized to this
-//! machine's structure. A core's wake — its reply value and wake
-//! cycle — is immutable from the moment it is scheduled, because all
-//! cross-component state (mesh reservations, LLC banks, DRAM,
-//! functional memory) is only ever mutated by the engine thread when
-//! it *applies* requests at the barrier, in canonical calendar order.
-//! So the engine may deliver a scheduled wake early; the core-cluster
-//! "component group" then advances independently through its window —
-//! from that wake to its next synchronizing operation, which is always
-//! at least the minimum cross-component latency (one NoC hop) away —
-//! while the engine applies other groups' events. The request the core
-//! produces is exchanged at the window barrier: it sits in the core's
-//! channel until its event pops in canonical merge order. Application
-//! order, and therefore every simulated number, is byte-identical to
-//! the sequential engine; `docs/determinism.md` has the full argument
-//! and CI diffs goldens and profiles across `--host-threads 1/2/4` on
-//! every push.
+//! Each simulated core runs its behaviour closure as a stackful
+//! coroutine (`crate::coro`), written in ordinary *blocking* style
+//! against [`CoreApi`]. The event loop and every core share one OS
+//! thread: a wake is "write the reply into the core's mailbox, switch
+//! to its stack", and every [`CoreApi`] operation is "write the request,
+//! switch back". The engine owns the [`Machine`] and applies core
+//! requests strictly in global `(cycle, seq)` order, so simulation is
+//! bit-deterministic. See the crate docs for the protocol.
 //!
 //! ## Timing semantics
 //!
@@ -44,15 +23,14 @@
 //!   `fence` + AMO, as on HammerBlade).
 
 use crate::calendar::CalendarQueue;
+use crate::coro::{Coroutine, Yielder};
 use crate::counters::MachineCounters;
 use crate::{Addr, CoreId, Cycle, Machine};
 use mosaic_mem::AmoOp;
 use mosaic_prof::{Phase, ProfSink};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::thread;
 
-/// What a core thread asks the engine to do. Every request carries the
+/// What a core asks the engine to do. Every request carries the
 /// compute accumulated since the previous synchronization.
 #[derive(Debug)]
 enum Request {
@@ -103,18 +81,13 @@ struct Reply {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// A core's behaviour closure panicked; the simulation was wound
-    /// down and all threads joined before this was returned.
+    /// down and every other core's stack unwound before this was
+    /// returned.
     CorePanicked {
         /// The offending core.
         core: CoreId,
         /// The panic message.
         message: String,
-    },
-    /// A core thread died without delivering a final request — a bug
-    /// in the engine or a thread killed from outside.
-    CoreDied {
-        /// The dead core.
-        core: CoreId,
     },
     /// The watchdog tripped: simulated time passed
     /// `MachineConfig::max_cycles` with cores still live.
@@ -161,7 +134,6 @@ impl std::fmt::Display for SimError {
             SimError::CorePanicked { core, message } => {
                 write!(f, "core {core} panicked: {message}")
             }
-            SimError::CoreDied { core } => write!(f, "core {core} thread died unexpectedly"),
             SimError::Watchdog {
                 max_cycles,
                 live,
@@ -192,11 +164,11 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Sentinel panic payload a core thread uses to unwind out of its
-/// behaviour closure when the engine has already gone away (its
-/// channels are closed). Raised with `resume_unwind` so the panic hook
-/// stays silent, and recognized by the core-thread wrapper, which
-/// exits cleanly instead of reporting a behaviour panic.
+/// Sentinel panic payload a core uses to unwind out of its behaviour
+/// closure when the run was aborted under it (the engine resumed it
+/// with no reply). Raised with `resume_unwind` so the panic hook stays
+/// silent, and recognized by [`core_main`], which finishes quietly
+/// instead of reporting a behaviour panic.
 struct EngineGone;
 
 /// Per-core engine-side state between events.
@@ -227,11 +199,12 @@ impl Report {
 }
 
 /// Handle through which a core-behaviour closure interacts with the
-/// simulated machine. One per core thread; not clonable.
+/// simulated machine. One per core, living on that core's coroutine
+/// stack; not clonable, and not `Send` — it is only meaningful there.
 pub struct CoreApi {
     core: CoreId,
-    req_tx: Sender<Request>,
-    reply_rx: Receiver<Reply>,
+    /// This core's end of the mailbox it shares with the event loop.
+    chan: Yielder<Reply, Request>,
     now: Cycle,
     pending_delay: Cycle,
     pending_instrs: u64,
@@ -388,17 +361,13 @@ impl CoreApi {
     }
 
     fn roundtrip(&mut self, req: Request) -> u32 {
-        // A closed channel means the engine aborted (another core
-        // panicked, the watchdog fired, ...). Unwind out of the
-        // behaviour closure with the EngineGone sentinel — the core
-        // thread's wrapper recognizes it and exits cleanly, without
-        // the process-aborting expect this used to be.
-        if self.req_tx.send(req).is_err() {
+        // Switch to the event loop; it switches back when this core's
+        // wake pops. No reply means the run was aborted (another core
+        // panicked, the watchdog fired, ...) and this core is being torn
+        // down: unwind out of the behaviour closure with the EngineGone
+        // sentinel so everything it holds on this stack is dropped.
+        let Some(reply) = self.chan.suspend(req) else {
             std::panic::resume_unwind(Box::new(EngineGone));
-        }
-        let reply = match self.reply_rx.recv() {
-            Ok(r) => r,
-            Err(_) => std::panic::resume_unwind(Box::new(EngineGone)),
         };
         self.now = reply.now;
         reply.value
@@ -414,14 +383,14 @@ impl Engine {
     /// [`Report`].
     ///
     /// `behaviors(core)` is called once per core to produce that core's
-    /// closure. The closure runs on a dedicated thread and may block on
-    /// [`CoreApi`] operations; it must not block on anything else
-    /// shared with other core threads.
+    /// closure. The closure runs as a coroutine on the calling thread
+    /// and may block on [`CoreApi`] operations; it must not block on
+    /// anything else, because no other core can run while it does.
     ///
     /// # Panics
     ///
-    /// Panics (after shutting down worker threads) if any core's
-    /// behaviour panics or the simulation fails to terminate; use
+    /// Panics (after unwinding every core) if any core's behaviour
+    /// panics or the simulation fails to terminate; use
     /// [`Engine::try_run`] to receive a [`SimError`] instead.
     pub fn run<F>(machine: Machine, behaviors: F) -> Report
     where
@@ -435,90 +404,75 @@ impl Engine {
 
     /// Like [`Engine::run`], but failures (a panicked behaviour, a
     /// watchdog trip, a deadlock) come back as a [`SimError`] after
-    /// all core threads have been wound down and joined — one poisoned
-    /// simulation degrades to a failed result instead of aborting the
-    /// host process.
+    /// every core has been wound down: cores suspended mid-behaviour
+    /// are unwound so their destructors run, cores that never started
+    /// drop their closures unrun — one poisoned simulation degrades to
+    /// a failed result instead of aborting the host process.
     pub fn try_run<F>(machine: Machine, mut behaviors: F) -> Result<Report, SimError>
     where
         F: FnMut(CoreId) -> Box<dyn FnOnce(&mut CoreApi) + Send>,
     {
-        let cores = machine.core_count();
         let prof = machine.prof_sink();
-        let mut req_rxs = Vec::with_capacity(cores);
-        let mut reply_txs = Vec::with_capacity(cores);
-        let mut handles = Vec::with_capacity(cores);
+        let cores = (0..machine.core_count())
+            .map(|core| {
+                let behavior = behaviors(core);
+                let prof = prof.clone();
+                Coroutine::new(move |chan, start| core_main(core, chan, start, prof, behavior))
+                    .expect("failed to map a core stack")
+            })
+            .collect();
+        // The loop owns the coroutines, so returning — with a report or
+        // an error — drops them, and dropping a suspended one unwinds it.
+        EventLoop::new(machine, cores).run()
+    }
+}
 
-        for core in 0..cores {
-            let (req_tx, req_rx) = channel::<Request>();
-            let (reply_tx, reply_rx) = channel::<Reply>();
-            req_rxs.push(req_rx);
-            reply_txs.push(reply_tx);
-            let behavior = behaviors(core);
-            let prof = prof.clone();
-            let handle = thread::Builder::new()
-                .name(format!("mosaic-core-{core}"))
-                .stack_size(32 << 20)
-                .spawn(move || {
-                    let mut api = CoreApi {
-                        core,
-                        req_tx,
-                        reply_rx,
-                        now: 0,
-                        pending_delay: 0,
-                        pending_instrs: 0,
-                        prof,
-                    };
-                    // Wait for the engine's start signal.
-                    let start = match api.reply_rx.recv() {
-                        Ok(s) => s,
-                        Err(_) => return, // engine aborted before start
-                    };
-                    api.now = start.now;
-                    let result = catch_unwind(AssertUnwindSafe(|| behavior(&mut api)));
-                    let final_req = match result {
-                        Ok(()) => Request::Halt {
-                            delay: api.take_delay(),
-                            instrs: api.take_instrs(),
-                        },
-                        Err(payload) => {
-                            if payload.is::<EngineGone>() {
-                                // The engine already went away; there
-                                // is nobody to report to and nothing
-                                // to report.
-                                return;
-                            }
-                            let msg = payload
-                                .downcast_ref::<&str>()
-                                .map(|s| s.to_string())
-                                .or_else(|| payload.downcast_ref::<String>().cloned())
-                                .unwrap_or_else(|| "<non-string panic>".into());
-                            Request::Panicked(msg)
-                        }
-                    };
-                    let _ = api.req_tx.send(final_req);
-                })
-                .expect("failed to spawn core thread");
-            handles.push(handle);
-        }
-
-        let result = EventLoop::new(machine, cores, &req_rxs, &reply_txs).run();
-
-        // Drop reply senders so any still-blocked threads unblock, then
-        // join everything before surfacing errors.
-        drop(reply_txs);
-        for h in handles {
-            let _ = h.join();
-        }
-
-        result
+/// Body of every core's coroutine: run the behaviour from the start
+/// signal `start` and return the core's final request. Everything it
+/// holds — the [`CoreApi`] with its profiler handle, the behaviour, a
+/// panic payload — is dropped by the time it returns, which is the last
+/// thing that happens on the core's stack.
+fn core_main(
+    core: CoreId,
+    chan: Yielder<Reply, Request>,
+    start: Reply,
+    prof: Option<ProfSink>,
+    behavior: Box<dyn FnOnce(&mut CoreApi) + Send>,
+) -> Request {
+    let mut api = CoreApi {
+        core,
+        chan,
+        now: start.now,
+        pending_delay: 0,
+        pending_instrs: 0,
+        prof,
+    };
+    match catch_unwind(AssertUnwindSafe(|| behavior(&mut api))) {
+        Ok(()) => Request::Halt {
+            delay: api.take_delay(),
+            instrs: api.take_instrs(),
+        },
+        // Torn down by an aborting engine, which reads nothing more
+        // from this core.
+        Err(payload) if payload.is::<EngineGone>() => Request::Halt {
+            delay: 0,
+            instrs: 0,
+        },
+        Err(payload) => Request::Panicked(
+            payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "<non-string panic>".into()),
+        ),
     }
 }
 
 /// Engine-side state of one running simulation: the calendar event
-/// queue, per-core slots, and the channels to every core thread. One
-/// per [`Engine::try_run`]; [`EventLoop::run`] consumes it and returns
-/// the final [`Report`].
-struct EventLoop<'ch> {
+/// queue, per-core slots, and every core's coroutine. One per
+/// [`Engine::try_run`]; [`EventLoop::run`] consumes it and returns the
+/// final [`Report`].
+struct EventLoop {
     machine: Machine,
     counters: MachineCounters,
     queue: CalendarQueue,
@@ -535,19 +489,9 @@ struct EventLoop<'ch> {
     /// Same pattern for the profiler: one `Option` read here, every
     /// attribution behind `if let Some(..)`.
     prof: Option<ProfSink>,
-    req_rxs: &'ch [Receiver<Request>],
-    reply_txs: &'ch [Sender<Reply>],
-    /// Window-parallel mode: how many core threads may compute ahead
-    /// of the barrier at once (a small pipeline multiple of
-    /// `host_threads - 1`; `0` is the lock-step sequential engine).
-    eager_cap: usize,
-    /// Wakes delivered early whose requests are not yet consumed.
-    outstanding: usize,
-    /// Per-core flag: the core's queued wake was already delivered.
-    delivered: Vec<bool>,
-    /// Scratch for [`EventLoop::top_up`], reused so steady state stays
-    /// allocation-free.
-    eager_scratch: Vec<(CoreId, u32, Cycle)>,
+    /// The cores, each suspended in a [`CoreApi`] operation (or not yet
+    /// started, or finished) whenever the loop itself is running.
+    cores: Vec<Coroutine<Reply, Request>>,
     /// Checkpoint cadence (`config.checkpoint_every`); `0` disables.
     checkpoint_every: Cycle,
     /// Next cadence threshold: a checkpoint is written at the first
@@ -567,22 +511,10 @@ struct ResumeVerify {
     body: Vec<u8>,
 }
 
-impl<'ch> EventLoop<'ch> {
-    fn new(
-        machine: Machine,
-        cores: usize,
-        req_rxs: &'ch [Receiver<Request>],
-        reply_txs: &'ch [Sender<Reply>],
-    ) -> EventLoop<'ch> {
+impl EventLoop {
+    fn new(machine: Machine, cores: Vec<Coroutine<Reply, Request>>) -> EventLoop {
         let depth = machine.config().store_queue_depth;
         let max_cycles = machine.config().max_cycles;
-        // Each extra host thread buys a few wakes of pipeline depth,
-        // not just one: delivering slightly more wakes than there are
-        // spare host cores hides the futex wake-up latency between a
-        // reply landing and the core thread actually running. Kept
-        // small so `top_up`'s queue scan stays cheap per event.
-        const EAGER_PIPELINE: usize = 4;
-        let eager_cap = machine.config().host_threads.saturating_sub(1) * EAGER_PIPELINE;
         let faults = machine.faults_active();
         let prof = machine.prof_sink();
         // Bucket width: a small multiple of the machine's conservative
@@ -590,26 +522,24 @@ impl<'ch> EventLoop<'ch> {
         // ring, so pops stay short scans.
         let queue = CalendarQueue::with_width(machine.lookahead() * 16);
         EventLoop {
-            counters: MachineCounters::new(cores),
+            counters: MachineCounters::new(cores.len()),
             queue,
-            pending: Vec::with_capacity(cores),
+            pending: Vec::with_capacity(cores.len()),
             // Pre-size each store queue to its hard cap so the loop
             // never grows them (the calendar queue likewise recycles
             // its bucket storage).
-            store_queues: (0..cores).map(|_| Vec::with_capacity(depth + 1)).collect(),
+            store_queues: cores
+                .iter()
+                .map(|_| Vec::with_capacity(depth + 1))
+                .collect(),
             depth,
             seq: 0,
-            live: cores,
+            live: cores.len(),
             last_halt: 0,
             max_cycles,
             faults,
             prof,
-            req_rxs,
-            reply_txs,
-            eager_cap,
-            outstanding: 0,
-            delivered: vec![false; cores],
-            eager_scratch: Vec::new(),
+            cores,
             checkpoint_every: machine.config().checkpoint_every,
             next_checkpoint: machine.config().checkpoint_every,
             resume: None,
@@ -621,7 +551,7 @@ impl<'ch> EventLoop<'ch> {
         if let Some(path) = self.machine.config().resume_from.clone() {
             self.resume = Some(self.load_resume(&path)?);
         }
-        for core in 0..self.req_rxs.len() {
+        for core in 0..self.cores.len() {
             let at = if self.faults {
                 self.machine.freeze_adjust(core, 0)
             } else {
@@ -633,7 +563,7 @@ impl<'ch> EventLoop<'ch> {
                 p.idle_wait(core, 0, at);
             }
             self.pending.push(None);
-            self.schedule_wake(core, 0, at)?;
+            self.schedule_wake(core, 0, at);
         }
 
         while let Some((cycle, seq, core)) = self.queue.pop() {
@@ -646,9 +576,8 @@ impl<'ch> EventLoop<'ch> {
             }
             // Checkpoint boundary: immediately after the canonical pop,
             // before any machine mutation for this event. The boundary
-            // is named by `(cycle, seq)` and is identical for every
-            // `host_threads` value, so writes and resume-verification
-            // land on the same machine bytes in every engine mode.
+            // is named by `(cycle, seq)`, so a write and the later
+            // resume-verification land on the same machine bytes.
             if self.resume.is_some() {
                 self.verify_resume(cycle, seq)?;
             }
@@ -665,29 +594,13 @@ impl<'ch> EventLoop<'ch> {
                 .expect("core event without pending state");
             match slot {
                 Pending::Wake(value) => {
-                    if self.delivered[core] {
-                        // Window-parallel: the wake went out when it
-                        // was scheduled and the core has been computing
-                        // ahead; its request is in (or headed for) the
-                        // channel already.
-                        self.delivered[core] = false;
-                        self.outstanding -= 1;
-                    } else if self.reply_txs[core]
-                        .send(Reply { value, now: cycle })
-                        .is_err()
-                    {
-                        return Err(SimError::CoreDied { core });
-                    }
-                    let req = self.req_rxs[core]
-                        .recv()
-                        .map_err(|_| SimError::CoreDied { core })?;
+                    // Run the core from this wake to its next request.
+                    let req = self.cores[core].resume(Reply { value, now: cycle });
                     self.handle_request(core, cycle, req)?;
-                    // Consuming the request freed a window slot.
-                    self.top_up()?;
                 }
                 Pending::Issue(req) => {
                     // Deferred memory op: issue at exactly this cycle.
-                    self.issue_mem(core, cycle, req)?;
+                    self.issue_mem(core, cycle, req);
                 }
             }
             if self.live == 0 {
@@ -813,68 +726,14 @@ impl<'ch> EventLoop<'ch> {
         Ok(())
     }
 
-    /// Queue a wake for `core` at `at`, delivering it immediately when
-    /// a window-parallel slot is free. Early delivery is
-    /// simulation-invisible: the reply (value and wake cycle) is
-    /// immutable from the moment it is scheduled — every machine
-    /// mutation that produced it has already been applied — and the
-    /// request the core computes waits in its channel until this
-    /// event's canonical `(cycle, seq)` turn at the barrier.
-    ///
-    /// This also holds under fault injection: `freeze_adjust` runs at
-    /// *schedule* time on the engine thread in both modes, so an
-    /// injected freeze lands in `at` before the wake can go out —
-    /// freezes are window-aligned by construction.
-    fn schedule_wake(&mut self, core: CoreId, value: u32, at: Cycle) -> Result<(), SimError> {
+    /// Queue a wake for `core` at `at`: when the event pops, the core
+    /// resumes with `value` as the result of the operation it is
+    /// suspended in. Under fault injection the caller has already run
+    /// `at` through `freeze_adjust`.
+    fn schedule_wake(&mut self, core: CoreId, value: u32, at: Cycle) {
         self.pending[core] = Some(Pending::Wake(value));
         self.queue.push(at, self.seq, core);
         self.seq += 1;
-        if self.outstanding < self.eager_cap {
-            self.deliver(core, value, at)?;
-        }
-        Ok(())
-    }
-
-    /// Send a scheduled wake to its core thread.
-    fn deliver(&mut self, core: CoreId, value: u32, at: Cycle) -> Result<(), SimError> {
-        if self.reply_txs[core].send(Reply { value, now: at }).is_err() {
-            return Err(SimError::CoreDied { core });
-        }
-        self.delivered[core] = true;
-        self.outstanding += 1;
-        Ok(())
-    }
-
-    /// After a window slot frees, deliver the soonest still-undelivered
-    /// wakes so `eager_cap` core threads keep computing ahead. Scanning
-    /// in day order (not strict `(cycle, seq)` order) is enough:
-    /// delivery order is simulation-invisible, only the application
-    /// order at the barrier matters.
-    fn top_up(&mut self) -> Result<(), SimError> {
-        if self.outstanding >= self.eager_cap {
-            return Ok(());
-        }
-        let mut picks = std::mem::take(&mut self.eager_scratch);
-        picks.clear();
-        let mut slots = self.eager_cap - self.outstanding;
-        {
-            let pending = &self.pending;
-            let delivered = &self.delivered;
-            self.queue.scan(|(at, _, core)| {
-                if !delivered[core] {
-                    if let Some(Pending::Wake(value)) = pending[core] {
-                        picks.push((core, value, at));
-                        slots -= 1;
-                    }
-                }
-                slots > 0
-            });
-        }
-        for &(core, value, at) in &picks {
-            self.deliver(core, value, at)?;
-        }
-        self.eager_scratch = picks;
-        Ok(())
     }
 
     /// Per-core state plus active fault windows, appended to watchdog
@@ -925,7 +784,7 @@ impl<'ch> EventLoop<'ch> {
 
         match req {
             Request::Advance { .. } => {
-                self.schedule_wake(core, 0, issue)?;
+                self.schedule_wake(core, 0, issue);
             }
             Request::Fence { .. } => {
                 self.counters.core_mut(core).fences += 1;
@@ -939,7 +798,7 @@ impl<'ch> EventLoop<'ch> {
                     p.fence_wait(core, issue, drain - issue);
                 }
                 self.machine.sanitizer_fence(core, issue);
-                self.schedule_wake(core, 0, drain)?;
+                self.schedule_wake(core, 0, drain);
             }
             Request::Halt { .. } => {
                 self.counters.core_mut(core).halt_cycle = issue;
@@ -956,7 +815,7 @@ impl<'ch> EventLoop<'ch> {
                     self.queue.push(issue, self.seq, core);
                     self.seq += 1;
                 } else {
-                    self.issue_mem(core, cycle, mem_req)?;
+                    self.issue_mem(core, cycle, mem_req);
                 }
             }
             Request::Panicked(_) => unreachable!("handled above"),
@@ -965,7 +824,7 @@ impl<'ch> EventLoop<'ch> {
     }
 
     /// Issue a memory request at exactly `cycle` and schedule the wake.
-    fn issue_mem(&mut self, core: CoreId, cycle: Cycle, req: Request) -> Result<(), SimError> {
+    fn issue_mem(&mut self, core: CoreId, cycle: Cycle, req: Request) {
         let (wake_raw, value) = match req {
             Request::Load { addr, relaxed, .. } => {
                 self.counters.core_mut(core).loads += 1;
@@ -1025,7 +884,7 @@ impl<'ch> EventLoop<'ch> {
         if let Some(p) = &self.prof {
             p.idle_wait(core, wake_raw, wake_at - wake_raw);
         }
-        self.schedule_wake(core, value, wake_at)
+        self.schedule_wake(core, value, wake_at);
     }
 }
 
@@ -1439,16 +1298,14 @@ mod tests {
     }
 
     #[test]
-    fn window_parallel_engine_is_byte_identical() {
+    fn repeated_runs_are_byte_identical() {
         // One busy workload touching every engine path — AMOs, stores
         // past the queue depth, blocking loads, fences, phased compute,
-        // profiler attached — run at several host_threads values.
-        // Everything observable must match the sequential engine
-        // exactly: cycles, every per-core counter, the memory payload,
-        // and the full profile.
-        let run = |host_threads: usize| {
+        // profiler attached. Everything observable must repeat exactly:
+        // cycles, every per-core counter, the memory payload, and the
+        // full profile.
+        let run = || {
             let mut config = MachineConfig::small(4, 2);
-            config.host_threads = host_threads;
             config.profile = true;
             let mut machine = Machine::new(config);
             let a = machine.dram_alloc_words(8);
@@ -1474,23 +1331,18 @@ mod tests {
                 format!("{profile:?}"),
             )
         };
-        let sequential = run(1);
-        assert_eq!(sequential, run(2));
-        assert_eq!(sequential, run(4));
-        // More window slots than cores collapses to "all cores ahead".
-        assert_eq!(sequential, run(16));
+        assert_eq!(run(), run());
     }
 
     #[test]
-    fn window_parallel_engine_is_byte_identical_under_faults() {
-        // Chaos plans must not diverge across host_threads: freezes are
-        // applied by `freeze_adjust` at *schedule* time on the engine
-        // thread in both modes (window-aligned by construction), and
-        // flips land at canonical event-application points.
+    fn repeated_runs_are_byte_identical_under_faults() {
+        // A chaos plan is part of the input: freezes are applied by
+        // `freeze_adjust` when a wake is scheduled and flips land at
+        // canonical event-application points, so a faulted run repeats
+        // as exactly as a clean one.
         use mosaic_chaos::FaultPlan;
-        let run = |host_threads: usize| {
+        let run = || {
             let mut config = MachineConfig::small(4, 2);
-            config.host_threads = host_threads;
             config.faults = Some(
                 FaultPlan::parse(
                     "seed=3,horizon=100,links=8x200,banks=4x150+20,dram=2x300+50,\
@@ -1516,52 +1368,7 @@ mod tests {
                 r.machine.fault_flips_applied(),
             )
         };
-        let sequential = run(1);
-        assert_eq!(sequential, run(2));
-        assert_eq!(sequential, run(4));
-    }
-
-    #[test]
-    fn window_parallel_watchdog_still_trips() {
-        let mut config = MachineConfig::small(2, 1);
-        config.max_cycles = 5_000;
-        config.host_threads = 4;
-        let mut machine = Machine::new(config);
-        let flag = machine.dram_alloc_words(1);
-        let result = Engine::try_run(machine, move |core| {
-            Box::new(move |api| {
-                if core == 0 {
-                    while api.load(flag) == 0 {
-                        api.charge(1, 8);
-                    }
-                }
-            })
-        });
-        assert!(
-            matches!(result, Err(SimError::Watchdog { .. })),
-            "got {result:?}"
-        );
-    }
-
-    #[test]
-    fn window_parallel_core_panic_is_reported() {
-        let mut config = MachineConfig::small(2, 1);
-        config.host_threads = 4;
-        let machine = Machine::new(config);
-        let result = Engine::try_run(machine, |core| {
-            Box::new(move |_api| {
-                if core == 1 {
-                    panic!("boom");
-                }
-            })
-        });
-        match result {
-            Err(SimError::CorePanicked { core, message }) => {
-                assert_eq!(core, 1);
-                assert_eq!(message, "boom");
-            }
-            other => panic!("expected CorePanicked, got {other:?}"),
-        }
+        assert_eq!(run(), run());
     }
 
     #[test]

@@ -12,22 +12,26 @@
 //!
 //! ## Execution model
 //!
-//! Every simulated core gets a dedicated OS thread running its
-//! behaviour closure. The engine owns **all** shared machine state and
-//! applies core requests in global cycle order, so the simulation is
-//! data-race-free and bit-deterministic even though core code is
-//! written in a natural blocking style. With the default
-//! `MachineConfig::host_threads = 1` exactly one core thread runs at a
-//! time (classic sequential DES); higher values enable the
-//! window-parallel engine, which overlaps core-thread compute with
-//! engine event application without changing a single simulated number
-//! (see the [`engine`] module docs):
+//! Every simulated core runs its behaviour closure as a stackful
+//! coroutine: a closure with a 32 MiB lazily-committed stack of its own
+//! that the engine's event loop switches into and out of on the thread
+//! that called [`Engine::run`] — one simulation is one OS thread,
+//! whatever the core count. The engine owns **all** shared machine
+//! state and applies core requests in global cycle order; exactly one
+//! of {event loop, one core} is executing at any instant, so the
+//! simulation is data-race-free and bit-deterministic even though core
+//! code is written in a natural blocking style:
 //!
 //! ```text
-//! core thread:   let v = api.load(addr);      // blocks
-//! engine:        route request through mesh/LLC/DRAM models,
-//!                compute completion cycle, wake core at that cycle
+//! core:     let v = api.load(addr);   // writes the request, switches to the loop
+//! engine:   route request through mesh/LLC/DRAM models,
+//!           compute completion cycle; when that event pops,
+//!           write the value and switch back to the core
 //! ```
+//!
+//! A switch is some twenty instructions in user space (see `coro.rs`).
+//! Several engines can run at once on different threads — the sweep
+//! pool does — because nothing about a run is global.
 //!
 //! Blocking loads, a small non-blocking store queue with `fence`, and
 //! endpoint-executed AMOs match the HammerBlade core's memory
@@ -59,6 +63,7 @@ pub mod backend;
 pub mod calendar;
 pub mod checkpoint;
 pub mod config;
+mod coro;
 pub mod counters;
 pub mod engine;
 pub mod machine;

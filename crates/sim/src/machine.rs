@@ -192,8 +192,8 @@ impl Machine {
 
     /// Assemble the run's [`MachineProfile`] from the profiler sink and
     /// the machine's traffic counters. Returns `None` when
-    /// `config.profile` was never set. Call after the engine joins all
-    /// core threads; the profile is a consistent end-of-run snapshot.
+    /// `config.profile` was never set. Call after the engine returns;
+    /// the profile is a consistent end-of-run snapshot.
     pub fn take_profile(&mut self) -> Option<MachineProfile> {
         let sink = self.profiler.take()?;
         let link_stats = self.mesh.link_stats();
@@ -353,10 +353,8 @@ impl Machine {
     /// The machine's conservative lookahead: the minimum latency of
     /// any cross-component interaction a core can trigger. Once a core
     /// is woken, nothing it does can affect another component sooner
-    /// than this many cycles later, which is what lets the
-    /// window-parallel engine hand out wakes early and still apply all
-    /// events in canonical order. Also sizes the engine's calendar
-    /// queue days.
+    /// than this many cycles later. Sizes the engine's calendar queue
+    /// days.
     pub fn lookahead(&self) -> Cycle {
         self.mesh
             .hop_latency()
@@ -586,8 +584,7 @@ impl Machine {
     /// Serialize the machine at canonical event boundary `(cycle, seq)`
     /// into a complete checkpoint file image (header line + body). The
     /// bytes are canonical: two machines with identical simulated state
-    /// produce identical images regardless of `host_threads` or host
-    /// insertion order.
+    /// produce identical images regardless of host insertion order.
     pub fn checkpoint(&self, cycle: Cycle, seq: u64) -> Vec<u8> {
         let header = crate::checkpoint::CheckpointHeader {
             version: crate::checkpoint::CHECKPOINT_VERSION,

@@ -3,7 +3,7 @@
 //! order of the engine's previous `BinaryHeap<Reverse<(Cycle, u64,
 //! CoreId)>>` — ascending `(cycle, seq)` with deterministic FIFO
 //! tie-breaking. Goldens being byte-identical across the engine-queue
-//! swap (and across `--host-threads`) rests on this.
+//! swap rests on this.
 
 use mosaic_sim::calendar::CalendarQueue;
 use proptest::prelude::*;
@@ -111,28 +111,5 @@ proptest! {
             prop_assert_eq!(queue.pop(), Some(expect));
         }
         prop_assert!(queue.is_empty());
-    }
-
-    /// `scan` visits exactly the queued events (each once), regardless
-    /// of how pushes were spread across ring and overflow.
-    #[test]
-    fn scan_is_a_complete_traversal(
-        width in 1u64..100,
-        pushes in prop::collection::vec((0u64..50_000, 0usize..8), 0..40),
-    ) {
-        let mut queue = CalendarQueue::with_width(width);
-        let mut expect = Vec::new();
-        for (i, &(cycle, core)) in pushes.iter().enumerate() {
-            queue.push(cycle, i as u64, core);
-            expect.push((cycle, i as u64, core));
-        }
-        let mut seen = Vec::new();
-        queue.scan(|e| {
-            seen.push(e);
-            true
-        });
-        seen.sort_unstable();
-        expect.sort_unstable();
-        prop_assert_eq!(seen, expect);
     }
 }
