@@ -1,100 +1,6 @@
-//! Related-work comparison: work-stealing (the paper) vs work-dealing
-//! (Zakkak & Pratikakis) vs the static baseline, on representative
-//! workloads from each quadrant. The paper argues stealing is the
-//! right policy for SPM manycores; this quantifies the gap under an
-//! identical substrate and placement configuration.
-
-use mosaic_bench::{sweep, Options, SanCell, SanitizeGate, Table};
-use mosaic_runtime::{Placement, RuntimeConfig};
-use mosaic_workloads::{matmul, pagerank, uts, Benchmark, Scale};
-use std::time::Instant;
+//! The `ablation_dealing` harness: the experiment of that name in
+//! [`mosaic_bench::experiment`], run by the shared driver.
 
 fn main() {
-    let opts = Options::parse(Scale::Small, 8, 4);
-    opts.cycle_only("ablation_dealing");
-    opts.no_workload_filter("ablation_dealing");
-    let mut benches: Vec<Box<dyn Benchmark>> = Vec::new();
-    benches.extend(matmul::instances(opts.scale).into_iter().take(1));
-    benches.extend(pagerank::instances(opts.scale).into_iter().skip(1).take(1));
-    benches.extend(uts::instances(opts.scale));
-
-    // Flat cell list: schedulers vary per benchmark (no static baseline
-    // for the irregular workloads), so enumerate explicitly.
-    let mut cells: Vec<(usize, &str)> = Vec::new();
-    for (bi, b) in benches.iter().enumerate() {
-        if b.has_static_baseline() {
-            cells.push((bi, "static"));
-        }
-        cells.push((bi, "stealing"));
-        cells.push((bi, "dealing"));
-    }
-    let count = cells.len();
-    let jobs = opts.effective_jobs(count);
-    let mut table = Table::new(&["workload", "scheduler", "cycles", "moved", "vs static"]);
-    let mut golden = opts.golden_file("ablation_dealing");
-    let mut static_of: Vec<Option<u64>> = vec![None; benches.len()];
-    let mut gate = SanitizeGate::new(opts.sanitize);
-    let start = Instant::now();
-    let cell_time = sweep::run_cells(
-        count,
-        jobs,
-        |i| {
-            let (bi, sched) = cells[i];
-            let cfg = match sched {
-                "static" => RuntimeConfig::static_loops(Placement::Spm),
-                "stealing" => RuntimeConfig::work_stealing(),
-                _ => RuntimeConfig::work_dealing(),
-            };
-            let out = benches[bi].run(opts.machine(), cfg);
-            out.assert_verified();
-            let t = out.report.totals();
-            (
-                out.report.cycles,
-                out.report.instructions(),
-                t.steals + t.deals,
-                SanCell::from_report(out.report.sanitizer.as_ref()),
-            )
-        },
-        |i, (cycles, instructions, moved, san)| {
-            let (bi, sched) = cells[i];
-            let b = &benches[bi];
-            gate.record(&b.name(), sched, &san);
-            if sched == "static" {
-                static_of[bi] = Some(cycles);
-                table.row(vec![
-                    b.name(),
-                    "static".into(),
-                    format!("{cycles}"),
-                    "-".into(),
-                    "1.00".into(),
-                ]);
-            } else {
-                let vs = static_of[bi]
-                    .map(|sc| format!("{:.2}", sc as f64 / cycles as f64))
-                    .unwrap_or_else(|| "-".into());
-                table.row(vec![
-                    b.name(),
-                    sched.into(),
-                    format!("{cycles}"),
-                    format!("{moved}"),
-                    vs,
-                ]);
-            }
-            golden.push(b.name(), sched, cycles, instructions, true);
-        },
-    );
-    sweep::SweepTiming {
-        cells: count,
-        jobs,
-        wall: start.elapsed(),
-        cell_time,
-    }
-    .log();
-    println!(
-        "Scheduler-policy comparison on {} cores (moved = tasks stolen or dealt)",
-        opts.cores()
-    );
-    println!("{table}");
-    opts.finish_golden(&golden);
-    gate.finish();
+    mosaic_bench::experiment::main("ablation_dealing");
 }

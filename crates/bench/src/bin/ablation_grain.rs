@@ -1,96 +1,6 @@
-//! Ablation: `parallel_for` grain size. Too fine pays task overhead;
-//! too coarse recreates static imbalance (hub rows stuck in one leaf).
-
-use mosaic_bench::{sweep, Options, SanCell, SanitizeGate, Table};
-use mosaic_runtime::{Mosaic, RuntimeConfig};
-use mosaic_workloads::gen::{graph, upload_csr, upload_f32};
-use mosaic_workloads::spmv::MatrixKind;
-use mosaic_workloads::Scale;
-use std::time::Instant;
+//! The `ablation_grain` harness: the experiment of that name in
+//! [`mosaic_bench::experiment`], run by the shared driver.
 
 fn main() {
-    let opts = Options::parse(Scale::Small, 8, 4);
-    opts.cycle_only("ablation_grain");
-    opts.no_workload_filter("ablation_grain");
-    let m = MatrixKind::PowerLaw.generate(1024, 0x51);
-    let n = m.n;
-    let vals: Vec<f32> = (0..m.nnz())
-        .map(|k| graph::value_of(0x51, k as u64))
-        .collect();
-    let x: Vec<f32> = (0..n).map(|i| i as f32 / n as f32).collect();
-
-    let grains = [1u32, 2, 4, 8, 16, 32, 64, 128];
-    let count = grains.len();
-    let jobs = opts.effective_jobs(count);
-    let mut table = Table::new(&["grain", "cycles", "spawns", "steals"]);
-    let mut golden = opts.golden_file("ablation_grain");
-    let mut gate = SanitizeGate::new(opts.sanitize);
-    let start = Instant::now();
-    let cell_time = sweep::run_cells(
-        count,
-        jobs,
-        |i| {
-            let grain = grains[i];
-            let mut sys = Mosaic::new(opts.machine(), RuntimeConfig::work_stealing());
-            let d = upload_csr(sys.machine_mut(), &m);
-            let dv = upload_f32(sys.machine_mut(), &vals);
-            let dx = upload_f32(sys.machine_mut(), &x);
-            let dy = sys.machine_mut().dram_alloc_words(n as u64);
-            let report = sys.run(move |ctx| {
-                ctx.parallel_for(0, n, grain, 5, move |ctx, i| {
-                    let s = ctx.load(d.row_ptr.offset_words(i as u64));
-                    let e = ctx.load(d.row_ptr.offset_words(i as u64 + 1));
-                    let mut acc = 0.0f32;
-                    for k in s..e {
-                        let c = ctx.load(d.col.offset_words(k as u64));
-                        let v = ctx.loadf(dv.offset_words(k as u64));
-                        let xv = ctx.loadf(dx.offset_words(c as u64));
-                        acc += v * xv;
-                        ctx.compute(3, 2);
-                    }
-                    ctx.storef(dy.offset_words(i as u64), acc);
-                });
-            });
-            let t = report.totals();
-            let san = SanCell::from_report(report.sanitizer.as_ref());
-            (
-                report.cycles,
-                report.instructions(),
-                t.spawns,
-                t.steals,
-                san,
-            )
-        },
-        |i, (cycles, instructions, spawns, steals, san)| {
-            let grain = grains[i];
-            gate.record(&format!("SpMV-pl({n})"), &format!("grain-{grain}"), &san);
-            table.row(vec![
-                format!("{grain}"),
-                format!("{cycles}"),
-                format!("{spawns}"),
-                format!("{steals}"),
-            ]);
-            golden.push(
-                format!("SpMV-pl({n})"),
-                format!("grain-{grain}"),
-                cycles,
-                instructions,
-                true,
-            );
-        },
-    );
-    sweep::SweepTiming {
-        cells: count,
-        jobs,
-        wall: start.elapsed(),
-        cell_time,
-    }
-    .log();
-    println!(
-        "Grain ablation: SpMV (email-like, n={n}) on {} cores",
-        opts.cores()
-    );
-    println!("{table}");
-    opts.finish_golden(&golden);
-    gate.finish();
+    mosaic_bench::experiment::main("ablation_grain");
 }

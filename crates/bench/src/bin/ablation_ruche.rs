@@ -1,90 +1,6 @@
-//! Ablation: ruche (express) links. The paper's OCN is a
-//! mesh-with-ruching; this measures what the express links buy on the
-//! Fig. 5-style hot-spot pattern and on an all-to-all pattern.
-
-use mosaic_bench::{sweep, Options, SanCell, SanitizeGate, Table};
-use mosaic_sim::{Engine, Machine};
-use mosaic_workloads::Scale;
-use std::time::Instant;
+//! The `ablation_ruche` harness: the experiment of that name in
+//! [`mosaic_bench::experiment`], run by the shared driver.
 
 fn main() {
-    let opts = Options::parse(Scale::Small, 16, 8);
-    opts.cycle_only("ablation_ruche");
-    opts.no_workload_filter("ablation_ruche");
-    let ruches = [0u16, 2, 3, 4];
-    let patterns = ["hotspot", "a2a"];
-
-    let count = ruches.len() * patterns.len();
-    let jobs = opts.effective_jobs(count);
-    let mut table = Table::new(&["ruche", "hotspot cycles", "all-to-all cycles"]);
-    let mut golden = opts.golden_file("ablation_ruche");
-    let mut gate = SanitizeGate::new(opts.sanitize);
-    let start = Instant::now();
-    let mut row: Vec<u64> = Vec::new();
-    let cell_time = sweep::run_cells(
-        count,
-        jobs,
-        |i| {
-            let ruche = ruches[i / patterns.len()];
-            let pattern_is_hotspot = patterns[i % patterns.len()] == "hotspot";
-            let mut mcfg = opts.machine();
-            mcfg.ruche_x = ruche;
-            let machine = Machine::new(mcfg);
-            let map = machine.addr_map().clone();
-            let cores = machine.core_count();
-            let mut report = Engine::run(machine, move |core| {
-                let map = map.clone();
-                Box::new(move |api| {
-                    if core == 0 && pattern_is_hotspot {
-                        api.charge(1, 10_000);
-                        return;
-                    }
-                    for i in 0..100u64 {
-                        let target = if pattern_is_hotspot {
-                            0
-                        } else {
-                            (core + i as usize * 7 + 1) % cores
-                        };
-                        let addr = map.spm_addr(target as u32, ((i * 4) % 1024) as u32 & !3);
-                        api.load(addr);
-                        api.charge(2, 2);
-                    }
-                })
-            });
-            let san = SanCell::from_report(report.machine.take_sanitizer_report().as_ref());
-            (report.cycles, report.instructions(), san)
-        },
-        |i, (cycles, instructions, san)| {
-            let ruche = ruches[i / patterns.len()];
-            let pattern = patterns[i % patterns.len()];
-            gate.record(&format!("ruche-{ruche}"), pattern, &san);
-            golden.push(
-                format!("ruche-{ruche}"),
-                pattern,
-                cycles,
-                instructions,
-                true,
-            );
-            row.push(cycles);
-            if row.len() == patterns.len() {
-                table.row(vec![
-                    format!("{ruche}"),
-                    format!("{}", row[0]),
-                    format!("{}", row[1]),
-                ]);
-                row.clear();
-            }
-        },
-    );
-    sweep::SweepTiming {
-        cells: count,
-        jobs,
-        wall: start.elapsed(),
-        cell_time,
-    }
-    .log();
-    println!("Ruche-factor ablation, {} cores", opts.cores());
-    println!("{table}");
-    opts.finish_golden(&golden);
-    gate.finish();
+    mosaic_bench::experiment::main("ablation_ruche");
 }

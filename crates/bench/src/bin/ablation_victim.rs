@@ -1,86 +1,6 @@
-//! Ablation: steal policies. Victim selection (random — the paper's
-//! choice — vs round-robin vs mesh-nearest) crossed with steal amount
-//! (one task vs half the victim's queue).
-
-use mosaic_bench::{sweep, Options, SanCell, SanitizeGate, Table};
-use mosaic_runtime::{RuntimeConfig, StealAmount, VictimPolicy};
-use mosaic_workloads::{uts, Scale};
-use std::time::Instant;
+//! The `ablation_victim` harness: the experiment of that name in
+//! [`mosaic_bench::experiment`], run by the shared driver.
 
 fn main() {
-    let opts = Options::parse(Scale::Small, 8, 4);
-    opts.cycle_only("ablation_victim");
-    opts.no_workload_filter("ablation_victim");
-    let benches = uts::instances(opts.scale);
-    let victims = [
-        ("random", VictimPolicy::Random),
-        ("round-robin", VictimPolicy::RoundRobin),
-        ("nearest", VictimPolicy::Nearest),
-    ];
-    let amounts = [("one", StealAmount::One), ("half", StealAmount::Half)];
-
-    // Flat (bench, victim, amount) cells for the job pool.
-    let per_bench = victims.len() * amounts.len();
-    let count = benches.len() * per_bench;
-    let jobs = opts.effective_jobs(count);
-    let mut table = Table::new(&["workload", "victim", "amount", "cycles", "steals", "failed"]);
-    let mut golden = opts.golden_file("ablation_victim");
-    let mut gate = SanitizeGate::new(opts.sanitize);
-    let start = Instant::now();
-    let cell_time = sweep::run_cells(
-        count,
-        jobs,
-        |i| {
-            let b = &benches[i / per_bench];
-            let (_, policy) = victims[(i % per_bench) / amounts.len()];
-            let (_, amount) = amounts[i % amounts.len()];
-            let cfg = RuntimeConfig {
-                victim: policy,
-                steal_amount: amount,
-                ..RuntimeConfig::work_stealing()
-            };
-            let out = b.run(opts.machine(), cfg);
-            out.assert_verified();
-            let t = out.report.totals();
-            (
-                out.report.cycles,
-                out.report.instructions(),
-                t.steals,
-                t.failed_steals,
-                SanCell::from_report(out.report.sanitizer.as_ref()),
-            )
-        },
-        |i, (cycles, instructions, steals, failed, san)| {
-            let b = &benches[i / per_bench];
-            let (vname, _) = victims[(i % per_bench) / amounts.len()];
-            let (aname, _) = amounts[i % amounts.len()];
-            gate.record(&b.name(), &format!("{vname}/{aname}"), &san);
-            table.row(vec![
-                b.name(),
-                vname.into(),
-                aname.into(),
-                format!("{cycles}"),
-                format!("{steals}"),
-                format!("{failed}"),
-            ]);
-            golden.push(
-                b.name(),
-                format!("{vname}/{aname}"),
-                cycles,
-                instructions,
-                true,
-            );
-        },
-    );
-    sweep::SweepTiming {
-        cells: count,
-        jobs,
-        wall: start.elapsed(),
-        cell_time,
-    }
-    .log();
-    println!("Steal-policy ablation on {} cores", opts.cores());
-    println!("{table}");
-    opts.finish_golden(&golden);
-    gate.finish();
+    mosaic_bench::experiment::main("ablation_victim");
 }

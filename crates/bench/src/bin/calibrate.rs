@@ -22,7 +22,7 @@
 //! golden` blesses the artifact, `--check-golden` diffs against the
 //! committed bytes and exits 1 on drift.
 
-use mosaic_bench::{run_cells, Options, Table, CALIBRATION_PATH};
+use mosaic_bench::{experiment, run_cells, Options, Table, CALIBRATION_PATH, CATALOG};
 use mosaic_model::{
     AnalyticModel, CalFamily, CalPoint, CalibrationTable, MachineParams, WorkloadDemand, PPM,
 };
@@ -158,8 +158,8 @@ fn fit_spans(
 
 fn main() {
     let opts = Options::parse(Scale::Tiny, 4, 2);
-    opts.cycle_only("calibrate");
-    opts.no_workload_filter("calibrate");
+    experiment::refuse_unsupported("calibrate", false, false, &opts)
+        .unwrap_or_else(|e| panic!("{e}"));
     let shapes = [
         (opts.cols, opts.rows),
         (opts.cols * 2, opts.rows * 2),
@@ -167,7 +167,7 @@ fn main() {
     ];
     eprintln!(
         "calibrate: scale {}, grid {}x{} (measure) + {}x{} (validate) + {}x{} (fit span)",
-        opts.scale_name(),
+        opts.scale.name(),
         shapes[0].0,
         shapes[0].1,
         shapes[1].0,
@@ -269,7 +269,7 @@ fn main() {
         table.families.push(CalFamily {
             workload: benches[bi].name(),
             config: configs[ci].0.to_string(),
-            scale: opts.scale_name().to_string(),
+            scale: opts.scale.name().to_string(),
             demand,
             points,
             correction_ppm: PPM,
@@ -277,9 +277,11 @@ fn main() {
         });
     }
     table.fit();
-    // Both sweep experiments draw from every family of this scale.
-    table.bind_experiment("table1", opts.scale_name());
-    table.bind_experiment("fig09_speedup", opts.scale_name());
+    // Every analytic-capable experiment draws from every family of
+    // this scale.
+    for exp in CATALOG.iter().filter(|e| e.analytic) {
+        table.bind_experiment(exp.name, opts.scale.name());
+    }
 
     let mut summary = Table::new(&["workload", "config", "correction", "max err"]);
     for f in &table.families {

@@ -1,159 +1,6 @@
-//! Chaos sweep: fault injection as a first-class, golden-gated
-//! experiment.
-//!
-//! ```sh
-//! cargo run --release -p mosaic-bench --bin chaos_sweep -- --scale tiny
-//! ```
-//!
-//! Two modes:
-//!
-//! - **Default (no `--faults`)**: run each chaos workload fault-free
-//!   and under a *fixed* timing-only plan (`FaultPlan::timing(7)`),
-//!   assert the key invariant — a timing-only plan leaves payloads
-//!   bit-identical while shifting cycle counts — and record all cells
-//!   in a golden file. Both halves are deterministic, so
-//!   `--check-golden` gates this in CI like any other experiment.
-//! - **`--faults SPEC`**: run the given plan through
-//!   `mosaic_chaos::DivergenceChecker` (faulted run, then a fault-free
-//!   rerun, payload diff). Timing-only plans report identical results
-//!   and exit 0; plans with bit flips report `DIVERGED` and exit 1 —
-//!   corruption is surfaced, never silently absorbed.
-
-use mosaic_bench::{chaos, Options, Table};
-use mosaic_chaos::{DivergenceChecker, FaultPlan};
-use mosaic_workloads::Scale;
+//! The `chaos_sweep` harness: the experiment of that name in
+//! [`mosaic_bench::experiment`], run by the shared driver.
 
 fn main() {
-    let opts = Options::parse(Scale::Tiny, 4, 2);
-    opts.cycle_only("chaos_sweep");
-    opts.no_workload_filter("chaos_sweep");
-    if let Some(plan) = opts.faults.clone() {
-        check_user_plan(&opts, &plan);
-        return;
-    }
-
-    let mut timing = FaultPlan::timing(7);
-    // Tiny chaos runs finish in a few thousand cycles; pull the
-    // window-placement horizon down so the plan's stalls and freezes
-    // actually overlap the run at every scale.
-    timing.horizon = 2_000;
-    let plans: [(&str, Option<&FaultPlan>); 2] = [("clean", None), ("timing-seed7", Some(&timing))];
-    let mut table = Table::new(&["workload", "plan", "cycles", "payload", "verified"]);
-    let mut golden = opts.golden_file("chaos_sweep");
-    let (fib_n, scan_len) = chaos::params(opts.scale);
-
-    for wl in chaos::WORKLOADS {
-        let mut clean_payload = 0u64;
-        let mut clean_cycles = 0u64;
-        for (label, plan) in plans {
-            let mut machine = opts.machine();
-            machine.faults = plan.cloned();
-            let run = chaos::run(wl, machine, opts.scale);
-            assert!(
-                run.digest.verified,
-                "{wl}/{label} failed verification: {:?}",
-                run.error
-            );
-            match label {
-                "clean" => {
-                    clean_payload = run.digest.payload;
-                    clean_cycles = run.digest.cycles;
-                }
-                _ => {
-                    // The tentpole invariant: timing faults reshuffle
-                    // the schedule (different cycle counts) but never
-                    // the computed words.
-                    assert_eq!(
-                        run.digest.payload, clean_payload,
-                        "{wl}: timing-only plan changed the results"
-                    );
-                    assert_ne!(
-                        run.digest.cycles, clean_cycles,
-                        "{wl}: timing plan had no timing effect"
-                    );
-                }
-            }
-            table.row(vec![
-                wl.to_string(),
-                label.to_string(),
-                format!("{}", run.digest.cycles),
-                format!("{:016x}", run.digest.payload),
-                format!("{}", run.digest.verified),
-            ]);
-            golden.push(
-                *wl,
-                label,
-                run.digest.cycles,
-                run.instructions,
-                run.digest.verified,
-            );
-        }
-    }
-
-    println!(
-        "Chaos sweep: fib({fib_n}) + scan({scan_len}) on {} cores, clean vs timing plan {}",
-        opts.cores(),
-        timing.to_spec()
-    );
-    println!("{table}");
-    println!("timing-only invariant held: payloads bit-identical, cycle counts shifted");
-    opts.finish_golden(&golden);
-}
-
-/// `--faults SPEC` mode: divergence-check the user's plan on every
-/// chaos workload; exit 1 if any workload's payload diverges.
-///
-/// Results are also recorded in a golden file under the distinct
-/// experiment name `chaos_sweep_user` (so a `--write-golden` here —
-/// which is how the serve executor collects structured output — can
-/// never clobber the committed default-mode `chaos_sweep` golden).
-fn check_user_plan(opts: &Options, plan: &FaultPlan) {
-    let mut diverged = 0usize;
-    let mut golden = opts.golden_file("chaos_sweep_user");
-    for wl in chaos::WORKLOADS {
-        // The checker runs the faulted leg first, then the clean one.
-        let mut runs: Vec<mosaic_bench::chaos::ChaosRun> = Vec::new();
-        let report = DivergenceChecker::check(plan, |p| {
-            let mut machine = opts.machine();
-            machine.faults = p.cloned();
-            let run = chaos::run(wl, machine, opts.scale);
-            let digest = run.digest;
-            runs.push(run);
-            digest
-        });
-        println!("{wl}: {report}");
-        for (leg, run) in ["faulted", "clean"].iter().zip(&runs) {
-            if let Some(e) = &run.error {
-                println!("{wl}: {leg} run died: {e}");
-            }
-            golden.push(
-                *wl,
-                *leg,
-                run.digest.cycles,
-                run.instructions,
-                run.digest.verified,
-            );
-        }
-        if report.diverged() {
-            diverged += 1;
-        }
-    }
-    opts.finish_golden(&golden);
-    if diverged > 0 {
-        eprintln!(
-            "chaos_sweep: {diverged} of {} workloads DIVERGED under plan {}",
-            chaos::WORKLOADS.len(),
-            plan.to_spec()
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "chaos_sweep: no divergence under plan {} ({})",
-        plan.to_spec(),
-        if plan.is_timing_only() {
-            "timing-only, as expected"
-        } else {
-            "flips landed on dead words or cancelled out"
-        }
-    );
+    mosaic_bench::experiment::main("chaos_sweep");
 }

@@ -1,83 +1,6 @@
-//! Regenerate **Figure 5**: normalized remote-scratchpad load latency
-//! of every core toward core 0 on the mesh, while all cores load from
-//! core 0's SPM simultaneously — the congestion pattern that motivated
-//! read-only data duplication (X-Y routing makes Y-bandwidth toward
-//! the hot node the scarce resource).
-
-use mosaic_bench::{Options, SanCell, SanitizeGate};
-use mosaic_mesh::TrafficMatrix;
-use mosaic_sim::{Engine, Machine};
-use mosaic_workloads::Scale;
+//! The `fig05_heatmap` harness: the experiment of that name in
+//! [`mosaic_bench::experiment`], run by the shared driver.
 
 fn main() {
-    let opts = Options::parse(Scale::Small, 16, 8);
-    opts.cycle_only("fig05_heatmap");
-    opts.no_workload_filter("fig05_heatmap");
-    let mut machine = Machine::new(opts.machine());
-    machine.enable_latency_probe();
-    let map = machine.addr_map().clone();
-    let loads_per_core = 200u32;
-
-    let mut report = Engine::run(machine, move |core| {
-        let map = map.clone();
-        Box::new(move |api| {
-            if core == 0 {
-                // The victim: sit still while everyone reads our SPM.
-                api.charge(1, 20_000);
-                return;
-            }
-            let target = map.spm_addr(0, ((core as u32 * 4) % 1024) & !3);
-            for i in 0..loads_per_core {
-                api.load(target);
-                // Think time between remote reads (the profiled kernels
-                // do real work between captured-state loads); keeps the
-                // hot SPM port just below saturation so latency reflects
-                // position rather than one global FCFS queue.
-                api.charge(8, 170 + (core as u64 * 7 + i as u64 * 3) % 61);
-            }
-        })
-    });
-
-    let san = report.machine.take_sanitizer_report();
-    let probe = report
-        .machine
-        .latency_probe()
-        .expect("latency probe enabled");
-    let col = probe.normalized_column(0);
-    println!("Fig. 5: remote-SPM load latency toward core 0, normalized to the slowest core");
-    println!(
-        "(grid = {} cols x {} rows of cores; core 0 at the top-left)",
-        opts.cols, opts.rows
-    );
-    print!(
-        "{}",
-        TrafficMatrix::render_grid(&col, report.machine.mesh().config())
-    );
-    // The paper's qualitative claims, checked quantitatively:
-    let cols = opts.cols as usize;
-    let rows = opts.rows as usize;
-    let bottom_mean: f64 = col[(rows - 1) * cols..].iter().sum::<f64>() / cols as f64;
-    let top_mean: f64 = col[1..cols].iter().sum::<f64>() / (cols - 1) as f64;
-    println!("\nmean normalized latency: top row {top_mean:.2} vs bottom row {bottom_mean:.2}");
-    assert!(
-        bottom_mean > top_mean,
-        "farther rows must see longer latency (Y-bandwidth scarcity)"
-    );
-    let mut golden = opts.golden_file("fig05_heatmap");
-    golden.push(
-        "hotspot-probe",
-        "all-to-one",
-        report.cycles,
-        report.instructions(),
-        bottom_mean > top_mean,
-    );
-    opts.finish_golden(&golden);
-
-    let mut gate = SanitizeGate::new(opts.sanitize);
-    gate.record(
-        "hotspot-probe",
-        "all-to-one",
-        &SanCell::from_report(san.as_ref()),
-    );
-    gate.finish();
+    mosaic_bench::experiment::main("fig05_heatmap");
 }

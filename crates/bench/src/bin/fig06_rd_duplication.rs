@@ -1,101 +1,6 @@
-//! Regenerate **Figure 6**: execution time of the six parallel kernels
-//! in one PageRank iteration with and without read-only data
-//! duplication.
-//!
-//! The magnitude of the benefit grows with the ratio of captured-state
-//! reads to other memory traffic, i.e. with input size and core count;
-//! at the default reduced scale the win is smaller than the paper's
-//! 1.57x but the same kernels improve. Run with `--paper --scale full`
-//! for the strongest effect this model produces.
-
-use mosaic_bench::{sweep, Options, SanCell, SanitizeGate, Table};
-use mosaic_runtime::RuntimeConfig;
-use mosaic_workloads::pagerank::{GraphKind, PageRank};
-use mosaic_workloads::{Benchmark, Scale};
-use std::time::Instant;
+//! The `fig06_rd_duplication` harness: the experiment of that name in
+//! [`mosaic_bench::experiment`], run by the shared driver.
 
 fn main() {
-    let opts = Options::parse(Scale::Small, 16, 8);
-    opts.cycle_only("fig06_rd_duplication");
-    opts.no_workload_filter("fig06_rd_duplication");
-    let n = match opts.scale {
-        Scale::Tiny => 1024,
-        Scale::Small => 8192,
-        Scale::Full => 16384,
-    };
-    let pr = PageRank {
-        n,
-        kind: GraphKind::PowerLaw,
-        iters: 1,
-        seed: 0x96,
-    };
-    let kernels = ["K1", "K2", "K3", "K4", "K5", "K6"];
-    let variants = [false, true];
-    let mut table = Table::new(&["config", "K1", "K2", "K3", "K4", "K5", "K6", "total"]);
-    let mut golden = opts.golden_file("fig06_rd_duplication");
-    let mut totals = Vec::new();
-    let mut gate = SanitizeGate::new(opts.sanitize);
-    let count = variants.len();
-    let jobs = opts.effective_jobs(count);
-    let start = Instant::now();
-    let cell_time = sweep::run_cells(
-        count,
-        jobs,
-        |i| {
-            let cfg = RuntimeConfig {
-                rd_duplication: variants[i],
-                ..RuntimeConfig::work_stealing()
-            };
-            let out = pr.run(opts.machine(), cfg);
-            out.assert_verified();
-            let spans: Vec<u64> = (0..kernels.len())
-                .map(|k| {
-                    let from = format!("iter0:K{}", k + 1);
-                    let to = if k == 5 {
-                        "iter0:end".to_string()
-                    } else {
-                        format!("iter0:K{}", k + 2)
-                    };
-                    out.report.span(&from, &to)
-                })
-                .collect();
-            let san = SanCell::from_report(out.report.sanitizer.as_ref());
-            (out.report.cycles, out.report.instructions(), spans, san)
-        },
-        |i, (cycles, instructions, spans, san)| {
-            let rd = variants[i];
-            let label = if rd { "w/ RD" } else { "w/o RD" };
-            gate.record(&format!("PageRank-pl({n})"), label, &san);
-            let mut cells = vec![label.to_string()];
-            cells.extend(spans.iter().map(|s| format!("{s}")));
-            cells.push(format!("{cycles}"));
-            totals.push(cycles);
-            table.row(cells);
-            golden.push(
-                format!("PageRank-pl({n})"),
-                label,
-                cycles,
-                instructions,
-                true,
-            );
-        },
-    );
-    sweep::SweepTiming {
-        cells: count,
-        jobs,
-        wall: start.elapsed(),
-        cell_time,
-    }
-    .log();
-    println!(
-        "Fig. 6: PageRank (email-like, n={n}) kernel times, {} cores",
-        opts.cores()
-    );
-    println!("{table}");
-    println!(
-        "read-only duplication speedup: {:.2}x (paper: 1.57x at full scale)",
-        totals[0] as f64 / totals[1] as f64
-    );
-    opts.finish_golden(&golden);
-    gate.finish();
+    mosaic_bench::experiment::main("fig06_rd_duplication");
 }

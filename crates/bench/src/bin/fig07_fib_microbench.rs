@@ -1,82 +1,6 @@
-//! Regenerate **Figure 7**: the Fib micro-benchmark across the four
-//! work-stealing data-placement variants, for both the hardware
-//! overflow co-design ("Fib") and the estimated 2-instruction software
-//! scheme ("Fib-S"). Speedups are normalized to the naive
-//! both-in-DRAM configuration, as in the paper.
-
-use mosaic_bench::{sweep, Options, SanCell, SanitizeGate, Table};
-use mosaic_runtime::RuntimeConfig;
-use mosaic_workloads::fib::Fib;
-use mosaic_workloads::{Benchmark, Scale};
-use std::time::Instant;
+//! The `fig07_fib_microbench` harness: the experiment of that name in
+//! [`mosaic_bench::experiment`], run by the shared driver.
 
 fn main() {
-    let opts = Options::parse(Scale::Small, 8, 4);
-    opts.cycle_only("fig07_fib_microbench");
-    opts.no_workload_filter("fig07_fib_microbench");
-    let n = match opts.scale {
-        Scale::Tiny => 10,
-        Scale::Small => 13,
-        Scale::Full => 16,
-    };
-    let fib = Fib { n };
-    let ws_configs: Vec<(&str, RuntimeConfig)> = RuntimeConfig::table1_sweep()
-        .into_iter()
-        .filter(|(l, _)| l.starts_with("ws"))
-        .collect();
-    let variants: [(&str, u64); 2] = [("Fib", 0), ("Fib-S", 2)];
-
-    let mut table = Table::new(&["variant", "config", "cycles", "speedup", "overflows"]);
-    let mut golden = opts.golden_file("fig07_fib_microbench");
-    let count = variants.len() * ws_configs.len();
-    let jobs = opts.effective_jobs(count);
-    let start = Instant::now();
-    let mut baseline = 0u64;
-    let mut gate = SanitizeGate::new(opts.sanitize);
-    let cell_time = sweep::run_cells(
-        count,
-        jobs,
-        |i| {
-            let mut machine = opts.machine();
-            machine.sw_overflow_penalty = variants[i / ws_configs.len()].1;
-            let out = fib.run(machine, ws_configs[i % ws_configs.len()].1.clone());
-            out.assert_verified();
-            (
-                out.report.cycles,
-                out.report.instructions(),
-                out.report.totals().stack_overflows,
-                SanCell::from_report(out.report.sanitizer.as_ref()),
-            )
-        },
-        |i, (cycles, instructions, overflows, san)| {
-            let (variant, _) = variants[i / ws_configs.len()];
-            let (label, _) = ws_configs[i % ws_configs.len()];
-            gate.record(variant, label, &san);
-            if i % ws_configs.len() == 0 {
-                baseline = cycles;
-            }
-            table.row(vec![
-                variant.into(),
-                label.to_string(),
-                format!("{cycles}"),
-                format!("{:.2}x", baseline as f64 / cycles as f64),
-                format!("{overflows}"),
-            ]);
-            golden.push(format!("{variant}({n})"), label, cycles, instructions, true);
-        },
-    );
-    sweep::SweepTiming {
-        cells: count,
-        jobs,
-        wall: start.elapsed(),
-        cell_time,
-    }
-    .log();
-    println!(
-        "Fig. 7: fib({n}) on {} cores; speedup normalized to ws/dram-stack/dram-q",
-        opts.cores()
-    );
-    println!("{table}");
-    opts.finish_golden(&golden);
-    gate.finish();
+    mosaic_bench::experiment::main("fig07_fib_microbench");
 }

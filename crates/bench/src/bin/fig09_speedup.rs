@@ -1,60 +1,6 @@
-//! Regenerate **Figure 9**: speedup of every configuration over the
-//! static-scheduler-with-SPM-stack baseline, for all workloads that
-//! have a static baseline.
-//!
-//! The paper's headline: work-stealing gives 1.2-28.5x on workloads
-//! that benefit and costs no more than ~10% on those that don't, and
-//! the SPM data-placement optimizations add up to ~25% more.
-
-use mosaic_bench::{sweep, Options, SanitizeGate, Table};
-use mosaic_runtime::RuntimeConfig;
-use mosaic_workloads::Scale;
+//! The `fig09_speedup` harness: the experiment of that name in
+//! [`mosaic_bench::experiment`], run by the shared driver.
 
 fn main() {
-    let opts = Options::parse(Scale::Small, 8, 4);
-    eprintln!(
-        "Fig. 9 sweep: scale {:?}, {} cores",
-        opts.scale,
-        opts.cores()
-    );
-    let cells =
-        mosaic_workloads::table1_benchmarks(opts.scale).len() * RuntimeConfig::table1_sweep().len();
-    let rows = sweep::table1_sweep_filtered(
-        opts.scale,
-        &opts.machine(),
-        opts.backend().as_ref(),
-        opts.effective_jobs(cells),
-        &opts.workload,
-    );
-    let configs: Vec<&str> = RuntimeConfig::table1_sweep()
-        .iter()
-        .map(|(l, _)| *l)
-        .collect();
-
-    let mut header = vec!["workload"];
-    header.extend(configs.iter().copied());
-    let mut table = Table::new(&header);
-    for row in rows.iter().filter(|r| r.has_static_baseline) {
-        let base = row
-            .static_baseline_cycles()
-            .expect("baseline must exist for rows with a static scheduler");
-        let mut cells = vec![row.name.clone()];
-        for c in &configs {
-            match row.cycles_of(c) {
-                Some(cy) => cells.push(format!("{:.2}", base as f64 / cy as f64)),
-                None => cells.push("-".into()),
-            }
-        }
-        table.row(cells);
-    }
-    println!("Fig. 9: speedup over static/spm-stack (higher is better)");
-    println!("{table}");
-
-    let mut golden = opts.golden_file("fig09_speedup");
-    golden.push_sweep(&rows);
-    opts.finish_golden(&golden);
-
-    let mut gate = SanitizeGate::new(opts.sanitize);
-    gate.record_rows(&rows);
-    gate.finish();
+    mosaic_bench::experiment::main("fig09_speedup");
 }

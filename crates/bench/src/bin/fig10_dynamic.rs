@@ -1,76 +1,6 @@
-//! Regenerate **Figure 10**: CilkSort and MatrixTranspose (the
-//! spawn-and-sync workloads with no static baseline) across the four
-//! work-stealing variants, normalized to both-stack-and-queue-in-SPM
-//! as in the paper (note the paper's X axis starts at 0.5).
-
-use mosaic_bench::{sweep, Options, SanCell, SanitizeGate, Table};
-use mosaic_runtime::RuntimeConfig;
-use mosaic_workloads::{cilksort, mattrans, Scale};
-use std::time::Instant;
+//! The `fig10_dynamic` harness: the experiment of that name in
+//! [`mosaic_bench::experiment`], run by the shared driver.
 
 fn main() {
-    let opts = Options::parse(Scale::Small, 8, 4);
-    opts.cycle_only("fig10_dynamic");
-    opts.no_workload_filter("fig10_dynamic");
-    let ws_configs: Vec<(&str, RuntimeConfig)> = RuntimeConfig::table1_sweep()
-        .into_iter()
-        .filter(|(l, _)| l.starts_with("ws"))
-        .collect();
-    let mut benches = mattrans::instances(opts.scale);
-    benches.extend(cilksort::instances(opts.scale));
-
-    let mut header = vec!["workload"];
-    header.extend(ws_configs.iter().map(|(l, _)| *l));
-    let mut table = Table::new(&header);
-    let mut golden = opts.golden_file("fig10_dynamic");
-
-    let count = benches.len() * ws_configs.len();
-    let jobs = opts.effective_jobs(count);
-    let start = Instant::now();
-    let mut row: Vec<(u64, u64)> = Vec::new();
-    let mut gate = SanitizeGate::new(opts.sanitize);
-    let cell_time = sweep::run_cells(
-        count,
-        jobs,
-        |i| {
-            let b = &benches[i / ws_configs.len()];
-            let (_, cfg) = &ws_configs[i % ws_configs.len()];
-            let out = b.run(opts.machine(), cfg.clone());
-            out.assert_verified();
-            (
-                out.report.cycles,
-                out.report.instructions(),
-                SanCell::from_report(out.report.sanitizer.as_ref()),
-            )
-        },
-        |i, (cycles, instructions, san)| {
-            let (label, _) = &ws_configs[i % ws_configs.len()];
-            gate.record(&benches[i / ws_configs.len()].name(), label, &san);
-            row.push((cycles, instructions));
-            if row.len() == ws_configs.len() {
-                let b = &benches[i / ws_configs.len()];
-                let best = row[3].0; // ws/spm-stack/spm-q is last in sweep order
-                let mut cells = vec![b.name()];
-                for ((label, _), (cycles, instructions)) in ws_configs.iter().zip(row.drain(..)) {
-                    cells.push(format!("{:.2}", best as f64 / cycles as f64));
-                    golden.push(b.name(), *label, cycles, instructions, true);
-                }
-                table.row(cells);
-            }
-        },
-    );
-    sweep::SweepTiming {
-        cells: count,
-        jobs,
-        wall: start.elapsed(),
-        cell_time,
-    }
-    .log();
-    println!(
-        "Fig. 10: speedup normalized to ws/spm-stack/spm-q, {} cores",
-        opts.cores()
-    );
-    println!("{table}");
-    opts.finish_golden(&golden);
-    gate.finish();
+    mosaic_bench::experiment::main("fig10_dynamic");
 }

@@ -1,151 +1,6 @@
-//! Regenerate **Figure 11**: speedup over one core as the machine
-//! grows from 1 to 128 cores, for the Fig. 11 workload set (the paper
-//! omits UTS for simulation-time reasons; so do we by default — pass
-//! `--scale full` to include it).
-//!
-//! Work-stealing with both the stack and the task queue in SPM, as in
-//! the paper.
-
-use mosaic_bench::{sweep, Options, SanCell, SanitizeGate, Table};
-use mosaic_runtime::RuntimeConfig;
-use mosaic_sim::MachineConfig;
-use mosaic_workloads::{
-    bfs::{Bfs, BfsInput},
-    cilksort::CilkSort,
-    matmul::MatMul,
-    mattrans::MatTrans,
-    nqueens::NQueens,
-    pagerank::{GraphKind, PageRank},
-    spmt::SpMT,
-    spmv::{MatrixKind, SpMV},
-    Benchmark, Scale,
-};
-use std::time::Instant;
+//! The `fig11_scaling` harness: the experiment of that name in
+//! [`mosaic_bench::experiment`], run by the shared driver.
 
 fn main() {
-    let opts = Options::parse(Scale::Small, 16, 8);
-    opts.cycle_only("fig11_scaling");
-    opts.no_workload_filter("fig11_scaling");
-    // Fixed inputs per the figure caption, scaled down.
-    let benches: Vec<Box<dyn Benchmark>> = vec![
-        Box::new(NQueens { n: 6 }),
-        Box::new(MatMul { n: 48, seed: 0xA }),
-        Box::new(CilkSort {
-            n: 4096,
-            seed: 0xC5,
-        }),
-        Box::new(PageRank {
-            n: 1024,
-            kind: GraphKind::Uniform,
-            iters: 1,
-            seed: 0x96,
-        }),
-        Box::new(SpMV {
-            n: 1024,
-            kind: MatrixKind::Block,
-            seed: 0x51,
-        }),
-        Box::new(Bfs {
-            n: 1024,
-            input: BfsInput::Uniform,
-            source: 1,
-            seed: 0xBF,
-        }),
-        Box::new(MatTrans { n: 64, seed: 0x7A }),
-        Box::new(SpMT {
-            n: 1024,
-            kind: MatrixKind::Banded,
-            seed: 0x57,
-        }),
-    ];
-    let grids: &[(u16, u16)] = &[
-        (1, 1),
-        (2, 1),
-        (2, 2),
-        (4, 2),
-        (4, 4),
-        (8, 4),
-        (8, 8),
-        (16, 8),
-    ];
-    let grids: Vec<(u16, u16)> = grids
-        .iter()
-        .copied()
-        .filter(|(c, r)| (*c as usize) * (*r as usize) <= opts.cores())
-        .collect();
-
-    let mut header = vec!["workload".to_string()];
-    header.extend(
-        grids
-            .iter()
-            .map(|(c, r)| format!("{}c", *c as usize * *r as usize)),
-    );
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-    let mut table = Table::new(&header_refs);
-
-    // Flat (benchmark, grid) cells; every cell is an independent
-    // simulation, so they run on the harness job pool.
-    let cell_of = |i: usize| (&benches[i / grids.len()], grids[i % grids.len()]);
-    let count = benches.len() * grids.len();
-    let jobs = opts.effective_jobs(count);
-    let start = Instant::now();
-    let mut golden = opts.golden_file("fig11_scaling");
-    let mut row_cells: Vec<String> = Vec::new();
-    let mut t1 = 0u64;
-    let mut gate = SanitizeGate::new(opts.sanitize);
-    let cell_time = sweep::run_cells(
-        count,
-        jobs,
-        |i| {
-            let (b, (c, r)) = cell_of(i);
-            let mut machine = MachineConfig::small(c, r);
-            machine.sanitize = opts.sanitize;
-            let out = b.run(machine, RuntimeConfig::work_stealing());
-            (
-                out.report.cycles,
-                out.report.instructions(),
-                out.verified,
-                SanCell::from_report(out.report.sanitizer.as_ref()),
-            )
-        },
-        |i, (cycles, instructions, verified, san)| {
-            let (b, (c, r)) = cell_of(i);
-            let cores = c as usize * r as usize;
-            gate.record(&b.name(), &format!("{cores}c"), &san);
-            assert!(
-                verified,
-                "{} failed verification at {cores} cores",
-                b.name()
-            );
-            if i % grids.len() == 0 {
-                eprintln!("scaling {}...", b.name());
-                row_cells.push(b.name());
-            }
-            if cores == 1 {
-                t1 = cycles;
-            }
-            row_cells.push(format!("{:.1}", t1 as f64 / cycles as f64));
-            if i % grids.len() == grids.len() - 1 {
-                table.row(std::mem::take(&mut row_cells));
-            }
-            golden.push(
-                b.name(),
-                format!("{cores}c"),
-                cycles,
-                instructions,
-                verified,
-            );
-        },
-    );
-    sweep::SweepTiming {
-        cells: count,
-        jobs,
-        wall: start.elapsed(),
-        cell_time,
-    }
-    .log();
-    println!("Fig. 11: speedup over one core (work-stealing, stack+queue in SPM)");
-    println!("{table}");
-    opts.finish_golden(&golden);
-    gate.finish();
+    mosaic_bench::experiment::main("fig11_scaling");
 }

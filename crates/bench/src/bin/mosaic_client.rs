@@ -10,14 +10,16 @@
 //! with shell pipelines; `submit --wait` additionally prints the
 //! result payload (the experiment's golden-format JSON) to stdout.
 
-use mosaic_serve::{Client, JobSpec, JobState, Request, RetryPolicy, SubmitReply};
+use mosaic_bench::{GoldenMode, Options};
+use mosaic_serve::{Client, JobState, Request, RetryPolicy, SubmitReply};
+use mosaic_workloads::Scale;
 
 fn usage() -> ! {
     eprintln!(
         "usage: mosaic-client [--addr HOST:PORT] [--connect-timeout-ms N] COMMAND\n\
          commands:\n  \
-         submit EXPERIMENT [--scale tiny|small|full] [--cols N --rows N] [--sanitize] [--faults SPEC]\n                   \
-         [--fidelity cycle|analytic|auto] [--tenant NAME] [--wait] [--watch]\n  \
+         submit EXPERIMENT [HARNESS FLAGS] [--tenant NAME] [--wait] [--watch]\n                   \
+         (harness flags as `EXPERIMENT --help` lists them; the spec-shaping ones ride the wire)\n  \
          status ID\n  \
          result ID\n  \
          watch ID\n  \
@@ -71,37 +73,34 @@ fn main() {
             if args.is_empty() {
                 usage();
             }
-            let mut spec = JobSpec::new(&args.remove(0), "small");
+            let experiment = args.remove(0);
             let mut wait = false;
             let mut watch = false;
             // Only meaningful against a gateway with per-tenant
             // admission on; a plain worker daemon ignores it.
             let mut tenant = String::new();
+            // Everything else is a harness flag, parsed the way the
+            // harnesses parse it (shape 0x0 = the experiment's own).
+            let mut harness_flags = Vec::new();
             let mut it = args.into_iter();
             while let Some(a) = it.next() {
                 match a.as_str() {
-                    "--scale" => spec.scale = it.next().unwrap_or_else(|| usage()),
-                    "--cols" => {
-                        spec.cols = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage());
-                    }
-                    "--rows" => {
-                        spec.rows = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage());
-                    }
-                    "--sanitize" => spec.sanitize = true,
-                    "--faults" => spec.faults = it.next().unwrap_or_else(|| usage()),
-                    "--fidelity" => spec.fidelity = it.next().unwrap_or_else(|| usage()),
                     "--tenant" => tenant = it.next().unwrap_or_else(|| usage()),
                     "--wait" => wait = true,
                     "--watch" => watch = true,
-                    _ => usage(),
+                    _ => harness_flags.push(a),
                 }
             }
+            let opts = Options::parse_from(Scale::Small, 0, 0, harness_flags);
+            if opts.golden != GoldenMode::Run {
+                // The payload is printed, not compared: reproduce_all
+                // --via-server is the client that gates on goldens.
+                usage();
+            }
+            for flag in opts.host_only_flags() {
+                eprintln!("note: {flag} is local-only; the wire JobSpec does not carry it");
+            }
+            let spec = opts.job_spec(&experiment);
             let reply = client.submit_as(&spec, &tenant).unwrap_or_else(|e| fail(e));
             match reply {
                 SubmitReply::Accepted { id, state, cached } => {

@@ -1,163 +1,6 @@
-//! `profile` — drive the `mosaic-prof` cycle-attribution profiler and
-//! retell the paper's Fig. 5 hot-spot story from profiler counters
-//! alone: one steal-heavy PageRank iteration runs twice, with
-//! read-only data duplication off and on, and the per-core NoC traffic
-//! heatmap shows the spawning core's router collapsing from the
-//! machine hot-spot to an ordinary node once captured state is
-//! duplicated.
-//!
-//! Also the reference consumer for the profiler's invariants, checked
-//! on every run:
-//!
-//! - per-core bucket totals sum *exactly* to each core's elapsed
-//!   cycles (no unattributed or double-counted time);
-//! - steal-search cycles are nonzero under work-stealing;
-//! - the spawning core's share of core-incident NoC flits drops when
-//!   duplication is turned on.
-//!
-//! `--write-golden`/`--check-golden` gate the bucket totals and
-//! traffic counters exactly (the simulator is bit-deterministic);
-//! `--prof-out DIR` additionally writes one profile JSON per config
-//! (see `docs/observability.md` for the schema).
-
-use mosaic_bench::{prof, Options, Table};
-use mosaic_runtime::RuntimeConfig;
-use mosaic_sim::{Bucket, MachineProfile};
-use mosaic_workloads::pagerank::{GraphKind, PageRank};
-use mosaic_workloads::{Benchmark, Scale};
-
-/// Fraction (percent) of all core-incident inbound flits that land on
-/// `core`.
-fn inbound_share_pct(p: &MachineProfile, core: usize) -> f64 {
-    let all: u64 = p.core_inbound_flits.iter().sum();
-    100.0 * p.core_inbound_flits[core] as f64 / all.max(1) as f64
-}
+//! The `profile` harness: the experiment of that name in
+//! [`mosaic_bench::experiment`], run by the shared driver.
 
 fn main() {
-    let opts = Options::parse(Scale::Tiny, 4, 2);
-    opts.cycle_only("profile");
-    opts.no_workload_filter("profile");
-    let n = match opts.scale {
-        Scale::Tiny => 1024,
-        Scale::Small => 8192,
-        Scale::Full => 16384,
-    };
-    let pr = PageRank {
-        n,
-        kind: GraphKind::PowerLaw,
-        iters: 1,
-        seed: 0x96,
-    };
-    let variants = [("dup-off", false), ("dup-on", true)];
-    let mut golden = opts.golden_file("profile");
-    let mut table = Table::new(&[
-        "config",
-        "cycles",
-        "compute%",
-        "steal%",
-        "idle%",
-        "core0 in%",
-    ]);
-    let mut profiles: Vec<(&'static str, MachineProfile)> = Vec::new();
-
-    for (label, dup) in variants {
-        let cfg = RuntimeConfig {
-            rd_duplication: dup,
-            ..RuntimeConfig::work_stealing()
-        };
-        // The profiler is always on in this binary; `--profile` on the
-        // shared CLI exists for every *other* experiment.
-        let mut machine = opts.machine();
-        machine.profile = true;
-        let out = pr.run(machine, cfg);
-        out.assert_verified();
-        let p = out
-            .report
-            .profile
-            .as_ref()
-            .expect("profiler was enabled")
-            .clone();
-
-        // Invariant: attribution is span-complete on every core.
-        if let Some((core, attributed, elapsed)) = p.accounting_error() {
-            eprintln!(
-                "profile accounting FAILED ({label}): core {core} attributed \
-                 {attributed} of {elapsed} elapsed cycles"
-            );
-            std::process::exit(1);
-        }
-        let totals = p.totals();
-        let all: u64 = totals.iter().sum::<u64>().max(1);
-        let pct = |b: Bucket| 100.0 * totals[b.index()] as f64 / all as f64;
-        table.row(vec![
-            label.to_string(),
-            format!("{}", out.report.cycles),
-            format!("{:.1}", pct(Bucket::Compute)),
-            format!("{:.1}", pct(Bucket::StealSearch)),
-            format!("{:.1}", pct(Bucket::Idle)),
-            format!("{:.1}", inbound_share_pct(&p, 0)),
-        ]);
-
-        golden.push(
-            format!("PageRank-pl({n})"),
-            label,
-            out.report.cycles,
-            out.report.instructions(),
-            true,
-        );
-        for b in Bucket::ALL {
-            golden.push_counter(format!("{label}/{}", b.name()), totals[b.index()]);
-        }
-        golden.push_counter(
-            format!("{label}/core0_inbound_flits"),
-            p.core_inbound_flits[0],
-        );
-        golden.push_counter(format!("{label}/total_link_flits"), p.total_link_flits);
-
-        if let Some(dir) = &opts.prof_out {
-            let name = format!(
-                "profile_{}_{}x{}_{label}",
-                opts.scale_name(),
-                opts.cols,
-                opts.rows
-            );
-            let path = prof::write_profile(dir, &name, &p).expect("write profile JSON");
-            eprintln!("wrote {path}");
-        }
-        profiles.push((label, p));
-    }
-
-    println!(
-        "profile: PageRank (power-law, n={n}) under work-stealing, {} cores, profiler attached",
-        opts.cores()
-    );
-    println!("{table}");
-    for (label, p) in &profiles {
-        println!("[{label}] cycles by bucket:");
-        print!("{}", p.render_totals());
-        println!("[{label}] core-inbound NoC flits (row-major heatmap, 1.00 = hottest core):");
-        print!("{}", p.render_inbound_heatmap());
-        print!("[{label}]{}", p.render_llc_banks());
-        println!();
-    }
-
-    let (off, on) = (&profiles[0].1, &profiles[1].1);
-    let steal_off = off.bucket_total(Bucket::StealSearch);
-    assert!(
-        steal_off > 0,
-        "work-stealing run must spend cycles in steal search"
-    );
-    let share_off = inbound_share_pct(off, 0);
-    let share_on = inbound_share_pct(on, 0);
-    println!(
-        "spawning core's share of core-incident inbound flits: {share_off:.1}% without \
-         duplication -> {share_on:.1}% with it (Fig. 5 hot-spot, from profiler counters alone)"
-    );
-    assert!(
-        share_on < share_off,
-        "read-only duplication must shrink the spawning core's NoC hot-spot \
-         ({share_off:.1}% -> {share_on:.1}%)"
-    );
-
-    opts.finish_golden(&golden);
+    mosaic_bench::experiment::main("profile");
 }

@@ -28,8 +28,9 @@
 //! passes against the same committed goldens as a single-node run.
 
 use mosaic_bench::golden::{self, GoldenFile};
-use mosaic_bench::service::EXPERIMENTS;
-use mosaic_serve::{Client, JobSpec, JobState, RetryPolicy, SubmitReply};
+use mosaic_bench::{GoldenMode, Options, CATALOG};
+use mosaic_serve::{Client, JobState, RetryPolicy, SubmitReply};
+use mosaic_workloads::Scale;
 use std::process::Command;
 
 fn main() {
@@ -61,7 +62,7 @@ fn run_local(passthrough: &[String]) {
         .expect("bin dir")
         .to_path_buf();
     let mut failures: Vec<String> = Vec::new();
-    for bin in EXPERIMENTS {
+    for bin in CATALOG.iter().map(|e| e.name) {
         eprintln!("==> {bin}");
         let out = match Command::new(exe_dir.join(bin)).args(passthrough).output() {
             Ok(out) => out,
@@ -89,58 +90,26 @@ fn run_local(passthrough: &[String]) {
 
 /// Route the whole reproduction through a serve daemon.
 fn via_server(addr: &str, flags: &[String]) {
-    // Only the flags that shape a JobSpec are meaningful here; the
-    // daemon owns host-parallelism decisions (`--jobs` budgets).
-    let mut scale = "small".to_string();
-    let mut cols: u16 = 0;
-    let mut rows: u16 = 0;
-    let mut sanitize = false;
-    let mut faults = String::new();
-    let mut fidelity = String::new();
-    let mut check = false;
-    let mut write = false;
-    let mut it = flags.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-                .clone()
-        };
-        match a.as_str() {
-            "--scale" => scale = value("--scale"),
-            "--cols" => cols = value("--cols").parse().expect("--cols must be an integer"),
-            "--rows" => rows = value("--rows").parse().expect("--rows must be an integer"),
-            "--paper" => {
-                cols = 16;
-                rows = 8;
-            }
-            "--sanitize" => sanitize = true,
-            "--faults" => faults = value("--faults"),
-            "--fidelity" => fidelity = value("--fidelity"),
-            "--check-golden" => check = true,
-            "--write-golden" => write = true,
-            "--jobs" => {
-                let _ = value("--jobs");
-                eprintln!("note: --jobs is decided by the server in --via-server mode");
-            }
-            "--profile" => {
-                eprintln!("note: --profile is local-only; the wire JobSpec carries no profiler");
-            }
-            "--prof-out" => {
-                let _ = value("--prof-out");
-                eprintln!("note: --prof-out is local-only; the wire JobSpec carries no profiler");
-            }
-            other => panic!("unknown option {other:?} for --via-server mode"),
-        }
+    // The harness flags, parsed the way the harnesses parse them; the
+    // spec-shaping ones ride the wire, the golden mode is applied
+    // locally to the returned cells, and the daemon owns the rest
+    // (host parallelism, paths, the profiler). Shape 0x0 leaves each
+    // experiment its own default mesh.
+    let opts = Options::parse_from(Scale::Small, 0, 0, flags.iter().cloned());
+    for flag in opts.host_only_flags() {
+        eprintln!("note: {flag} is local-only; the wire JobSpec does not carry it");
     }
-    if !matches!(fidelity.as_str(), "" | "cycle") && (check || write) {
+    let check = opts.golden == GoldenMode::Check;
+    let write = opts.golden == GoldenMode::Write;
+    if !opts.fidelity.is_cycle() && (check || write) {
         // Same rule the harnesses enforce locally: committed goldens
         // are cycle-accurate truth; approximate payloads must not be
         // blessed or diffed against them.
         eprintln!(
-            "refusing --{}-golden with --fidelity {fidelity}: committed goldens are \
+            "refusing --{}-golden with --fidelity {}: committed goldens are \
              cycle-accurate only",
-            if write { "write" } else { "check" }
+            if write { "write" } else { "check" },
+            opts.fidelity
         );
         std::process::exit(1);
     }
@@ -157,13 +126,8 @@ fn via_server(addr: &str, flags: &[String]) {
     // pool see the whole sweep, then collect in deterministic order.
     let mut failures: Vec<String> = Vec::new();
     let mut submitted: Vec<(&str, String)> = Vec::new();
-    for bin in EXPERIMENTS {
-        let mut spec = JobSpec::new(bin, &scale);
-        spec.cols = cols;
-        spec.rows = rows;
-        spec.sanitize = sanitize;
-        spec.faults = faults.clone();
-        spec.fidelity = fidelity.clone();
+    for bin in CATALOG.iter().map(|e| e.name) {
+        let spec = opts.job_spec(bin);
         // An `auto` submission to a daemon without a calibration table
         // comes back as an `error` response — collected as a per-
         // experiment failure below, like any other rejection.
@@ -236,7 +200,7 @@ fn finish(failures: Vec<String>) {
         eprintln!(
             "{} of {} experiments FAILED:",
             failures.len(),
-            EXPERIMENTS.len()
+            CATALOG.len()
         );
         for f in &failures {
             eprintln!("  {f}");

@@ -1,12 +1,12 @@
 //! Shape check: does the model reproduce the paper's orderings?
-use mosaic_bench::Options;
+use mosaic_bench::{experiment, Options};
 use mosaic_runtime::RuntimeConfig;
 use mosaic_workloads::{fib::Fib, pagerank, uts, Benchmark, Scale};
 
 fn main() {
     let opts = Options::parse(Scale::Small, 8, 4); // 32 cores
-    opts.cycle_only("shape_check");
-    opts.no_workload_filter("shape_check");
+    experiment::refuse_unsupported("shape_check", false, false, &opts)
+        .unwrap_or_else(|e| panic!("{e}"));
     let mcfg = opts.machine();
     let scale = opts.scale;
     println!("=== Fib(12), 4 WS variants (paper Fig 7 ordering) ===");
@@ -26,7 +26,7 @@ fn main() {
             t.stack_overflows
         );
     }
-    println!("=== UTS-t3 ({}) static vs WS ===", opts.scale_name());
+    println!("=== UTS-t3 ({}) static vs WS ===", opts.scale.name());
     let u = &uts::instances(scale)[1];
     for (label, cfg) in RuntimeConfig::table1_sweep() {
         let out = u.run(mcfg.clone(), cfg);
@@ -39,7 +39,7 @@ fn main() {
     }
     println!(
         "=== PageRank-email ({}) static vs WS ===",
-        opts.scale_name()
+        opts.scale.name()
     );
     let pr = &pagerank::instances(scale)[1];
     for (label, cfg) in RuntimeConfig::table1_sweep() {

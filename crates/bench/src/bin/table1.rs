@@ -1,79 +1,6 @@
-//! Regenerate **Table 1**: dynamic instruction counts (DI, millions)
-//! and simulated cycles (C, thousands) for every workload/input across
-//! the six runtime configurations.
-//!
-//! Absolute magnitudes differ from the paper (scaled-down inputs on a
-//! software model); the columns' *relative* structure is the result.
-
-use mosaic_bench::{sweep, Options, SanitizeGate, Table};
-use mosaic_runtime::RuntimeConfig;
-use mosaic_workloads::Scale;
+//! The `table1` harness: the experiment of that name in
+//! [`mosaic_bench::experiment`], run by the shared driver.
 
 fn main() {
-    let opts = Options::parse(Scale::Small, 8, 4);
-    eprintln!(
-        "Table 1 sweep: scale {:?}, {} cores ({}x{})",
-        opts.scale,
-        opts.cores(),
-        opts.cols,
-        opts.rows
-    );
-    let cells =
-        mosaic_workloads::table1_benchmarks(opts.scale).len() * RuntimeConfig::table1_sweep().len();
-    let rows = sweep::table1_sweep_filtered(
-        opts.scale,
-        &opts.machine(),
-        opts.backend().as_ref(),
-        opts.effective_jobs(cells),
-        &opts.workload,
-    );
-
-    let configs: Vec<&str> = RuntimeConfig::table1_sweep()
-        .iter()
-        .map(|(l, _)| *l)
-        .collect();
-    let mut header = vec!["Cat", "Name"];
-    let mut sub = Vec::new();
-    for c in &configs {
-        sub.push(format!("{c} DI(K)"));
-        sub.push(format!("{c} C(K)"));
-    }
-    header.extend(sub.iter().map(|s| s.as_str()));
-    let mut table = Table::new(&header);
-    let mut all_verified = true;
-    for row in &rows {
-        let mut cells = vec![row.category.to_string(), row.name.clone()];
-        for r in &row.results {
-            match r {
-                Some(r) => {
-                    all_verified &= r.verified;
-                    cells.push(format!("{}", r.instructions / 1000));
-                    cells.push(format!("{}", r.cycles / 1000));
-                }
-                None => {
-                    cells.push("-".into());
-                    cells.push("-".into());
-                }
-            }
-        }
-        table.row(cells);
-    }
-    println!("{table}");
-    println!(
-        "verification: {}",
-        if all_verified {
-            "all runs match host references"
-        } else {
-            "SOME RUNS FAILED"
-        }
-    );
-    assert!(all_verified);
-
-    let mut golden = opts.golden_file("table1");
-    golden.push_sweep(&rows);
-    opts.finish_golden(&golden);
-
-    let mut gate = SanitizeGate::new(opts.sanitize);
-    gate.record_rows(&rows);
-    gate.finish();
+    mosaic_bench::experiment::main("table1");
 }

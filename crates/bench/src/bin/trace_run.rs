@@ -1,62 +1,6 @@
-//! Run one workload with tracing enabled and export a Chrome/Perfetto
-//! trace (`results/trace.json`) plus a utilization summary — visual
-//! inspection of how the work-stealing schedule unfolds across the
-//! mesh.
-//!
-//! Open the output at <https://ui.perfetto.dev> (rows = cores; "local"
-//! vs "stolen" task spans are color-categorized; steal instants carry
-//! flow arrows from victim to thief; user marks are flagged). With
-//! `--profile`, the trace additionally carries a "cycles by bucket"
-//! counter track sampled once per profiler window (see
-//! `docs/observability.md`).
-
-use mosaic_bench::{Options, SanCell, SanitizeGate};
-use mosaic_runtime::{trace, RuntimeConfig};
-use mosaic_workloads::{uts, Scale};
+//! The `trace_run` harness: the experiment of that name in
+//! [`mosaic_bench::experiment`], run by the shared driver.
 
 fn main() {
-    let opts = Options::parse(Scale::Tiny, 8, 4);
-    opts.cycle_only("trace_run");
-    opts.no_workload_filter("trace_run");
-    let bench = &uts::instances(opts.scale)[1]; // UTS-t3: the showcase
-    let cfg = RuntimeConfig {
-        trace: true,
-        ..RuntimeConfig::work_stealing()
-    };
-    let out = bench.run(opts.machine(), cfg);
-    out.assert_verified();
-    let r = &out.report;
-    let json = trace::to_chrome_json_with_profile(&r.trace, r.profile.as_ref());
-    std::fs::create_dir_all("results").expect("mkdir results");
-    std::fs::write("results/trace.json", &json).expect("write trace");
-    let t = r.totals();
-    println!(
-        "{}: {} cycles, {} tasks ({} stolen), mean utilization {:.0}%",
-        bench.name(),
-        r.cycles,
-        t.tasks_executed,
-        t.steals,
-        100.0 * r.mean_utilization()
-    );
-    println!(
-        "wrote results/trace.json ({} events) — open in ui.perfetto.dev",
-        r.trace.len()
-    );
-    let mut golden = opts.golden_file("trace_run");
-    golden.push(
-        bench.name(),
-        "ws/trace",
-        r.cycles,
-        r.instructions(),
-        out.verified,
-    );
-    opts.finish_golden(&golden);
-
-    let mut gate = SanitizeGate::new(opts.sanitize);
-    gate.record(
-        &bench.name(),
-        "ws/trace",
-        &SanCell::from_report(r.sanitizer.as_ref()),
-    );
-    gate.finish();
+    mosaic_bench::experiment::main("trace_run");
 }

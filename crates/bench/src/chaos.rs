@@ -14,9 +14,10 @@
 //! `scan` (a flat `parallel_for` map over `len` words, output = words
 //! `len..2*len`).
 
+use crate::sanitize::SanCell;
 use mosaic_chaos::{payload_digest, RunDigest, SplitMix64};
-use mosaic_runtime::{Mosaic, RuntimeConfig, TaskCtx};
-use mosaic_sim::{MachineConfig, SimError};
+use mosaic_runtime::{Mosaic, RunReport, RuntimeConfig, TaskCtx};
+use mosaic_sim::{MachineConfig, MachineProfile, SimError};
 use mosaic_workloads::Scale;
 
 /// The chaos workload names, in canonical order.
@@ -33,6 +34,11 @@ pub struct ChaosRun {
     /// The simulation error, if the run did not terminate cleanly
     /// (possible under bit-flip plans that corrupt runtime state).
     pub error: Option<String>,
+    /// Sanitizer outcome (default/empty when the sanitizer was off or
+    /// the run crashed).
+    pub sanitizer: SanCell,
+    /// Cycle-attribution profile (`None` unless the profiler ran).
+    pub profile: Option<MachineProfile>,
 }
 
 impl ChaosRun {
@@ -47,6 +53,24 @@ impl ChaosRun {
             },
             instructions: 0,
             error: Some(err.to_string()),
+            sanitizer: SanCell::default(),
+            profile: None,
+        }
+    }
+
+    /// A run that terminated: `verified` says whether its output words
+    /// (digested as `payload`) match the host reference.
+    fn completed(report: RunReport, payload: u64, verified: bool) -> ChaosRun {
+        ChaosRun {
+            digest: RunDigest {
+                payload,
+                cycles: report.cycles,
+                verified,
+            },
+            instructions: report.instructions(),
+            error: None,
+            sanitizer: SanCell::from_report(report.sanitizer.as_ref()),
+            profile: report.profile,
         }
     }
 }
@@ -102,15 +126,11 @@ pub fn run_fib(machine: MachineConfig, n: u32) -> ChaosRun {
         Err(e) => return ChaosRun::crashed(e),
     };
     let word = report.machine.peek(out);
-    ChaosRun {
-        digest: RunDigest {
-            payload: payload_digest(&[word]),
-            cycles: report.cycles,
-            verified: word == mosaic_workloads::fib::reference(n),
-        },
-        instructions: report.instructions(),
-        error: None,
-    }
+    ChaosRun::completed(
+        report,
+        payload_digest(&[word]),
+        word == mosaic_workloads::fib::reference(n),
+    )
 }
 
 /// A flat `parallel_for` map: `out[i] = in[i] * 3 + 1` over `len`
@@ -142,15 +162,7 @@ pub fn run_scan(machine: MachineConfig, len: u64) -> ChaosRun {
         Err(e) => return ChaosRun::crashed(e),
     };
     let words = report.machine.peek_slice(out, len as usize);
-    ChaosRun {
-        digest: RunDigest {
-            payload: payload_digest(&words),
-            cycles: report.cycles,
-            verified: words == expect,
-        },
-        instructions: report.instructions(),
-        error: None,
-    }
+    ChaosRun::completed(report, payload_digest(&words), words == expect)
 }
 
 #[cfg(test)]

@@ -5,8 +5,10 @@
 use crate::golden::{self, GoldenFile};
 use mosaic_chaos::FaultPlan;
 use mosaic_model::CalibrationTable;
+use mosaic_serve::JobSpec;
 use mosaic_sim::{AnalyticBackend, AutoBackend, Backend, CycleBackend, Fidelity, MachineConfig};
 use mosaic_workloads::Scale;
+use std::sync::Arc;
 
 /// Where the committed calibration artifact lives (written by the
 /// `calibrate` harness, consumed by `--fidelity analytic|auto` and the
@@ -65,9 +67,9 @@ pub struct Options {
     pub prof_out: Option<std::path::PathBuf>,
     /// Which backend answers runs (`--fidelity cycle|analytic|auto`):
     /// the cycle-accurate engine (default), the calibrated analytic
-    /// model, or per-family escalation. Only the sweep experiments
-    /// (`table1`, `fig09_speedup`) support non-cycle fidelities; the
-    /// rest call [`Options::cycle_only`] and refuse.
+    /// model, or per-family escalation. Only experiments registered as
+    /// `analytic` (see [`crate::experiment`]) support non-cycle
+    /// fidelities; the driver refuses the flag for the rest.
     pub fidelity: Fidelity,
     /// Calibration table for the analytic backend
     /// (`--calibration PATH`); `None` = the committed
@@ -89,25 +91,48 @@ pub struct Options {
     /// other cells correctly fail the verification.
     pub resume_from: Option<std::path::PathBuf>,
     /// Restrict a sweep to one workload by exact name (`--workload
-    /// NAME`); empty = run the full table. Only the sweep experiments
-    /// (`table1`, `fig09_speedup`) honor it — the fleet gateway uses it
-    /// to fan a sweep out into per-workload subjobs whose concatenation
-    /// is byte-identical to the unfiltered run. Single-workload
-    /// harnesses refuse the flag via [`Options::no_workload_filter`].
+    /// NAME`); empty = run the full table. Only experiments registered
+    /// with `workload_filter` honor it — the fleet gateway uses it to
+    /// fan a sweep out into per-workload subjobs whose concatenation
+    /// is byte-identical to the unfiltered run. The driver refuses the
+    /// flag for every other experiment.
     pub workload: String,
 }
 
 impl Options {
     /// Parse from `std::env::args`, with the given defaults.
     ///
-    /// Recognized flags: `--scale tiny|small|full`, `--cols N`,
-    /// `--rows N`, `--paper` (16x8 like the paper), `--jobs N`,
-    /// `--check-golden`, `--write-golden`, `--help`.
-    ///
     /// # Panics
     ///
     /// Panics (with usage output) on malformed arguments.
     pub fn parse(default_scale: Scale, default_cols: u16, default_rows: u16) -> Options {
+        Options::parse_from(
+            default_scale,
+            default_cols,
+            default_rows,
+            std::env::args().skip(1),
+        )
+    }
+
+    /// Parse the given arguments (program name already stripped), with
+    /// the given defaults — the one parser of the harness flags: the
+    /// experiment driver, `reproduce_all --via-server` and
+    /// `mosaic-client submit` all read their flags through it.
+    ///
+    /// Recognized flags: `--scale tiny|small|full`, `--cols N`,
+    /// `--rows N`, `--paper` (16x8 like the paper), `--jobs N`,
+    /// `--check-golden`, `--write-golden`, `--help` and the observer
+    /// flags the help text lists.
+    ///
+    /// # Panics
+    ///
+    /// Panics (with usage output) on malformed arguments.
+    pub fn parse_from(
+        default_scale: Scale,
+        default_cols: u16,
+        default_rows: u16,
+        args: impl IntoIterator<Item = String>,
+    ) -> Options {
         let mut opts = Options {
             scale: default_scale,
             cols: default_cols,
@@ -126,17 +151,12 @@ impl Options {
             resume_from: None,
             workload: String::new(),
         };
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter();
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--scale" => {
                     let v = args.next().expect("--scale needs a value");
-                    opts.scale = match v.as_str() {
-                        "tiny" => Scale::Tiny,
-                        "small" => Scale::Small,
-                        "full" => Scale::Full,
-                        other => panic!("unknown scale {other:?} (tiny|small|full)"),
-                    };
+                    opts.scale = Scale::parse(&v).unwrap_or_else(|e| panic!("{e}"));
                 }
                 "--cols" => {
                     opts.cols = args
@@ -254,7 +274,14 @@ impl Options {
 
     /// The machine these options describe.
     pub fn machine(&self) -> MachineConfig {
-        let mut m = MachineConfig::small(self.cols, self.rows);
+        self.machine_at(self.cols, self.rows)
+    }
+
+    /// The machine these options describe at another mesh shape —
+    /// every observer and durability flag applied, so an experiment
+    /// that varies the shape per cell cannot drop one.
+    pub fn machine_at(&self, cols: u16, rows: u16) -> MachineConfig {
+        let mut m = MachineConfig::small(cols, rows);
         m.sanitize = self.sanitize;
         m.faults = self.faults.clone();
         m.profile = self.profile;
@@ -265,34 +292,44 @@ impl Options {
         m
     }
 
-    /// Refuse non-cycle fidelities for experiments the analytic model
-    /// is not calibrated for (everything outside the Table-1 sweep).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `--fidelity analytic|auto` was given.
-    pub fn cycle_only(&self, experiment: &str) {
-        assert!(
-            self.fidelity.is_cycle(),
-            "{experiment} is cycle-accurate only: --fidelity {} is not supported \
-             (the analytic model covers the sweep experiments table1/fig09_speedup)",
-            self.fidelity
-        );
+    /// The wire [`JobSpec`] asking a daemon for `experiment` under
+    /// these options. Inverse of [`spec_argv`]: cycle fidelity and an
+    /// empty fault plan are the spec's empty-string defaults.
+    pub fn job_spec(&self, experiment: &str) -> JobSpec {
+        let mut spec = JobSpec::new(experiment, self.scale.name());
+        spec.workload = self.workload.clone();
+        spec.cols = self.cols;
+        spec.rows = self.rows;
+        spec.sanitize = self.sanitize;
+        spec.faults = self
+            .faults
+            .as_ref()
+            .map(FaultPlan::to_spec)
+            .unwrap_or_default();
+        spec.checkpoint_every = self.checkpoint_every;
+        if !self.fidelity.is_cycle() {
+            spec.fidelity = self.fidelity.to_string();
+        }
+        spec
     }
 
-    /// Refuse `--workload` for experiments that are not multi-workload
-    /// sweeps: a silently ignored filter would let a fleet gateway
-    /// believe it split a job it actually ran whole.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `--workload` was given.
-    pub fn no_workload_filter(&self, experiment: &str) {
-        assert!(
-            self.workload.is_empty(),
-            "{experiment} does not support --workload (only the sweep \
-             experiments table1/fig09_speedup do)"
-        );
+    /// The flags given here that a wire [`JobSpec`] cannot carry: the
+    /// daemon owns host parallelism, paths and the profiler.
+    pub fn host_only_flags(&self) -> Vec<&'static str> {
+        let given = [
+            (self.jobs.is_some(), "--jobs"),
+            (self.profile, "--profile"),
+            (self.prof_out.is_some(), "--prof-out"),
+            (self.golden_dir.is_some(), "--golden-dir"),
+            (self.calibration.is_some(), "--calibration"),
+            (self.checkpoint_dir.is_some(), "--checkpoint-dir"),
+            (self.resume_from.is_some(), "--resume-from"),
+        ];
+        given
+            .iter()
+            .filter(|(set, _)| *set)
+            .map(|(_, f)| *f)
+            .collect()
     }
 
     /// Load the calibration table for analytic/auto fidelities from
@@ -320,17 +357,17 @@ impl Options {
     ///
     /// Panics when analytic/auto fidelity was requested but the
     /// calibration table is missing or unreadable.
-    pub fn backend(&self) -> Box<dyn Backend> {
+    pub fn backend(&self) -> Arc<dyn Backend + Send> {
         match self.fidelity {
-            Fidelity::Cycle => Box::new(CycleBackend),
+            Fidelity::Cycle => Arc::new(CycleBackend),
             Fidelity::Analytic | Fidelity::Auto => {
                 let table = self
                     .calibration_table()
                     .unwrap_or_else(|e| panic!("--fidelity {}: {e}", self.fidelity));
                 let bound = table.bound_ppm;
                 match self.fidelity {
-                    Fidelity::Analytic => Box::new(AnalyticBackend::new(table)),
-                    _ => Box::new(AutoBackend::new(table, bound)),
+                    Fidelity::Analytic => Arc::new(AnalyticBackend::new(table)),
+                    _ => Arc::new(AutoBackend::new(table, bound)),
                 }
             }
         }
@@ -339,15 +376,6 @@ impl Options {
     /// Core count.
     pub fn cores(&self) -> usize {
         self.cols as usize * self.rows as usize
-    }
-
-    /// The scale's lowercase name (golden file names, headers).
-    pub fn scale_name(&self) -> &'static str {
-        match self.scale {
-            Scale::Tiny => "tiny",
-            Scale::Small => "small",
-            Scale::Full => "full",
-        }
     }
 
     /// Host threads to use for a sweep of `cells` independent cells:
@@ -370,7 +398,7 @@ impl Options {
     /// An empty golden file tagged with this run's experiment name,
     /// scale, and machine shape.
     pub fn golden_file(&self, experiment: &str) -> GoldenFile {
-        GoldenFile::new(experiment, self.scale_name(), self.cols, self.rows)
+        GoldenFile::new(experiment, self.scale.name(), self.cols, self.rows)
     }
 
     /// Apply the golden mode to a completed run's numbers: no-op in
@@ -423,5 +451,92 @@ impl Options {
                 }
             },
         }
+    }
+}
+
+/// The harness flags that reproduce `spec` on a child's command line.
+/// Inverse of [`Options::job_spec`]. Flags at their defaults are
+/// omitted, so a spec that leaves a knob alone produces the argv it
+/// always did (and `cols == 0` leaves the shape to the experiment).
+pub fn spec_argv(spec: &JobSpec) -> Vec<String> {
+    let mut argv = vec!["--scale".to_string(), spec.scale.clone()];
+    if spec.cols != 0 {
+        argv.extend(["--cols".to_string(), spec.cols.to_string()]);
+        argv.extend(["--rows".to_string(), spec.rows.to_string()]);
+    }
+    if spec.sanitize {
+        argv.push("--sanitize".to_string());
+    }
+    if !spec.workload.is_empty() {
+        argv.extend(["--workload".to_string(), spec.workload.clone()]);
+    }
+    if !spec.faults.is_empty() {
+        argv.extend(["--faults".to_string(), spec.faults.clone()]);
+    }
+    if !matches!(spec.fidelity.as_str(), "" | "cycle") {
+        argv.extend(["--fidelity".to_string(), spec.fidelity.clone()]);
+    }
+    if spec.checkpoint_every > 0 {
+        argv.extend([
+            "--checkpoint-every".to_string(),
+            spec.checkpoint_every.to_string(),
+        ]);
+    }
+    argv
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `spec` -> argv -> `Options` -> spec, under the defaults the wire
+    /// clients parse with (shape 0x0 = the experiment's own).
+    fn round_trip(spec: &JobSpec) -> JobSpec {
+        Options::parse_from(Scale::Small, 0, 0, spec_argv(spec)).job_spec(&spec.experiment)
+    }
+
+    #[test]
+    fn job_specs_round_trip_through_argv_field_by_field() {
+        let plain = JobSpec::new("table1", "small");
+        assert_eq!(
+            spec_argv(&plain),
+            ["--scale", "small"],
+            "defaults are omitted: legacy argv, and so child behaviour, is unchanged"
+        );
+        assert_eq!(round_trip(&plain), plain);
+
+        // Every spec-shaping flag, one at a time, then all together.
+        let edits: [fn(&mut JobSpec); 7] = [
+            |s| s.scale = "tiny".into(),
+            |s| (s.cols, s.rows) = (4, 2),
+            |s| s.sanitize = true,
+            |s| s.faults = "seed=7,horizon=1000,freeze=2x100".into(),
+            |s| s.fidelity = "analytic".into(),
+            |s| s.workload = "CilkSort".into(),
+            |s| s.checkpoint_every = 5000,
+        ];
+        let mut all = plain.clone();
+        for edit in edits {
+            let mut one = plain.clone();
+            edit(&mut one);
+            edit(&mut all);
+            assert_ne!(spec_argv(&one), spec_argv(&plain));
+            assert_eq!(round_trip(&one), one);
+        }
+        assert_eq!(round_trip(&all), all);
+
+        // `--paper` is the 16x8 shape; an explicit cycle fidelity and
+        // an empty fault plan are the spec's empty-string defaults.
+        let paper = Options::parse_from(Scale::Small, 0, 0, ["--paper".to_string()]);
+        assert_eq!(
+            (paper.job_spec("x").cols, paper.job_spec("x").rows),
+            (16, 8)
+        );
+        let mut spelled = plain.clone();
+        spelled.fidelity = "cycle".into();
+        assert_eq!(round_trip(&spelled), plain);
+        let empty_plan = ["--faults", "seed=1"].map(String::from);
+        let opts = Options::parse_from(Scale::Small, 0, 0, empty_plan);
+        assert_eq!(opts.job_spec("table1"), plain);
     }
 }

@@ -3,8 +3,8 @@
 //! payloads back byte-identically.
 //!
 //! Why this is sound: the sweep harnesses lay golden cells out
-//! *workload-major* ([`GoldenFile::push_sweep`] walks rows in
-//! `table1_benchmarks` order, each row's configs in sweep order), and a
+//! *workload-major* ([`crate::sweep::table1_cells`] walks benchmarks in
+//! `table1_benchmarks` order, each one's configs in sweep order), and a
 //! `--workload NAME` run emits exactly that workload's row slice. So a
 //! merge that keeps the first part's header and concatenates the
 //! parts' cells in canonical table order reproduces the unfiltered
@@ -12,8 +12,8 @@
 //! `reproduce_all --via-fleet --check-golden` gate a multi-node run
 //! against the same committed goldens as a laptop run.
 
+use crate::experiment;
 use crate::golden::GoldenFile;
-use crate::service::SWEEP_EXPERIMENTS;
 use mosaic_serve::{Fanout, JobSpec, SubJob};
 use mosaic_workloads::Scale;
 
@@ -37,7 +37,7 @@ fn workload_names(scale: Scale) -> Vec<String> {
 
 impl Fanout for SweepFanout {
     fn split(&self, spec: &JobSpec) -> Option<Vec<SubJob>> {
-        if !SWEEP_EXPERIMENTS.contains(&spec.experiment.as_str()) {
+        if !experiment::info(&spec.experiment).is_some_and(|e| e.workload_filter) {
             return None;
         }
         if !spec.workload.is_empty() || !spec.config.is_empty() || spec.seed != 0 {
@@ -45,14 +45,9 @@ impl Fanout for SweepFanout {
             // forward whole and let the worker validate.
             return None;
         }
-        let scale = match spec.scale.as_str() {
-            "tiny" => Scale::Tiny,
-            "small" => Scale::Small,
-            "full" => Scale::Full,
-            // Unknown scale: forward whole so the worker's validation
-            // error (not a split panic) reaches the client.
-            _ => return None,
-        };
+        // Unknown scale: forward whole so the worker's validation
+        // error (not a split panic) reaches the client.
+        let scale = Scale::parse(&spec.scale).ok()?;
         let subs: Vec<SubJob> = workload_names(scale)
             .into_iter()
             .map(|name| {

@@ -109,11 +109,19 @@ impl GoldenFile {
         });
     }
 
-    /// Append every cell of a Table-1-style sweep, in sweep order.
-    pub fn push_sweep(&mut self, rows: &[crate::sweep::SweepRow]) {
-        for row in rows {
-            for r in row.results.iter().flatten() {
-                self.push(&row.name, r.config, r.cycles, r.instructions, r.verified);
+    /// Append every result of a sweep, in cell order: its measured
+    /// cell plus whatever counters it wants gated.
+    pub fn push_results(&mut self, results: &[crate::sweep::CellResult]) {
+        for r in results {
+            self.push(
+                &r.workload,
+                &r.config,
+                r.out.cycles,
+                r.out.instructions,
+                r.out.verified,
+            );
+            for (name, value) in &r.out.counters {
+                self.push_counter(name, *value);
             }
         }
     }

@@ -4,37 +4,31 @@
 //! # mosaic-bench
 //!
 //! Harnesses that regenerate every table and figure of the paper's
-//! evaluation (one binary per experiment; see `src/bin/`), plus
-//! Criterion benches over the runtime and simulator substrate.
+//! evaluation. [`experiment::EXPERIMENTS`] is the single list of them:
+//! one descriptor per experiment (name, default scale and mesh shape,
+//! capabilities, how to enumerate its cells and render their results),
+//! one driver ([`experiment::main`]) that every binary of that name
+//! under `src/bin/` calls, one committed golden file each. Readers that
+//! only need names and capabilities use its code-free projection,
+//! [`CATALOG`].
 //!
-//! | Binary | Regenerates |
-//! |---|---|
-//! | `table1` | Table 1 (DI and cycles, 6 configs x all workloads) |
-//! | `fig05_heatmap` | Fig. 5 remote-SPM latency heatmap |
-//! | `fig06_rd_duplication` | Fig. 6 read-only duplication, per kernel |
-//! | `fig07_fib_microbench` | Fig. 7 Fib / Fib-S placement study |
-//! | `fig09_speedup` | Fig. 9 speedup over the static baseline |
-//! | `fig10_dynamic` | Fig. 10 CilkSort + MatrixTranspose variants |
-//! | `fig11_scaling` | Fig. 11 scaling 1 to 128 cores |
-//! | `ablation_*` | design-choice ablations (grain, victim, ruche, dealing) |
-//! | `trace_run` | Perfetto/Chrome trace export (counter tracks + steal flows under `--profile`) |
-//! | `chaos_sweep` | fault-injection invariants (timing-only plans, detected bit flips) |
-//! | `profile` | Fig. 5 hot-spot story from `mosaic-prof` cycle attribution (see [`prof`]) |
-//!
-//! Every binary accepts `--scale tiny|small|full` and `--cols N
+//! Every harness accepts `--scale tiny|small|full` and `--cols N
 //! --rows N` to trade fidelity against wall-clock time (defaults keep
 //! a full sweep in the minutes range on a laptop), plus the shared
-//! observer/gating flags: `--jobs`, `--sanitize`, `--faults SPEC`,
-//! `--profile`, `--prof-out DIR`, and
+//! observer/gating flags [`Options`] parses: `--jobs`, `--sanitize`,
+//! `--faults SPEC`, `--profile`, `--prof-out DIR`, and
 //! `--check-golden`/`--write-golden`.
 //!
-//! Two non-experiment binaries front the `mosaic-serve` subsystem:
-//! `serve` (the simulation-as-a-service daemon; see [`service`]) and
-//! `mosaic-client` (its CLI). `reproduce_all --via-server ADDR`
-//! routes the whole reproduction through a running daemon.
+//! The remaining binaries are not experiments: `reproduce_all` runs
+//! the whole table (locally, or `--via-server ADDR` through a daemon),
+//! `calibrate` fits the analytic model, `serve`/`gateway` front the
+//! `mosaic-serve` subsystem (see [`service`], [`fleet`]) with
+//! `mosaic-client` as their CLI, and `recovery_sweep`/`recovery_fleet`
+//! are the kill-and-recover gates.
 
 pub mod chaos;
 pub mod cli;
+pub mod experiment;
 pub mod fleet;
 pub mod golden;
 pub mod prof;
@@ -44,11 +38,10 @@ pub mod sweep;
 pub mod table;
 
 pub use cli::{GoldenMode, Options, CALIBRATION_PATH};
+pub use experiment::CATALOG;
 pub use fleet::SweepFanout;
 pub use golden::{GoldenCell, GoldenCounter, GoldenFile};
 pub use sanitize::{SanCell, SanitizeGate};
-pub use service::{BinExecutor, EXPERIMENTS};
-pub use sweep::{
-    run_cells, run_sweep, run_sweep_backend, run_sweep_jobs, ConfigResult, SweepRow, SweepTiming,
-};
+pub use service::BinExecutor;
+pub use sweep::{run_cells, SweepRow, SweepTiming};
 pub use table::Table;

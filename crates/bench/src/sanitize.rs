@@ -3,7 +3,6 @@
 //! [`SanReport`] here, and [`SanitizeGate::finish`] turns any finding
 //! into a nonzero exit after printing the per-cell diagnostics.
 
-use crate::sweep::SweepRow;
 use mosaic_san::SanReport;
 
 /// Compact, `Send` summary of one run's sanitizer outcome, so cell
@@ -78,16 +77,6 @@ impl SanitizeGate {
                 format!("{workload} / {config}"),
                 format!("{} finding(s)", cell.findings),
             ));
-        }
-    }
-
-    /// Record every populated cell of a Table-1-style sweep.
-    pub fn record_rows(&mut self, rows: &[SweepRow]) {
-        for row in rows {
-            for r in row.results.iter().flatten() {
-                let cell = r.sanitizer.clone();
-                self.record(&row.name, r.config, &cell);
-            }
         }
     }
 

@@ -1,5 +1,4 @@
-//! The `mosaic-serve` executor for real experiments, plus the
-//! experiment catalog shared with `reproduce_all`.
+//! The `mosaic-serve` executor for real experiments.
 //!
 //! The daemon does not re-implement any experiment: the executor runs
 //! the sibling harness binary (`table1`, `fig09_speedup`, ...) as a
@@ -11,7 +10,10 @@
 //! host threads), and a nonzero exit (verification failure, sanitizer
 //! finding, golden drift) fails the job with the stderr tail attached.
 
+use crate::cli::spec_argv;
+use crate::experiment;
 use mosaic_serve::{Executor, JobSpec};
+use mosaic_workloads::Scale;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -19,36 +21,6 @@ use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::time::Duration;
-
-/// Every experiment harness `reproduce_all` runs, in its canonical
-/// order (one golden file each under `results/golden/`).
-pub const EXPERIMENTS: &[&str] = &[
-    "table1",
-    "fig05_heatmap",
-    "fig06_rd_duplication",
-    "fig07_fib_microbench",
-    "fig09_speedup",
-    "fig10_dynamic",
-    "fig11_scaling",
-    "ablation_grain",
-    "ablation_victim",
-    "ablation_ruche",
-    "ablation_dealing",
-    "trace_run",
-    "chaos_sweep",
-    "profile",
-];
-
-/// Experiments whose harnesses run on the analytic backend
-/// (`--fidelity analytic`) — the sweep-shaped ones the calibration
-/// grid covers. Everything else is cycle-accurate only.
-pub const ANALYTIC_EXPERIMENTS: &[&str] = &["table1", "fig09_speedup"];
-
-/// Experiments that sweep every Table-1 workload — the ones accepting
-/// a `--workload` filter, and therefore the ones the fleet gateway can
-/// fan out into per-workload subjobs. Coincides with
-/// [`ANALYTIC_EXPERIMENTS`] today but means something different.
-pub const SWEEP_EXPERIMENTS: &[&str] = &["table1", "fig09_speedup"];
 
 /// Executor that runs experiment harness binaries as child processes.
 pub struct BinExecutor {
@@ -81,26 +53,24 @@ impl BinExecutor {
         })
     }
 
-    fn validate(spec: &JobSpec) -> Result<(), String> {
-        if !EXPERIMENTS.contains(&spec.experiment.as_str()) {
-            return Err(format!(
+    pub(crate) fn validate(spec: &JobSpec) -> Result<(), String> {
+        let exp = experiment::info(&spec.experiment).ok_or_else(|| {
+            format!(
                 "unknown experiment {:?} (known: {})",
                 spec.experiment,
-                EXPERIMENTS.join(", ")
-            ));
-        }
-        if !matches!(spec.scale.as_str(), "tiny" | "small" | "full") {
-            return Err(format!("unknown scale {:?} (tiny|small|full)", spec.scale));
-        }
+                experiment::names(|_| true, ", ")
+            )
+        })?;
+        Scale::parse(&spec.scale)?;
         if (spec.cols == 0) != (spec.rows == 0) {
             return Err("cols and rows must be set together (or both 0)".to_string());
         }
-        if !spec.workload.is_empty() && !SWEEP_EXPERIMENTS.contains(&spec.experiment.as_str()) {
+        if !spec.workload.is_empty() && !exp.workload_filter {
             return Err(format!(
                 "experiment {:?} does not support a workload filter (only the sweep \
                  experiments do: {})",
                 spec.experiment,
-                SWEEP_EXPERIMENTS.join(", ")
+                experiment::names(|e| e.workload_filter, ", ")
             ));
         }
         if !spec.config.is_empty() || spec.seed != 0 {
@@ -119,12 +89,12 @@ impl BinExecutor {
         match spec.fidelity.as_str() {
             "" | "cycle" => {}
             "analytic" => {
-                if !ANALYTIC_EXPERIMENTS.contains(&spec.experiment.as_str()) {
+                if !exp.analytic {
                     return Err(format!(
                         "experiment {:?} is cycle-accurate only (analytic fidelity \
                          covers: {})",
                         spec.experiment,
-                        ANALYTIC_EXPERIMENTS.join(", ")
+                        experiment::names(|e| e.analytic, ", ")
                     ));
                 }
             }
@@ -156,31 +126,12 @@ impl Executor for BinExecutor {
         std::fs::create_dir_all(&scratch).map_err(|e| format!("mkdir scratch: {e}"))?;
 
         let mut cmd = Command::new(self.exe_dir.join(&spec.experiment));
-        cmd.arg("--scale").arg(&spec.scale);
-        if spec.cols != 0 {
-            cmd.args(["--cols", &spec.cols.to_string()]);
-            cmd.args(["--rows", &spec.rows.to_string()]);
-        }
-        if spec.sanitize {
-            cmd.arg("--sanitize");
-        }
-        if !spec.workload.is_empty() {
-            // Fleet fan-out: this subjob runs one workload's row of the
-            // sweep. Omitted when empty so legacy argv is unchanged.
-            cmd.args(["--workload", &spec.workload]);
-        }
-        if !spec.faults.is_empty() {
-            cmd.args(["--faults", &spec.faults]);
-        }
-        if spec.fidelity == "analytic" {
-            // Omitted at the cycle default so legacy argv is unchanged.
-            cmd.args(["--fidelity", &spec.fidelity]);
-            if let Some(table) = &self.calibration {
-                // Hand the child the same table the daemon's escalation
-                // decisions read; without this it would fall back to
-                // the committed default relative to its own cwd.
-                cmd.arg("--calibration").arg(table);
-            }
+        cmd.args(spec_argv(spec));
+        if let (Some(table), "analytic") = (&self.calibration, spec.fidelity.as_str()) {
+            // Hand the child the same table the daemon's escalation
+            // decisions read; without this it would fall back to
+            // the committed default relative to its own cwd.
+            cmd.arg("--calibration").arg(table);
         }
         cmd.args(["--jobs", &self.child_jobs.to_string()]);
         if spec.checkpoint_every > 0 {
@@ -189,7 +140,6 @@ impl Executor for BinExecutor {
             // for post-mortem while a clean run tidies them away with
             // the rest of the scratch. The digest ignores the cadence;
             // results are byte-identical either way.
-            cmd.args(["--checkpoint-every", &spec.checkpoint_every.to_string()]);
             cmd.arg("--checkpoint-dir").arg(scratch.join("checkpoints"));
         }
         cmd.arg("--write-golden").arg("--golden-dir").arg(&scratch);
@@ -341,18 +291,5 @@ mod tests {
         let mut bad = ok.clone();
         bad.faults = "not a plan".into();
         assert!(BinExecutor::validate(&bad).is_err());
-    }
-
-    #[test]
-    fn catalog_matches_the_committed_goldens() {
-        for exp in EXPERIMENTS {
-            let path = format!("{}/../../results/golden/", env!("CARGO_MANIFEST_DIR"));
-            let dir = std::fs::read_dir(path).expect("results/golden exists");
-            assert!(
-                dir.filter_map(|e| e.ok())
-                    .any(|e| e.file_name().to_string_lossy().starts_with(exp)),
-                "no committed golden for experiment {exp}"
-            );
-        }
     }
 }

@@ -1,36 +1,36 @@
-//! Shared sweep driver: run benchmark instances across the six
-//! Table-1 runtime configurations (used by `table1` and `fig09`), on a
-//! bounded pool of host threads.
+//! Shared sweep machinery: an experiment is a list of independent
+//! [`Cell`]s, [`run`] executes them on a bounded pool of host threads,
+//! and [`table1_cells`] enumerates the Table-1 grid (used by `table1`
+//! and `fig09_speedup`).
 //!
 //! ## Parallel execution model
 //!
 //! Every `mosaic-sim` run is deterministic and fully self-contained (no
 //! process-global state), so distinct (benchmark, config) cells can run
-//! on different host threads without changing any simulated number. The
-//! driver enumerates all cells up front, executes them on a bounded
-//! pool ([`run_cells`]), and *collects results in deterministic cell
-//! order* — progress callbacks fire in exactly the order the old serial
-//! driver used, so all output (tables, golden JSON, progress lines) is
-//! bit-identical for any `--jobs` value. One simulation is one OS
-//! thread (its cores are coroutines on it), so the pool's default size
-//! is simply the host's core count.
+//! on different host threads without changing any simulated number. An
+//! experiment enumerates all cells up front, [`run`] executes them on
+//! a bounded pool ([`run_cells`]) and *collects results in
+//! deterministic cell order* — progress lines fire in exactly the
+//! order a serial run would print them, so all output (tables, golden
+//! JSON, progress lines) is bit-identical for any `--jobs` value. One
+//! simulation is one OS thread (its cores are coroutines on it), so
+//! the pool's default size is simply the host's core count.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use mosaic_runtime::RuntimeConfig;
-use mosaic_sim::{
-    Backend, BackendJob, CycleBackend, CycleOutcome, FamilyKey, Fidelity, MachineConfig,
-};
+use crate::sanitize::SanCell;
+use mosaic_runtime::{RunReport, RuntimeConfig};
+use mosaic_sim::{Backend, BackendJob, CycleOutcome, FamilyKey, MachineConfig, MachineProfile};
 use mosaic_workloads::{Benchmark, Scale};
 
-/// One (workload, config) measurement.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfigResult {
-    /// Config label from [`RuntimeConfig::table1_sweep`].
-    pub config: &'static str,
+/// What running one cell produced. The first five fields are what the
+/// driver gates on (golden file, verification, sanitizer); the rest
+/// carry whatever else the experiment's renderer needs.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Outcome {
     /// Simulated cycles.
     pub cycles: u64,
     /// Dynamic instructions.
@@ -38,12 +38,87 @@ pub struct ConfigResult {
     /// Whether the run verified against the host reference.
     pub verified: bool,
     /// Sanitizer outcome (default/empty when `--sanitize` is off).
-    pub sanitizer: crate::sanitize::SanCell,
+    pub sanitizer: SanCell,
+    /// Cycle-attribution profile (`None` unless the profiler ran).
+    pub profile: Option<MachineProfile>,
+    /// Named counters the experiment wants gated in its golden file.
+    pub counters: Vec<(String, u64)>,
+    /// Experiment-specific numbers for the renderer (kernel spans,
+    /// steal counts, ...), in an order the experiment defines.
+    pub extra: Vec<u64>,
+    /// Experiment-specific preformatted text for the renderer.
+    pub text: String,
+    /// Stderr text the harness emits when this cell is collected (in
+    /// cell order, whatever `--jobs` is): the sweep progress line.
+    pub log: String,
 }
 
-/// One benchmark across all configurations.
+impl Outcome {
+    /// The outcome of a runtime run.
+    pub fn of(report: &RunReport, verified: bool) -> Outcome {
+        Outcome {
+            cycles: report.cycles,
+            instructions: report.instructions(),
+            verified,
+            sanitizer: SanCell::from_report(report.sanitizer.as_ref()),
+            profile: report.profile.clone(),
+            ..Outcome::default()
+        }
+    }
+}
+
+/// One independent simulation of an experiment's grid.
+pub struct Cell {
+    /// Workload label (golden file, sanitizer log).
+    pub workload: String,
+    /// Configuration label.
+    pub config: String,
+    /// Mesh shape, when the cell overrides the harness-wide
+    /// `--cols/--rows` (scaling studies).
+    pub shape: Option<(u16, u16)>,
+    /// Runs the cell on the machine the harness flags describe; it
+    /// may adjust that machine first (a ruche factor, a per-cell fault
+    /// plan).
+    pub run: Box<dyn Fn(MachineConfig) -> Outcome + Send + Sync>,
+}
+
+impl Cell {
+    /// A cell on the harness-wide mesh shape.
+    pub fn new(
+        workload: impl Into<String>,
+        config: impl Into<String>,
+        run: impl Fn(MachineConfig) -> Outcome + Send + Sync + 'static,
+    ) -> Cell {
+        Cell {
+            workload: workload.into(),
+            config: config.into(),
+            shape: None,
+            run: Box::new(run),
+        }
+    }
+
+    /// The same cell on its own mesh shape.
+    pub fn at(mut self, cols: u16, rows: u16) -> Cell {
+        self.shape = Some((cols, rows));
+        self
+    }
+}
+
+/// One cell's labels and outcome.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SweepRow {
+pub struct CellResult {
+    /// Workload label.
+    pub workload: String,
+    /// Configuration label.
+    pub config: String,
+    /// What the run produced.
+    pub out: Outcome,
+}
+
+/// One benchmark across the Table-1 configurations: a view over the
+/// flat results of a [`table1_cells`] sweep.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SweepRow<'a> {
     /// Benchmark display name.
     pub name: String,
     /// Table-1 category abbreviation.
@@ -52,17 +127,13 @@ pub struct SweepRow {
     pub has_static_baseline: bool,
     /// Results in `RuntimeConfig::table1_sweep` order (static entries
     /// are `None` for spawn-and-sync workloads).
-    pub results: Vec<Option<ConfigResult>>,
+    pub results: Vec<Option<&'a CellResult>>,
 }
 
-impl SweepRow {
+impl SweepRow<'_> {
     /// Cycles of the static/SPM-stack baseline, if present.
     pub fn static_baseline_cycles(&self) -> Option<u64> {
-        self.results
-            .iter()
-            .flatten()
-            .find(|r| r.config == "static/spm-stack")
-            .map(|r| r.cycles)
+        self.cycles_of("static/spm-stack")
     }
 
     /// Cycles of the given config.
@@ -71,7 +142,7 @@ impl SweepRow {
             .iter()
             .flatten()
             .find(|r| r.config == config)
-            .map(|r| r.cycles)
+            .map(|r| r.out.cycles)
     }
 }
 
@@ -192,35 +263,6 @@ where
     cell_time
 }
 
-/// Run every Table-1 benchmark at `scale` on `machine` across all six
-/// configurations serially, calling `progress` after each run.
-///
-/// Kept as the compatibility entry point; use [`run_sweep_jobs`] to
-/// parallelize across host threads.
-pub fn run_sweep(
-    benches: &[Box<dyn Benchmark>],
-    machine: &MachineConfig,
-    progress: impl FnMut(&str, &str, &ConfigResult),
-) -> Vec<SweepRow> {
-    run_sweep_jobs(benches, machine, 1, progress).0
-}
-
-/// Like [`run_sweep`], but executes the (benchmark, config) cells on up
-/// to `jobs` host threads. Output is bit-identical for every `jobs`
-/// value; `progress` still fires in deterministic cell order.
-///
-/// Always cycle-accurate ([`CycleBackend`] is a transparent
-/// pass-through); use [`run_sweep_backend`] to route cells through a
-/// different fidelity.
-pub fn run_sweep_jobs(
-    benches: &[Box<dyn Benchmark>],
-    machine: &MachineConfig,
-    jobs: usize,
-    progress: impl FnMut(&str, &str, &ConfigResult),
-) -> (Vec<SweepRow>, SweepTiming) {
-    run_sweep_backend(benches, machine, &CycleBackend, "", jobs, progress)
-}
-
 /// One (benchmark, config) cell of the Table-1 sweep, presented to the
 /// backend seam: its calibration family plus the cycle-accurate way to
 /// run it.
@@ -229,6 +271,9 @@ struct SweepCell<'a> {
     label: &'static str,
     runtime: &'a RuntimeConfig,
     scale: &'a str,
+    /// The profile of the last cycle-accurate execution: the seam's
+    /// [`CycleOutcome`] has no slot for it, `--prof-out` wants it.
+    profile: Mutex<Option<MachineProfile>>,
 }
 
 impl BackendJob for SweepCell<'_> {
@@ -241,7 +286,8 @@ impl BackendJob for SweepCell<'_> {
     }
 
     fn execute(&self, machine: &MachineConfig) -> CycleOutcome {
-        let out = self.bench.run(machine.clone(), self.runtime.clone());
+        let mut out = self.bench.run(machine.clone(), self.runtime.clone());
+        *self.profile.lock().expect("profile slot is never held") = out.report.profile.take();
         CycleOutcome {
             cycles: out.report.cycles,
             instructions: out.report.instructions(),
@@ -251,76 +297,114 @@ impl BackendJob for SweepCell<'_> {
     }
 }
 
-/// The general sweep driver: every cell is answered by `backend` —
-/// the cycle engine, the calibrated analytic model, or per-family auto
-/// escalation. `scale` names the calibration families cells belong to
-/// (ignored by [`CycleBackend`]).
+/// The cells of a Table-1-style sweep: every benchmark across the six
+/// runtime configurations, workload-major (static configs are skipped
+/// for workloads without a static baseline). Each cell is answered by
+/// `backend` — the cycle engine, the calibrated analytic model, or
+/// per-family auto escalation; `scale` names the calibration families
+/// the cells belong to (ignored by the cycle backend). Each cell logs
+/// the standard progress line.
 ///
-/// # Panics
-///
-/// Panics when the backend refuses a cell (e.g. `--fidelity analytic`
-/// for a family the calibration table does not cover).
-pub fn run_sweep_backend(
-    benches: &[Box<dyn Benchmark>],
-    machine: &MachineConfig,
-    backend: &dyn Backend,
-    scale: &str,
-    jobs: usize,
-    mut progress: impl FnMut(&str, &str, &ConfigResult),
-) -> (Vec<SweepRow>, SweepTiming) {
-    let configs = RuntimeConfig::table1_sweep();
-
-    // Enumerate runnable cells up front; static configs without a
-    // baseline stay `None` without occupying a job slot.
-    let mut cells: Vec<(usize, usize)> = Vec::new();
-    for (bi, b) in benches.iter().enumerate() {
-        for (ci, (label, _)) in configs.iter().enumerate() {
-            if label.starts_with("static") && !b.has_static_baseline() {
+/// A cell panics when the backend refuses it (e.g. `--fidelity
+/// analytic` for a family the calibration table does not cover).
+pub fn table1_cells(
+    benches: Vec<Box<dyn Benchmark>>,
+    backend: Arc<dyn Backend + Send>,
+    scale: &'static str,
+) -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for bench in benches {
+        let bench: Arc<dyn Benchmark> = Arc::from(bench);
+        for (label, runtime) in RuntimeConfig::table1_sweep() {
+            if label.starts_with("static") && !bench.has_static_baseline() {
                 continue;
             }
-            cells.push((bi, ci));
+            let name = bench.name();
+            let (bench, backend) = (bench.clone(), backend.clone());
+            cells.push(Cell::new(name.clone(), label, move |machine| {
+                let cell = SweepCell {
+                    bench: bench.as_ref(),
+                    label,
+                    runtime: &runtime,
+                    scale,
+                    profile: Mutex::new(None),
+                };
+                let rep = backend
+                    .run_cell(&machine, &cell)
+                    .unwrap_or_else(|e| panic!("{}: {e}", cell.family()));
+                Outcome {
+                    cycles: rep.cycles,
+                    instructions: rep.instructions,
+                    verified: rep.verified,
+                    sanitizer: SanCell::from_report(rep.sanitizer.as_ref()),
+                    profile: cell
+                        .profile
+                        .into_inner()
+                        .expect("profile slot is never held"),
+                    log: format!(
+                        "  {name:<18} {label:<22} {:>10} cycles  {:>10} instrs  {}\n",
+                        rep.cycles,
+                        rep.instructions,
+                        if rep.verified { "ok" } else { "FAILED-VERIFY" }
+                    ),
+                    ..Outcome::default()
+                }
+            }));
         }
     }
+    cells
+}
 
-    let mut rows: Vec<SweepRow> = benches
+/// Group the flat results of a [`table1_cells`] sweep back into one
+/// row per benchmark, with empty slots where a config was skipped.
+pub fn table1_rows<'a>(
+    benches: &[Box<dyn Benchmark>],
+    results: &'a [CellResult],
+) -> Vec<SweepRow<'a>> {
+    let mut next = results.iter().peekable();
+    benches
         .iter()
-        .map(|b| SweepRow {
-            name: b.name(),
-            category: b.category().abbrev(),
-            has_static_baseline: b.has_static_baseline(),
-            results: vec![None; configs.len()],
+        .map(|b| {
+            let name = b.name();
+            let results = RuntimeConfig::table1_sweep()
+                .iter()
+                .map(|(label, _)| next.next_if(|r| r.workload == name && r.config == *label))
+                .collect();
+            SweepRow {
+                name,
+                category: b.category().abbrev(),
+                has_static_baseline: b.has_static_baseline(),
+                results,
+            }
         })
-        .collect();
+        .collect()
+}
 
+/// Run `cells` on up to `jobs` host threads, each on the machine
+/// `machine_for` derives for it — the one way harness cells execute.
+/// `on_cell` sees every result in cell order, so anything it prints is
+/// identical for any `jobs` value; so are the returned results.
+pub fn run(
+    cells: &[Cell],
+    jobs: usize,
+    machine_for: impl Fn(&Cell) -> MachineConfig + Sync,
+    mut on_cell: impl FnMut(&CellResult),
+) -> (Vec<CellResult>, SweepTiming) {
     let jobs = jobs.max(1);
+    let mut results = Vec::with_capacity(cells.len());
     let start = Instant::now();
     let cell_time = run_cells(
         cells.len(),
         jobs,
-        |i| {
-            let (bi, ci) = cells[i];
-            let (label, cfg) = &configs[ci];
-            let cell = SweepCell {
-                bench: benches[bi].as_ref(),
-                label,
-                runtime: cfg,
-                scale,
+        |i| (cells[i].run)(machine_for(&cells[i])),
+        |i, out| {
+            let result = CellResult {
+                workload: cells[i].workload.clone(),
+                config: cells[i].config.clone(),
+                out,
             };
-            let rep = backend
-                .run_cell(machine, &cell)
-                .unwrap_or_else(|e| panic!("{}: {e}", cell.family()));
-            ConfigResult {
-                config: label,
-                cycles: rep.cycles,
-                instructions: rep.instructions,
-                verified: rep.verified,
-                sanitizer: crate::sanitize::SanCell::from_report(rep.sanitizer.as_ref()),
-            }
-        },
-        |i, r| {
-            let (bi, ci) = cells[i];
-            progress(&rows[bi].name, r.config, &r);
-            rows[bi].results[ci] = Some(r);
+            on_cell(&result);
+            results.push(result);
         },
     );
     let timing = SweepTiming {
@@ -329,41 +413,21 @@ pub fn run_sweep_backend(
         wall: start.elapsed(),
         cell_time,
     };
-    (rows, timing)
+    (results, timing)
 }
 
-/// Convenience: the full Table-1 sweep at a scale on `jobs` host
-/// threads, answered by `backend`, with the standard progress line and
-/// the harness timing line on stderr.
-pub fn table1_sweep_backend(
-    scale: Scale,
-    machine: &MachineConfig,
-    backend: &dyn Backend,
-    jobs: usize,
-) -> Vec<SweepRow> {
-    table1_sweep_filtered(scale, machine, backend, jobs, "")
-}
-
-/// Like [`table1_sweep_backend`] but restricted to one workload by
+/// The Table-1 benchmarks at `scale`, restricted to one workload by
 /// exact name (`""` = the full table). This is the `--workload` seam
 /// the fleet gateway fans sweeps out through: each subjob runs one
-/// workload's row, and because [`GoldenFile::push_sweep`] lays cells
-/// out workload-major, concatenating the per-workload parts in table
-/// order reproduces the unfiltered sweep byte for byte.
-///
-/// [`GoldenFile::push_sweep`]: crate::golden::GoldenFile::push_sweep
+/// workload's row, and because [`table1_cells`] lays cells out
+/// workload-major, concatenating the per-workload parts in table order
+/// reproduces the unfiltered sweep byte for byte.
 ///
 /// # Panics
 ///
 /// Panics when `workload` names no benchmark at this scale — a typo
 /// must not silently produce an empty (yet "passing") sweep.
-pub fn table1_sweep_filtered(
-    scale: Scale,
-    machine: &MachineConfig,
-    backend: &dyn Backend,
-    jobs: usize,
-    workload: &str,
-) -> Vec<SweepRow> {
+pub fn table1_benches(scale: Scale, workload: &str) -> Vec<Box<dyn Benchmark>> {
     let mut benches = mosaic_workloads::table1_benchmarks(scale);
     if !workload.is_empty() {
         let known: Vec<String> = benches.iter().map(|b| b.name()).collect();
@@ -374,43 +438,5 @@ pub fn table1_sweep_filtered(
             known.join(", ")
         );
     }
-    let scale_name = match scale {
-        Scale::Tiny => "tiny",
-        Scale::Small => "small",
-        Scale::Full => "full",
-    };
-    let (rows, timing) = run_sweep_backend(
-        &benches,
-        machine,
-        backend,
-        scale_name,
-        jobs,
-        |name, cfg, r| {
-            eprintln!(
-                "  {name:<18} {cfg:<22} {:>10} cycles  {:>10} instrs  {}",
-                r.cycles,
-                r.instructions,
-                if r.verified { "ok" } else { "FAILED-VERIFY" }
-            );
-        },
-    );
-    if backend.fidelity() != Fidelity::Cycle {
-        eprintln!(
-            "fidelity: {} backend answered the sweep",
-            backend.fidelity()
-        );
-    }
-    timing.log();
-    rows
-}
-
-/// Convenience: the full Table-1 sweep at a scale on `jobs` host
-/// threads, cycle-accurately.
-pub fn table1_sweep_jobs(scale: Scale, machine: &MachineConfig, jobs: usize) -> Vec<SweepRow> {
-    table1_sweep_backend(scale, machine, &CycleBackend, jobs)
-}
-
-/// Convenience: the full Table-1 sweep at a scale, serially.
-pub fn table1_sweep(scale: Scale, machine: &MachineConfig) -> Vec<SweepRow> {
-    table1_sweep_jobs(scale, machine, 1)
+    benches
 }

@@ -18,6 +18,7 @@ use mosaic_sim::backend::{
 use mosaic_sim::MachineConfig;
 use mosaic_workloads::Scale;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// The committed golden for the table1 tiny sweep at the default 8x4
 /// shape — the exact bytes `--check-golden` diffs against.
@@ -38,9 +39,14 @@ fn cycle_backend_reproduces_committed_goldens() {
         .map(|n| n.get())
         .unwrap_or(1);
     let machine = MachineConfig::small(8, 4);
-    let rows = sweep::table1_sweep_backend(Scale::Tiny, &machine, &CycleBackend, jobs);
+    let cells = sweep::table1_cells(
+        sweep::table1_benches(Scale::Tiny, ""),
+        Arc::new(CycleBackend),
+        "tiny",
+    );
+    let (results, _) = sweep::run(&cells, jobs, |_| machine.clone(), |_| {});
     let mut fresh = GoldenFile::new("table1", "tiny", 8, 4);
-    fresh.push_sweep(&rows);
+    fresh.push_results(&results);
     // Cell-level diff first: on failure it names the drifted cell
     // instead of dumping two JSON blobs.
     let drift = committed.diff(&fresh);

@@ -1,15 +1,32 @@
 //! Tests of the harness plumbing itself: the sweep driver, table
 //! rendering, and figure helpers produce consistent artifacts.
 
-use mosaic_bench::{sweep, GoldenFile, Table};
+use mosaic_bench::sweep::{self, CellResult, SweepTiming};
+use mosaic_bench::{GoldenFile, Table};
 use mosaic_runtime::RuntimeConfig;
-use mosaic_sim::MachineConfig;
+use mosaic_sim::{CycleBackend, MachineConfig};
 use mosaic_workloads::{fib::Fib, matmul::MatMul, Benchmark};
+use std::sync::Arc;
+
+fn fib() -> Vec<Box<dyn Benchmark>> {
+    vec![Box::new(Fib { n: 8 })]
+}
+
+fn matmul() -> Vec<Box<dyn Benchmark>> {
+    vec![Box::new(MatMul { n: 16, seed: 1 })]
+}
+
+/// The Table-1 sweep of `benches` on a 2x2 machine, cycle-accurately.
+fn run_sweep(benches: Vec<Box<dyn Benchmark>>, jobs: usize) -> (Vec<CellResult>, SweepTiming) {
+    let machine = MachineConfig::small(2, 2);
+    let cells = sweep::table1_cells(benches, Arc::new(CycleBackend), "tiny");
+    sweep::run(&cells, jobs, |_| machine.clone(), |_| {})
+}
 
 #[test]
 fn sweep_runs_all_configs_and_skips_missing_baselines() {
-    let benches: Vec<Box<dyn Benchmark>> = vec![Box::new(Fib { n: 8 })];
-    let rows = sweep::run_sweep(&benches, &MachineConfig::small(2, 2), |_, _, _| {});
+    let (results, _) = run_sweep(fib(), 1);
+    let rows = sweep::table1_rows(&fib(), &results);
     assert_eq!(rows.len(), 1);
     let row = &rows[0];
     assert!(!row.has_static_baseline, "Fib has no static baseline");
@@ -17,8 +34,8 @@ fn sweep_runs_all_configs_and_skips_missing_baselines() {
     // Static slots empty, WS slots filled and verified.
     assert_eq!(row.results.iter().filter(|r| r.is_none()).count(), 2);
     for r in row.results.iter().flatten() {
-        assert!(r.verified, "{} failed", r.config);
-        assert!(r.cycles > 0 && r.instructions > 0);
+        assert!(r.out.verified, "{} failed", r.config);
+        assert!(r.out.cycles > 0 && r.out.instructions > 0);
     }
     assert!(row.static_baseline_cycles().is_none());
     assert!(row.cycles_of("ws/spm-stack/spm-q").is_some());
@@ -26,8 +43,8 @@ fn sweep_runs_all_configs_and_skips_missing_baselines() {
 
 #[test]
 fn sweep_rows_expose_baseline_for_loop_workloads() {
-    let benches: Vec<Box<dyn Benchmark>> = vec![Box::new(MatMul { n: 16, seed: 1 })];
-    let rows = sweep::run_sweep(&benches, &MachineConfig::small(2, 2), |_, _, _| {});
+    let (results, _) = run_sweep(matmul(), 1);
+    let rows = sweep::table1_rows(&matmul(), &results);
     assert!(rows[0].static_baseline_cycles().unwrap() > 0);
 }
 
@@ -35,11 +52,9 @@ fn sweep_rows_expose_baseline_for_loop_workloads() {
 fn parallel_sweep_matches_serial_exactly() {
     // The core guarantee of the job pool: `--jobs N` produces results
     // indistinguishable from a serial run, cell for cell.
-    let benches: Vec<Box<dyn Benchmark>> =
-        vec![Box::new(MatMul { n: 16, seed: 1 }), Box::new(Fib { n: 8 })];
-    let machine = MachineConfig::small(2, 2);
-    let (serial, t1) = sweep::run_sweep_jobs(&benches, &machine, 1, |_, _, _| {});
-    let (parallel, t4) = sweep::run_sweep_jobs(&benches, &machine, 4, |_, _, _| {});
+    let benches = || matmul().into_iter().chain(fib()).collect();
+    let (serial, t1) = run_sweep(benches(), 1);
+    let (parallel, t4) = run_sweep(benches(), 4);
     assert_eq!(t1.jobs, 1);
     assert_eq!(t4.jobs, 4);
     assert_eq!(t1.cells, t4.cells);
@@ -68,10 +83,9 @@ fn run_cells_collects_in_order_for_any_job_count() {
 fn golden_round_trips_through_json() {
     // Serialize a real sweep to golden JSON, parse it back, and verify
     // the parsed file compares clean against the original.
-    let benches: Vec<Box<dyn Benchmark>> = vec![Box::new(MatMul { n: 16, seed: 1 })];
-    let rows = sweep::run_sweep(&benches, &MachineConfig::small(2, 2), |_, _, _| {});
+    let (results, _) = run_sweep(matmul(), 1);
     let mut golden = GoldenFile::new("harness_test", "tiny", 2, 2);
-    golden.push_sweep(&rows);
+    golden.push_results(&results);
     assert!(!golden.cells.is_empty());
     let json = golden.to_json();
     let parsed = GoldenFile::parse(&json).expect("golden JSON must parse");

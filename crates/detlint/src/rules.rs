@@ -89,13 +89,6 @@ pub const RULES: &[RuleInfo] = &[
                   ordering protects",
     },
     RuleInfo {
-        code: "D007",
-        name: "flag-parity",
-        summary: "a crates/bench/src/bin binary neither constructs the shared \
-                  Options CLI nor spells the standard flag set \
-                  (--sanitize/--profile/--faults/--fidelity/--check-golden)",
-    },
-    RuleInfo {
         code: "D008",
         name: "undocumented-unsafe",
         summary: "`unsafe` without an adjacent `// SAFETY:` comment",
@@ -132,8 +125,6 @@ pub struct FileClass {
     /// Crate whose fence/AMO sync sites must carry invariant comments
     /// (core, sim): D006 applies.
     pub sync_documented: bool,
-    /// A `crates/bench/src/bin/*.rs` harness binary: D007 applies.
-    pub bench_bin: bool,
 }
 
 /// Crates whose behaviour determines golden numbers. `model` is on
@@ -166,7 +157,6 @@ pub fn classify(path: &str) -> FileClass {
         // ordering decisions; only library code needs the invariant
         // comments (in-crate #[cfg(test)] mods are handled per-region).
         class.sync_documented = (krate == "core" || krate == "sim") && !rest.contains("/tests/");
-        class.bench_bin = path.starts_with("crates/bench/src/bin/") && path.ends_with(".rs");
     } else if path.starts_with("xtests/")
         || path.starts_with("examples/")
         || path.starts_with("tests/")
@@ -505,58 +495,7 @@ pub fn per_file_rules(path: &str, lexed: &Lexed, class: &FileClass) -> Vec<Findi
             _ => {}
         }
     }
-
-    // D007 — flag parity for bench binaries.
-    if class.bench_bin {
-        out.extend(flag_parity(path, lexed));
-    }
     out
-}
-
-/// D007: a harness binary must construct the shared [`Options`] parser
-/// or spell the full standard flag set itself.
-fn flag_parity(path: &str, lexed: &Lexed) -> Vec<Finding> {
-    let tokens = &lexed.tokens;
-    let uses_options = tokens.windows(3).any(|w| {
-        w[0].tok.is_ident("Options") && w[1].tok.is_op("::") && w[2].tok.is_ident("parse")
-    });
-    if uses_options {
-        return Vec::new();
-    }
-    const REQUIRED: &[&str] = &[
-        "--sanitize",
-        "--profile",
-        "--faults",
-        "--fidelity",
-        "--check-golden",
-    ];
-    let literals: Vec<&str> = tokens
-        .iter()
-        .filter_map(|t| match &t.tok {
-            Tok::Str(s) => Some(s.as_str()),
-            _ => None,
-        })
-        .collect();
-    let missing: Vec<&str> = REQUIRED
-        .iter()
-        .copied()
-        .filter(|f| !literals.contains(f))
-        .collect();
-    if missing.is_empty() {
-        return Vec::new();
-    }
-    vec![Finding {
-        rule: "D007",
-        path: path.to_string(),
-        line: 1,
-        col: 1,
-        message: format!(
-            "harness binary neither calls Options::parse nor handles the standard \
-             flags {} — new bins must not ship without the shared \
-             sanitize/profile/faults/fidelity/golden plumbing",
-            missing.join(", ")
-        ),
-    }]
 }
 
 /// Names declared with a floating-point type (or float-literal
@@ -914,8 +853,6 @@ mod tests {
         assert!(classify("crates/model/src/estimate.rs").golden_affecting);
         assert!(!classify("crates/model/src/estimate.rs").host_side);
         assert!(classify("crates/bench/src/cli.rs").host_side);
-        assert!(classify("crates/bench/src/bin/table1.rs").bench_bin);
-        assert!(!classify("crates/bench/src/cli.rs").bench_bin);
         assert!(!classify("crates/san/src/lib.rs").golden_affecting);
         assert!(!classify("crates/san/src/lib.rs").host_side);
         assert!(classify("tests/determinism.rs").host_side);

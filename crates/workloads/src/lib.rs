@@ -110,6 +110,28 @@ pub enum Scale {
     Full,
 }
 
+impl Scale {
+    /// The lowercase name used on command lines, in job specs and in
+    /// golden file names.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Tiny => "tiny",
+            Scale::Small => "small",
+            Scale::Full => "full",
+        }
+    }
+
+    /// Parse a [`Scale::name`].
+    pub fn parse(s: &str) -> Result<Scale, String> {
+        match s {
+            "tiny" => Ok(Scale::Tiny),
+            "small" => Ok(Scale::Small),
+            "full" => Ok(Scale::Full),
+            other => Err(format!("unknown scale {other:?} (tiny|small|full)")),
+        }
+    }
+}
+
 /// Every Table-1 benchmark instance at the given scale, in the
 /// paper's row order.
 pub fn table1_benchmarks(scale: Scale) -> Vec<Box<dyn Benchmark>> {
