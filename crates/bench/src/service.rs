@@ -20,7 +20,17 @@ use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How often `run_child` looks for the child's exit and the cancel
+/// flag. A job costs its child's time rounded up to the next step, so
+/// a child whose run time sits on a multiple of this reads one step or
+/// two at random: a 24.5 ms child against a 25 ms step made the
+/// benchmark's `serve_cold` read 27 or 36 jobs/s from run to run. The
+/// children it times (`trace_run` 4x2 tiny, 5 ms; 8x4 small, 24.5 ms)
+/// must stay 5 ms or more clear of a step. ROADMAP item 2(b) replaces
+/// the poll with a blocking wait.
+const CHILD_POLL: Duration = Duration::from_millis(20);
 
 /// Executor that runs experiment harness binaries as child processes.
 pub struct BinExecutor {
@@ -165,6 +175,12 @@ fn run_child(
     progress: &dyn Fn(u64, u64, &str),
     cancelled: &AtomicBool,
 ) -> Result<(), String> {
+    // Polls fall on a fixed schedule counted from before the spawn, not
+    // from whenever this thread next gets the CPU back from its child:
+    // on a daemon confined to one CPU that is up to a scheduler tick
+    // (4 ms) later, for the whole life of the daemon or not at all,
+    // which read as two job latencies 2 ms apart from run to run.
+    let mut next_poll = Instant::now() + CHILD_POLL;
     let mut child = cmd
         .spawn()
         .map_err(|e| format!("launch {}: {e}", spec.experiment))?;
@@ -206,7 +222,10 @@ fn run_child(
         }
         match child.try_wait() {
             Ok(Some(status)) => break status,
-            Ok(None) => std::thread::sleep(Duration::from_millis(25)),
+            Ok(None) => {
+                std::thread::sleep(next_poll.saturating_duration_since(Instant::now()));
+                next_poll += CHILD_POLL;
+            }
             Err(e) => {
                 let _ = child.kill();
                 return Err(format!("wait for {}: {e}", spec.experiment));

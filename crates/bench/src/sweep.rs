@@ -18,7 +18,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use crate::sanitize::SanCell;
@@ -271,9 +271,6 @@ struct SweepCell<'a> {
     label: &'static str,
     runtime: &'a RuntimeConfig,
     scale: &'a str,
-    /// The profile of the last cycle-accurate execution: the seam's
-    /// [`CycleOutcome`] has no slot for it, `--prof-out` wants it.
-    profile: Mutex<Option<MachineProfile>>,
 }
 
 impl BackendJob for SweepCell<'_> {
@@ -286,13 +283,13 @@ impl BackendJob for SweepCell<'_> {
     }
 
     fn execute(&self, machine: &MachineConfig) -> CycleOutcome {
-        let mut out = self.bench.run(machine.clone(), self.runtime.clone());
-        *self.profile.lock().expect("profile slot is never held") = out.report.profile.take();
+        let out = self.bench.run(machine.clone(), self.runtime.clone());
         CycleOutcome {
             cycles: out.report.cycles,
             instructions: out.report.instructions(),
             verified: out.verified,
             sanitizer: out.report.sanitizer,
+            profile: out.report.profile,
         }
     }
 }
@@ -327,7 +324,6 @@ pub fn table1_cells(
                     label,
                     runtime: &runtime,
                     scale,
-                    profile: Mutex::new(None),
                 };
                 let rep = backend
                     .run_cell(&machine, &cell)
@@ -337,10 +333,7 @@ pub fn table1_cells(
                     instructions: rep.instructions,
                     verified: rep.verified,
                     sanitizer: SanCell::from_report(rep.sanitizer.as_ref()),
-                    profile: cell
-                        .profile
-                        .into_inner()
-                        .expect("profile slot is never held"),
+                    profile: rep.profile,
                     log: format!(
                         "  {name:<18} {label:<22} {:>10} cycles  {:>10} instrs  {}\n",
                         rep.cycles,

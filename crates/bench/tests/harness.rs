@@ -36,9 +36,22 @@ fn sweep_runs_all_configs_and_skips_missing_baselines() {
     for r in row.results.iter().flatten() {
         assert!(r.out.verified, "{} failed", r.config);
         assert!(r.out.cycles > 0 && r.out.instructions > 0);
+        assert!(r.out.profile.is_none(), "{} profiled unasked", r.config);
     }
     assert!(row.static_baseline_cycles().is_none());
     assert!(row.cycles_of("ws/spm-stack/spm-q").is_some());
+}
+
+#[test]
+fn profile_rides_the_backend_seam_into_every_cell() {
+    let mut machine = MachineConfig::small(2, 2);
+    machine.profile = true;
+    let cells = sweep::table1_cells(fib(), Arc::new(CycleBackend), "tiny");
+    let (results, _) = sweep::run(&cells, 1, |_| machine.clone(), |_| {});
+    for r in &results {
+        let p = r.out.profile.as_ref().expect("profiler was enabled");
+        assert_eq!(p.accounting_error(), None, "{}", r.config);
+    }
 }
 
 #[test]

@@ -22,13 +22,19 @@ use crate::task::Registry;
 use mosaic_mem::{Addr, AddrMap, AmoOp};
 use mosaic_san::{Note, NoteSink};
 use mosaic_sim::{CoreApi, Cycle, Phase};
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::cell::RefCell;
 
-/// Runtime state shared (host-side) by all cores. Mutexes here are
-/// never contended — the engine serializes core execution — they only
-/// make the structure `Sync`.
+/// Runtime state shared (host-side) by all cores, which are coroutines
+/// on one thread — hence `RefCell`, shared through an `Rc`.
+///
+/// Invariant: never hold a borrow of one of these cells across a
+/// [`CoreApi`] operation (or anything that performs one: `load`,
+/// `spawn`, `wait`, a task body). Such an operation switches to another
+/// core, which may borrow the same cell; the second borrow panics and
+/// the run fails with `SimError::CorePanicked` naming that core. Every
+/// borrow in this crate is a temporary inside one statement.
 pub struct Shared {
     /// The runtime configuration in force.
     pub config: RuntimeConfig,
@@ -41,11 +47,11 @@ pub struct Shared {
     /// Spawned-but-not-executed task bodies.
     pub registry: Registry,
     /// The static scheduler's published kernel.
-    pub static_slot: Mutex<Option<StaticKernel>>,
+    pub static_slot: RefCell<Option<StaticKernel>>,
     /// Timestamped marks recorded by tasks.
-    pub marks: Mutex<Vec<(String, Cycle)>>,
+    pub marks: RefCell<Vec<(String, Cycle)>>,
     /// Per-core stats pushed by workers as they finish.
-    pub finished_stats: Mutex<Vec<(usize, WorkerStats)>>,
+    pub finished_stats: RefCell<Vec<(usize, WorkerStats)>>,
     /// Machine seed (victim-selection RNG derives from it).
     pub seed: u64,
     /// Extra cycles per call/return for the software overflow scheme.
@@ -55,7 +61,7 @@ pub struct Shared {
     /// Mesh columns (for locality-aware victim selection).
     pub mesh_cols: u16,
     /// Trace buffer (None when tracing is off).
-    pub trace: Option<Mutex<Vec<crate::trace::TraceEvent>>>,
+    pub trace: Option<RefCell<Vec<crate::trace::TraceEvent>>>,
     /// Channel to the memory-model sanitizer for stack-frame and
     /// environment-freeze events (None when `--sanitize` is off).
     pub san_notes: Option<NoteSink>,
@@ -228,7 +234,7 @@ impl<'a> TaskCtx<'a> {
     pub(crate) fn push_frame(&mut self, words: u32) -> Addr {
         let base = self.st.stack.push(words, &self.sh.map);
         if let Some(s) = &self.sh.san_notes {
-            s.lock().push(Note::StackPush {
+            s.borrow_mut().push(Note::StackPush {
                 core: self.st.core as usize,
                 base: base.raw(),
                 words,
@@ -243,7 +249,7 @@ impl<'a> TaskCtx<'a> {
     pub(crate) fn pop_frame(&mut self) {
         let (base, words, in_dram) = self.st.stack.pop();
         if let Some(s) = &self.sh.san_notes {
-            s.lock().push(Note::StackPop {
+            s.borrow_mut().push(Note::StackPop {
                 core: self.st.core as usize,
                 base: base.raw(),
                 words,
@@ -409,7 +415,7 @@ impl<'a> TaskCtx<'a> {
     /// stays frozen until the frame holding it pops).
     fn freeze_env(&mut self, base: Addr, words: u32) {
         if let Some(s) = &self.sh.san_notes {
-            s.lock().push(Note::FreezeEnv {
+            s.borrow_mut().push(Note::FreezeEnv {
                 core: self.st.core as usize,
                 base: base.raw(),
                 words,
@@ -426,19 +432,19 @@ impl<'a> TaskCtx<'a> {
         let now = self.api.now();
         let label = label.into();
         if let Some(tr) = &self.sh.trace {
-            tr.lock().push(crate::trace::TraceEvent::Mark {
+            tr.borrow_mut().push(crate::trace::TraceEvent::Mark {
                 core: self.st.core,
                 label: label.clone(),
                 at: now,
             });
         }
-        self.sh.marks.lock().push((label, now));
+        self.sh.marks.borrow_mut().push((label, now));
     }
 
     /// Append a trace event if tracing is enabled (runtime-internal).
     pub(crate) fn trace_event(&self, e: crate::trace::TraceEvent) {
         if let Some(tr) = &self.sh.trace {
-            tr.lock().push(e);
+            tr.borrow_mut().push(e);
         }
     }
 
@@ -464,7 +470,7 @@ impl<'a> TaskCtx<'a> {
         self.st.stats.max_stack_words = self.st.stack.max_depth_words;
         self.sh
             .finished_stats
-            .lock()
+            .borrow_mut()
             .push((self.st.core as usize, self.st.stats.clone()));
     }
 }

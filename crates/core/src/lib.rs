@@ -52,13 +52,12 @@
 //! }
 //!
 //! let sys = Mosaic::new(MachineConfig::small(4, 2), RuntimeConfig::work_stealing());
-//! let out = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
+//! // Every core runs on this thread, so host-side captures need no
+//! // `Send`: an `Rc<Cell<_>>` carries the result out.
+//! let out = std::rc::Rc::new(std::cell::Cell::new(0));
 //! let out2 = out.clone();
-//! let report = sys.run(move |ctx| {
-//!     let f = fib(ctx, 10);
-//!     out2.store(f, std::sync::atomic::Ordering::Relaxed);
-//! });
-//! assert_eq!(out.load(std::sync::atomic::Ordering::Relaxed), 55);
+//! let report = sys.run(move |ctx| out2.set(fib(ctx, 10)));
+//! assert_eq!(out.get(), 55);
 //! assert!(report.totals().tasks_executed > 0);
 //! ```
 

@@ -15,13 +15,13 @@
 use crate::config::SchedulerKind;
 use crate::ctx::{EnvHandle, TaskCtx};
 use crate::static_sched::{self, LoopBody};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// A shared per-index map function for [`TaskCtx::parallel_reduce`].
-pub type ReduceMap<R> = Arc<dyn Fn(&mut TaskCtx<'_>, u32) -> R + Send + Sync>;
+pub type ReduceMap<R> = Rc<dyn Fn(&mut TaskCtx<'_>, u32) -> R>;
 /// A shared combiner for [`TaskCtx::parallel_reduce`].
-pub type ReduceCombine<R> = Arc<dyn Fn(R, R) -> R + Send + Sync>;
+pub type ReduceCombine<R> = Rc<dyn Fn(R, R) -> R>;
 
 impl TaskCtx<'_> {
     /// Run `f1` and `f2` as parallel tasks and return both results
@@ -29,10 +29,10 @@ impl TaskCtx<'_> {
     /// inline, then the task waits for the join.
     pub fn parallel_invoke<R1, R2, F1, F2>(&mut self, f1: F1, f2: F2) -> (R1, R2)
     where
-        F1: FnOnce(&mut TaskCtx<'_>) -> R1 + Send + 'static,
-        F2: FnOnce(&mut TaskCtx<'_>) -> R2 + Send + 'static,
-        R1: Send + 'static,
-        R2: Send + 'static,
+        F1: FnOnce(&mut TaskCtx<'_>) -> R1 + 'static,
+        F2: FnOnce(&mut TaskCtx<'_>) -> R2 + 'static,
+        R1: 'static,
+        R2: 'static,
     {
         if self.scheduler() == SchedulerKind::Static {
             // No dynamic runtime: spawn-and-sync serializes (paper
@@ -45,16 +45,16 @@ impl TaskCtx<'_> {
         // spawned child's task record (allocated on this stack) is
         // reclaimed when the pattern returns.
         self.call(move |ctx| {
-            let slot: Arc<Mutex<Option<R2>>> = Arc::new(Mutex::new(None));
+            let slot: Rc<RefCell<Option<R2>>> = Rc::new(RefCell::new(None));
             let out = slot.clone();
             ctx.spawn(move |ctx| {
                 let r = f2(ctx);
-                *out.lock() = Some(r);
+                *out.borrow_mut() = Some(r);
             });
             let r1 = ctx.call(f1);
             ctx.wait();
             let r2 = slot
-                .lock()
+                .borrow_mut()
                 .take()
                 .expect("joined child did not produce a result");
             (r1, r2)
@@ -66,14 +66,14 @@ impl TaskCtx<'_> {
     /// `env_words` models the words the lambda captures.
     pub fn parallel_for<F>(&mut self, lo: u32, hi: u32, grain: u32, env_words: u32, body: F)
     where
-        F: Fn(&mut TaskCtx<'_>, u32) + Send + Sync + 'static,
+        F: Fn(&mut TaskCtx<'_>, u32) + 'static,
     {
-        self.parallel_for_arc(lo, hi, grain, env_words, Arc::new(body));
+        self.parallel_for_rc(lo, hi, grain, env_words, Rc::new(body));
     }
 
-    /// [`TaskCtx::parallel_for`] taking a shared body (avoids re-wrapping in
-    /// recursive workloads).
-    pub fn parallel_for_arc(
+    /// [`TaskCtx::parallel_for`] taking an already-shared body (avoids
+    /// re-wrapping in recursive workloads).
+    pub fn parallel_for_rc(
         &mut self,
         lo: u32,
         hi: u32,
@@ -156,15 +156,15 @@ impl TaskCtx<'_> {
         combine: C,
     ) -> R
     where
-        R: Clone + Send + 'static,
-        M: Fn(&mut TaskCtx<'_>, u32) -> R + Send + Sync + 'static,
-        C: Fn(R, R) -> R + Send + Sync + 'static,
+        R: Clone + 'static,
+        M: Fn(&mut TaskCtx<'_>, u32) -> R + 'static,
+        C: Fn(R, R) -> R + 'static,
     {
         if lo >= hi {
             return ident;
         }
-        let map: ReduceMap<R> = Arc::new(map);
-        let combine: ReduceCombine<R> = Arc::new(combine);
+        let map: ReduceMap<R> = Rc::new(map);
+        let combine: ReduceCombine<R> = Rc::new(combine);
         self.call(move |ctx| {
             ctx.parallel_reduce_inner(lo, hi, grain, env_words, ident, map, combine)
         })
@@ -183,7 +183,7 @@ impl TaskCtx<'_> {
         combine: ReduceCombine<R>,
     ) -> R
     where
-        R: Clone + Send + 'static,
+        R: Clone + 'static,
     {
         let env = self.make_env(env_words);
         match self.scheduler() {
@@ -194,28 +194,28 @@ impl TaskCtx<'_> {
             SchedulerKind::Static => {
                 // Per-core partials folded through the generic static
                 // kernel, combined on core 0 after the barrier.
-                let partials: Arc<Vec<Mutex<R>>> = Arc::new(
+                let partials: Rc<Vec<RefCell<R>>> = Rc::new(
                     (0..self.cores())
-                        .map(|_| Mutex::new(ident.clone()))
+                        .map(|_| RefCell::new(ident.clone()))
                         .collect(),
                 );
                 let p2 = partials.clone();
                 let m2 = map.clone();
                 let c2 = combine.clone();
-                let body: LoopBody = Arc::new(move |ctx, i| {
+                let body: LoopBody = Rc::new(move |ctx, i| {
                     let v = m2(ctx, i);
                     let cell = &p2[ctx.core_id()];
-                    let old = cell.lock().clone();
+                    let old = cell.borrow().clone();
                     // Local accumulate: one ALU op class of work.
                     ctx.compute(2, 2);
-                    *cell.lock() = c2(old, v);
+                    *cell.borrow_mut() = c2(old, v);
                 });
                 static_sched::static_for(self, lo, hi, env, body);
                 let mut acc = ident;
                 for cell in partials.iter() {
                     // Core 0 gathers one partial per core.
                     self.compute(2, 2);
-                    acc = combine(acc, cell.lock().clone());
+                    acc = combine(acc, cell.borrow().clone());
                 }
                 acc
             }
@@ -235,7 +235,7 @@ impl TaskCtx<'_> {
         combine: ReduceCombine<R>,
     ) -> R
     where
-        R: Clone + Send + 'static,
+        R: Clone + 'static,
     {
         if hi - lo <= grain {
             let iter_cost = self.sh.costs.loop_iter_overhead;
@@ -254,7 +254,7 @@ impl TaskCtx<'_> {
         }
         let mid = lo + (hi - lo) / 2;
         let rd = self.sh.config.rd_duplication;
-        let slot: Arc<Mutex<Option<R>>> = Arc::new(Mutex::new(None));
+        let slot: Rc<RefCell<Option<R>>> = Rc::new(RefCell::new(None));
         let out = slot.clone();
         let rmap = map.clone();
         let rcombine = combine.clone();
@@ -262,13 +262,13 @@ impl TaskCtx<'_> {
         self.spawn(move |ctx| {
             let myenv = if rd { ctx.env_dup(env) } else { env };
             let r = ctx.pr_split(mid, hi, grain, myenv, rident, rmap, rcombine);
-            *out.lock() = Some(r);
+            *out.borrow_mut() = Some(r);
         });
         let lcombine = combine.clone();
         let left = self.call(move |ctx| ctx.pr_split(lo, mid, grain, env, ident, map, combine));
         self.wait();
         let right = slot
-            .lock()
+            .borrow_mut()
             .take()
             .expect("joined reduce child did not produce a result");
         self.compute(2, 2);

@@ -133,12 +133,12 @@ mod tests {
     /// of the given capacity.
     fn with_queue<F>(cap: u32, f: F) -> mosaic_sim::Report
     where
-        F: Fn(&mut CoreApi, Addr) + Send + Sync + 'static,
+        F: Fn(&mut CoreApi, Addr) + 'static,
     {
         let mut machine = Machine::new(MachineConfig::small(1, 1));
         let block = machine.dram_alloc_words((QUEUE_HDR_WORDS + cap) as u64);
         machine.poke(block.offset_words(CAP), cap);
-        let f = std::sync::Arc::new(f);
+        let f = std::rc::Rc::new(f);
         Engine::run(machine, move |_| {
             let f = f.clone();
             Box::new(move |api| f(api, block))

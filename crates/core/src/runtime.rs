@@ -8,8 +8,8 @@ use crate::static_sched;
 use crate::stats::{RunReport, WorkerStats};
 use crate::task::Registry;
 use mosaic_sim::{Engine, Machine, MachineConfig, SimError};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// A configured Mosaic system: a simulated machine plus a runtime.
 ///
@@ -111,7 +111,7 @@ impl Mosaic {
     /// [`SimError`] instead of a panic.
     pub fn run<F>(self, main: F) -> RunReport
     where
-        F: FnOnce(&mut TaskCtx<'_>) + Send + 'static,
+        F: FnOnce(&mut TaskCtx<'_>) + 'static,
     {
         match self.try_run(main) {
             Ok(report) => report,
@@ -127,7 +127,7 @@ impl Mosaic {
     /// queue depths, and any active fault-injection windows.
     pub fn try_run<F>(self, main: F) -> Result<RunReport, SimError>
     where
-        F: FnOnce(&mut TaskCtx<'_>) + Send + 'static,
+        F: FnOnce(&mut TaskCtx<'_>) + 'static,
     {
         let Mosaic {
             mut machine,
@@ -176,16 +176,16 @@ impl Mosaic {
         });
 
         let scheduler = config.scheduler;
-        let trace = config.trace.then(|| Mutex::new(Vec::new()));
-        let shared = Arc::new(Shared {
+        let trace = config.trace.then(|| RefCell::new(Vec::new()));
+        let shared = Rc::new(Shared {
             config,
             costs,
             layout,
             map,
             registry: Registry::new(),
-            static_slot: Mutex::new(None),
-            marks: Mutex::new(Vec::new()),
-            finished_stats: Mutex::new(Vec::new()),
+            static_slot: RefCell::new(None),
+            marks: RefCell::new(Vec::new()),
+            finished_stats: RefCell::new(Vec::new()),
             seed: machine.config().seed,
             sw_overflow_penalty: machine.config().sw_overflow_penalty,
             cores,
@@ -193,24 +193,21 @@ impl Mosaic {
             trace,
             san_notes,
         });
-        let main_cell: Arc<Mutex<Option<crate::task::TaskBody>>> =
-            Arc::new(Mutex::new(Some(Box::new(main))));
+        let mut main_body: Option<crate::task::TaskBody> = Some(Box::new(main));
 
         let sh_factory = shared.clone();
         let mut report = Engine::try_run(machine, move |core| {
             let sh = sh_factory.clone();
-            let main_cell = main_cell.clone();
+            let main = (core == 0).then(|| main_body.take().expect("main already taken"));
             Box::new(move |api| {
                 let mut ctx = TaskCtx::new(api, &sh, core);
-                if core == 0 {
-                    let main = main_cell.lock().take().expect("main already taken");
-                    ctx.run_main(main);
-                } else {
-                    match scheduler {
+                match main {
+                    Some(main) => ctx.run_main(main),
+                    None => match scheduler {
                         SchedulerKind::WorkStealing => ctx.scheduling_loop(None),
                         SchedulerKind::WorkDealing => ctx.dealing_loop(None),
                         SchedulerKind::Static => static_sched::static_worker_loop(&mut ctx),
-                    }
+                    },
                 }
                 ctx.finish();
             })
@@ -221,14 +218,14 @@ impl Mosaic {
             "tasks left unexecuted at shutdown"
         );
         let mut worker_stats = vec![WorkerStats::default(); cores];
-        for (core, stats) in shared.finished_stats.lock().drain(..) {
+        for (core, stats) in shared.finished_stats.borrow_mut().drain(..) {
             worker_stats[core] = stats;
         }
-        let marks = shared.marks.lock().clone();
+        let marks = shared.marks.borrow().clone();
         let trace = shared
             .trace
             .as_ref()
-            .map(|t| std::mem::take(&mut *t.lock()))
+            .map(|t| std::mem::take(&mut *t.borrow_mut()))
             .unwrap_or_default();
         let sanitizer = report.machine.take_sanitizer_report();
         let profile = report.machine.take_profile();

@@ -11,10 +11,10 @@
 use crate::ctx::{EnvHandle, TaskCtx};
 use crate::layout::misc;
 use mosaic_mem::AmoOp;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A loop body shared by every core executing the pattern.
-pub type LoopBody = Arc<dyn Fn(&mut TaskCtx<'_>, u32) + Send + Sync>;
+pub type LoopBody = Rc<dyn Fn(&mut TaskCtx<'_>, u32)>;
 
 /// The kernel core 0 publishes for the workers under the static
 /// scheduler.
@@ -72,7 +72,7 @@ pub(crate) fn static_for(ctx: &mut TaskCtx<'_>, lo: u32, hi: u32, env: EnvHandle
     let costs = ctx.sh.costs;
     ctx.api.charge(costs.static_dispatch, costs.static_dispatch);
 
-    *ctx.sh.static_slot.lock() = Some(StaticKernel {
+    *ctx.sh.static_slot.borrow_mut() = Some(StaticKernel {
         body: body.clone(),
         env,
     });
@@ -143,7 +143,7 @@ pub(crate) fn static_worker_loop(ctx: &mut TaskCtx<'_>) {
             let kernel = ctx
                 .sh
                 .static_slot
-                .lock()
+                .borrow()
                 .clone()
                 .expect("command raised without a published kernel");
             run_chunk(ctx, lo, hi, kernel.env, &kernel.body);

@@ -12,7 +12,7 @@
 //! moved to whichever core dequeues or steals the record.
 
 use crate::ctx::TaskCtx;
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 /// Words in a task record: `[ready_count, parent_rc_addr, result]`.
@@ -29,18 +29,16 @@ pub mod rec {
 }
 
 /// A task body: runs on whichever core executes the task.
-pub type TaskBody = Box<dyn FnOnce(&mut TaskCtx<'_>) + Send>;
+pub type TaskBody = Box<dyn FnOnce(&mut TaskCtx<'_>)>;
 
 /// Host-side map from task-record address to body closure.
 ///
-/// The engine serializes core execution, so the mutex is never
-/// contended; it exists to make the type `Sync` across core threads.
 /// Keyed by address with only point lookups today, but stored in a
 /// `BTreeMap` so that any future iteration (debug dumps, leak checks)
 /// is deterministic by construction.
 #[derive(Default)]
 pub struct Registry {
-    inner: Mutex<BTreeMap<u64, TaskBody>>,
+    inner: RefCell<BTreeMap<u64, TaskBody>>,
 }
 
 impl Registry {
@@ -56,23 +54,23 @@ impl Registry {
     /// Panics if a body is already registered at `rec` (would indicate
     /// a record being spawned twice before execution).
     pub fn insert(&self, rec: u64, body: TaskBody) {
-        let prev = self.inner.lock().insert(rec, body);
+        let prev = self.inner.borrow_mut().insert(rec, body);
         assert!(prev.is_none(), "duplicate task body at record {rec:#x}");
     }
 
     /// Remove and return the body for `rec`.
     pub fn take(&self, rec: u64) -> Option<TaskBody> {
-        self.inner.lock().remove(&rec)
+        self.inner.borrow_mut().remove(&rec)
     }
 
     /// Number of registered (spawned but not yet executed) bodies.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        self.inner.borrow().len()
     }
 
     /// `true` when no bodies are pending.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
+        self.inner.borrow().is_empty()
     }
 }
 

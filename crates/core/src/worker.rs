@@ -90,7 +90,7 @@ impl TaskCtx<'_> {
     /// root record), or under the static scheduler.
     pub fn spawn<F>(&mut self, f: F)
     where
-        F: FnOnce(&mut TaskCtx<'_>) + Send + 'static,
+        F: FnOnce(&mut TaskCtx<'_>) + 'static,
     {
         let costs = self.sh.costs;
         let parent_rc = *self.st.cur_rec.last().expect("spawn called outside a task");

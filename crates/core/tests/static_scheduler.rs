@@ -26,7 +26,7 @@ fn static_parallel_for_covers_range_across_cores() {
 #[test]
 fn static_work_actually_distributes() {
     // Count which cores touched indices (host-side observation).
-    let cores_hit = Arc::new(parking_lot_core_free_set());
+    let cores_hit = Arc::new(per_core_flags());
     let c2 = cores_hit.clone();
     let sys = Mosaic::new(MachineConfig::small(4, 2), static_cfg());
     sys.run(move |ctx| {
@@ -42,7 +42,7 @@ fn static_work_actually_distributes() {
     assert_eq!(active, 8, "all 8 cores must execute a chunk");
 }
 
-fn parking_lot_core_free_set() -> Vec<AtomicU32> {
+fn per_core_flags() -> Vec<AtomicU32> {
     (0..8).map(|_| AtomicU32::new(0)).collect()
 }
 

@@ -298,3 +298,45 @@ fn tracing_off_by_default_records_nothing() {
     });
     assert!(report.trace.is_empty());
 }
+
+#[test]
+fn task_bodies_may_capture_thread_local_host_state() {
+    // Every core is a coroutine on the caller's thread, so `main`, a
+    // spawned task, a loop body and a reduce map can all share one
+    // `Rc<RefCell<_>>` — no `Send`, no lock — even when stolen.
+    use std::cell::RefCell;
+    use std::rc::Rc;
+    let log: Rc<RefCell<Vec<u32>>> = Rc::default();
+    let (in_main, in_task, in_loop, in_map) = (log.clone(), log.clone(), log.clone(), log.clone());
+    let sys = Mosaic::new(MachineConfig::small(4, 2), RuntimeConfig::work_stealing());
+    sys.run(move |ctx| {
+        in_main.borrow_mut().push(1);
+        ctx.spawn(move |ctx| {
+            ctx.compute(10, 40);
+            in_task.borrow_mut().push(2);
+        });
+        ctx.wait();
+        ctx.parallel_for(0, 16, 1, 0, move |ctx, i| {
+            ctx.compute(10, 40);
+            in_loop.borrow_mut().push(100 + i);
+        });
+        let sum = ctx.parallel_reduce(
+            0,
+            16,
+            1,
+            0,
+            0u32,
+            move |ctx, i| {
+                ctx.compute(10, 40);
+                in_map.borrow_mut().push(200 + i);
+                i
+            },
+            |a, b| a + b,
+        );
+        assert_eq!(sum, 120);
+    });
+    let mut seen = log.borrow().clone();
+    seen.sort_unstable();
+    let expect: Vec<u32> = [1, 2].into_iter().chain(100..116).chain(200..216).collect();
+    assert_eq!(seen, expect);
+}

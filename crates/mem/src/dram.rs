@@ -14,7 +14,7 @@
 //! Timing parameters are expressed in core cycles (1.5 GHz), already
 //! scaled from the 1.0 GHz DRAM clock.
 
-use crate::snap::{expect_consumed, put_u32, put_u64, put_u8, take_u32, take_u64, take_u8};
+use crate::snap::{put_u32, put_u64, put_u8};
 use crate::Cycle;
 use std::collections::HashMap;
 
@@ -229,45 +229,6 @@ impl DramModel {
         out
     }
 
-    /// Restore state captured by [`DramModel::snapshot`] onto a model
-    /// with the same channel geometry. Spike windows on `self` are
-    /// preserved (they come from the fault plan, not the snapshot).
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = bytes;
-        let n = take_u64(&mut r)? as usize;
-        let mut words = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let k = take_u64(&mut r)?;
-            let v = take_u32(&mut r)?;
-            words.insert(k, v);
-        }
-        let banks = take_u64(&mut r)? as usize;
-        if banks != self.banks.len() {
-            return Err(format!(
-                "DRAM snapshot has {banks} banks, this channel has {}",
-                self.banks.len()
-            ));
-        }
-        for b in &mut self.banks {
-            let open = take_u8(&mut r)?;
-            let row = take_u64(&mut r)?;
-            b.open_row = match open {
-                0 => None,
-                1 => Some(row),
-                other => return Err(format!("bad DRAM open-row flag {other}")),
-            };
-            b.next_free = take_u64(&mut r)?;
-        }
-        self.bus_next_free = take_u64(&mut r)?;
-        self.reads = take_u64(&mut r)?;
-        self.writes = take_u64(&mut r)?;
-        self.row_hits = take_u64(&mut r)?;
-        self.row_misses = take_u64(&mut r)?;
-        expect_consumed(r, "DRAM")?;
-        self.words = words;
-        Ok(())
-    }
-
     /// Reset timing and counters, preserving contents.
     pub fn reset_timing(&mut self) {
         for b in &mut self.banks {
@@ -375,7 +336,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_round_trips_and_is_canonical() {
+    fn snapshot_is_canonical_and_covers_contents_and_timing() {
         let mut d = DramModel::default();
         // Insert in two different orders; snapshots must still match
         // byte-for-byte (sorted emission hides HashMap iteration order).
@@ -391,36 +352,11 @@ mod tests {
         d2.access(0, 0, false);
         d2.access(64, 10, true);
         assert_eq!(d.snapshot(), d2.snapshot());
-
-        let mut fresh = DramModel::default();
-        fresh.restore(&d.snapshot()).unwrap();
-        assert_eq!(fresh.snapshot(), d.snapshot());
-        assert_eq!(fresh.peek(0x2000), 0x2001);
-        assert_eq!(fresh.traffic(), (1, 1));
-        // Timing state carried: the next access sees the same queueing.
-        assert_eq!(fresh.access(0, 0, false), d.access(0, 0, false));
-    }
-
-    #[test]
-    fn restore_keeps_injected_spikes_and_rejects_bad_geometry() {
-        let mut d = DramModel::default();
-        d.poke(0, 9);
-        let snap = d.snapshot();
-        let mut target = DramModel::default();
-        target.inject_spike(0, 100, 40);
-        target.restore(&snap).unwrap();
-        let cfg = target.config().clone();
-        let miss = cfg.t_rcd + cfg.t_cas + cfg.t_bl;
-        // The spike window survives restore (faults come from the
-        // plan, not the snapshot).
-        assert_eq!(target.access(0, 0, false), 40 + miss);
-
-        let narrow_cfg = DramConfig {
-            banks: 4,
-            ..DramConfig::default()
-        };
-        assert!(DramModel::new(narrow_cfg).restore(&snap).is_err());
-        assert!(DramModel::default().restore(&snap[..5]).is_err());
+        assert_ne!(d.snapshot(), DramModel::default().snapshot());
+        // Timing state alone is visible in the bytes too.
+        let mut timed = DramModel::default();
+        timed.access(0, 0, false);
+        assert_ne!(timed.snapshot(), DramModel::default().snapshot());
     }
 
     #[test]

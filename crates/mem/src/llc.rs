@@ -11,7 +11,7 @@
 //! makes them atomic system-wide.
 
 use crate::dram::DramModel;
-use crate::snap::{expect_consumed, put_u64, put_u8, take_u64, take_u8};
+use crate::snap::{put_u64, put_u8};
 use crate::Cycle;
 
 /// Geometry and latency of the LLC.
@@ -254,40 +254,6 @@ impl Llc {
         out
     }
 
-    /// Restore state captured by [`Llc::snapshot`] onto a cache of the
-    /// same geometry. Spike windows on `self` are preserved.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = bytes;
-        let banks = take_u64(&mut r)? as usize;
-        if banks != self.banks.len() {
-            return Err(format!(
-                "LLC snapshot has {banks} banks, this cache has {}",
-                self.banks.len()
-            ));
-        }
-        for b in &mut self.banks {
-            let ways = take_u64(&mut r)? as usize;
-            if ways != b.ways.len() {
-                return Err(format!(
-                    "LLC snapshot bank has {ways} ways, this bank has {}",
-                    b.ways.len()
-                ));
-            }
-            for w in &mut b.ways {
-                w.valid = take_u8(&mut r)? != 0;
-                w.dirty = take_u8(&mut r)? != 0;
-                w.tag = take_u64(&mut r)?;
-                w.lru = take_u64(&mut r)?;
-            }
-            b.next_free = take_u64(&mut r)?;
-            b.hits = take_u64(&mut r)?;
-            b.misses = take_u64(&mut r)?;
-            b.writebacks = take_u64(&mut r)?;
-        }
-        self.lru_clock = take_u64(&mut r)?;
-        expect_consumed(r, "LLC")
-    }
-
     /// Drop all cached lines and timing state.
     pub fn reset(&mut self) {
         for b in &mut self.banks {
@@ -425,32 +391,17 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_round_trips_warm_state() {
-        let (mut llc, mut dram) = tiny();
-        let mut t = 0;
-        for &o in &[0u64, 4 * 64, 64, 8 * 64] {
-            t = llc.access(o, t, true, &mut dram).done;
-        }
-        let snap = llc.snapshot();
-        let (mut fresh, mut fresh_dram) = tiny();
-        fresh.restore(&snap).unwrap();
-        fresh_dram.restore(&dram.snapshot()).unwrap();
-        assert_eq!(fresh.snapshot(), snap);
-        assert_eq!(fresh.stats(), llc.stats());
-        assert_eq!(fresh.bank_stats(), llc.bank_stats());
-        // The warm line must still hit, with identical timing.
-        let a = llc.access(0, t + 100, false, &mut dram);
-        let b = fresh.access(0, t + 100, false, &mut fresh_dram);
-        assert_eq!((a.hit, a.done), (b.hit, b.done));
-    }
-
-    #[test]
-    fn restore_rejects_mismatched_geometry() {
-        let (llc, _) = tiny();
-        let snap = llc.snapshot();
-        assert!(Llc::new(LlcConfig::default()).restore(&snap).is_err());
-        let (mut same, _) = tiny();
-        assert!(same.restore(&snap[..snap.len() - 2]).is_err());
+    fn snapshot_is_canonical_and_covers_warm_state() {
+        let warm = || {
+            let (mut llc, mut dram) = tiny();
+            let mut t = 0;
+            for &o in &[0u64, 4 * 64, 64, 8 * 64] {
+                t = llc.access(o, t, true, &mut dram).done;
+            }
+            llc
+        };
+        assert_eq!(warm().snapshot(), warm().snapshot());
+        assert_ne!(warm().snapshot(), tiny().0.snapshot());
     }
 
     #[test]

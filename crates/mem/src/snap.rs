@@ -4,9 +4,10 @@
 //!
 //! The encoding is deliberately trivial — fixed-width little-endian
 //! fields, no varints, no padding — because the checkpoint contract in
-//! `mosaic-sim` byte-compares snapshots across host-thread counts and
-//! across resume boundaries: two equal component states must produce
-//! identical bytes, always.
+//! `mosaic-sim` byte-compares snapshots across runs (`--resume-from`
+//! re-executes and compares at the image's boundary): two equal
+//! component states must produce identical bytes, always. Snapshots are
+//! write-only; nothing decodes them back into a component.
 
 pub(crate) fn put_u8(out: &mut Vec<u8>, v: u8) {
     out.push(v);
@@ -18,40 +19,4 @@ pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
 
 pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn take_u8(r: &mut &[u8]) -> Result<u8, String> {
-    let (&first, rest) = r.split_first().ok_or("snapshot truncated (u8)")?;
-    *r = rest;
-    Ok(first)
-}
-
-pub(crate) fn take_u32(r: &mut &[u8]) -> Result<u32, String> {
-    if r.len() < 4 {
-        return Err("snapshot truncated (u32)".to_string());
-    }
-    let (head, rest) = r.split_at(4);
-    *r = rest;
-    Ok(u32::from_le_bytes([head[0], head[1], head[2], head[3]]))
-}
-
-pub(crate) fn take_u64(r: &mut &[u8]) -> Result<u64, String> {
-    if r.len() < 8 {
-        return Err("snapshot truncated (u64)".to_string());
-    }
-    let (head, rest) = r.split_at(8);
-    *r = rest;
-    let mut b = [0u8; 8];
-    b.copy_from_slice(head);
-    Ok(u64::from_le_bytes(b))
-}
-
-/// Error unless the reader consumed every byte — trailing garbage in a
-/// snapshot means the writer and reader disagree about the format.
-pub(crate) fn expect_consumed(r: &[u8], what: &str) -> Result<(), String> {
-    if r.is_empty() {
-        Ok(())
-    } else {
-        Err(format!("{what}: {} unconsumed snapshot bytes", r.len()))
-    }
 }

@@ -56,8 +56,8 @@ impl LinkId {
 
 /// The mesh network: topology plus per-link reservation state.
 ///
-/// All timing state is owned here; the structure is deliberately not
-/// `Sync` — the discrete-event engine serializes access.
+/// All timing state is owned here, behind `&mut self` — the
+/// discrete-event engine serializes access.
 #[derive(Debug)]
 pub struct Mesh {
     config: MeshConfig,
@@ -124,8 +124,7 @@ impl Mesh {
 
     /// Router pipeline latency charged per hop, in cycles. This is the
     /// smallest cross-component latency in the machine, which makes it
-    /// the conservative lookahead `mosaic-sim` sizes its event-queue
-    /// days from.
+    /// `mosaic-sim`'s conservative lookahead.
     pub fn hop_latency(&self) -> Cycle {
         self.hop_latency
     }
@@ -255,40 +254,6 @@ impl Mesh {
         }
         out
     }
-
-    /// Restore state captured by [`Mesh::snapshot`] onto a mesh of the
-    /// same topology. Stall windows on `self` are preserved.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = bytes;
-        let mut take = |what: &str| -> Result<u64, String> {
-            if r.len() < 8 {
-                return Err(format!("mesh snapshot truncated ({what})"));
-            }
-            let (head, rest) = r.split_at(8);
-            r = rest;
-            let mut b = [0u8; 8];
-            b.copy_from_slice(head);
-            Ok(u64::from_le_bytes(b))
-        };
-        let links = take("link count")? as usize;
-        if links != self.next_free.len() {
-            return Err(format!(
-                "mesh snapshot has {links} links, this mesh has {}",
-                self.next_free.len()
-            ));
-        }
-        for i in 0..links {
-            self.next_free[i] = take("next_free")?;
-        }
-        for i in 0..links {
-            self.flits_carried[i] = take("flits_carried")?;
-        }
-        if r.is_empty() {
-            Ok(())
-        } else {
-            Err(format!("mesh: {} unconsumed snapshot bytes", r.len()))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -416,41 +381,21 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_round_trips_reservations() {
-        let mut m = small();
-        let src = m.config().core_node(0);
-        let dst = m.config().core_node(14);
-        m.traverse(src, dst, 0, 8);
-        m.traverse(dst, src, 5, 2);
-        let snap = m.snapshot();
-        let mut fresh = small();
-        fresh.restore(&snap).unwrap();
-        assert_eq!(fresh.snapshot(), snap);
-        assert_eq!(
-            fresh.link_stats().total_flits(),
-            m.link_stats().total_flits()
-        );
-        // Congestion carries over: the next packet queues identically.
-        assert_eq!(fresh.traverse(src, dst, 1, 4), m.traverse(src, dst, 1, 4));
-    }
-
-    #[test]
-    fn restore_rejects_mismatched_topology_and_keeps_stalls() {
-        let mut m = small();
-        let snap = m.snapshot();
-        let mut bigger = Mesh::new(MeshConfig::new(8, 8, 0));
-        assert!(bigger.restore(&snap).is_err());
-        assert!(m.restore(&snap[..snap.len() - 3]).is_err());
-        // Stall windows survive restore (scheduled faults, not state).
+    fn snapshot_is_canonical_and_covers_reservations() {
+        let warm = || {
+            let mut m = small();
+            let src = m.config().core_node(0);
+            let dst = m.config().core_node(14);
+            m.traverse(src, dst, 0, 8);
+            m.traverse(dst, src, 5, 2);
+            m
+        };
+        assert_eq!(warm().snapshot(), warm().snapshot());
+        assert_ne!(warm().snapshot(), small().snapshot());
+        // Stall windows are scheduled faults, not state: not captured.
         let mut stalled = small();
-        let src = stalled.config().core_node(0);
-        let dst = stalled.config().core_node(3);
-        let base = stalled.probe(src, dst, 0, 1);
-        for l in 0..stalled.link_count() {
-            stalled.inject_link_stall(l, 0, 50);
-        }
-        stalled.restore(&snap).unwrap();
-        assert_eq!(stalled.probe(src, dst, 0, 1), 50 + base);
+        stalled.inject_link_stall(0, 0, 50);
+        assert_eq!(stalled.snapshot(), small().snapshot());
     }
 
     #[test]

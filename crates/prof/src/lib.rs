@@ -34,10 +34,10 @@
 //!   the event loop as it computes them, using the same arithmetic that
 //!   produces the simulated timing.
 //!
-//! The [`ProfSink`] is the shared, lock-light channel between the two
-//! sides: core threads bump their own per-core atomic counters; the
-//! engine thread bumps stall counters. Nobody reads until the run is
-//! over.
+//! The [`ProfSink`] is the channel between the two sides, an `Rc` of
+//! plain `Cell` counters: cores (coroutines on the engine's thread)
+//! bump their own per-core rows, the event loop bumps stall counters.
+//! Nobody reads until the run is over.
 //!
 //! This crate is dependency-free and sits below `mosaic-sim` in the
 //! workspace graph; the simulator wires it into the machine and
@@ -124,33 +124,20 @@ impl Bucket {
 /// charged while a phase is active is attributed to that phase's
 /// bucket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
 pub enum Phase {
     /// Running task code (the default; attributes to [`Bucket::Compute`]).
-    Task = 0,
+    Task,
     /// Inside a queue-lock critical section or spinning to enter one.
-    QueueLock = 1,
+    QueueLock,
     /// Searching for a victim / probing remote queues.
-    StealSearch = 2,
+    StealSearch,
     /// Handling a stack frame that lives in the DRAM overflow region.
-    StackOverflow = 3,
+    StackOverflow,
     /// Backing off with nothing to run.
-    Idle = 4,
+    Idle,
 }
 
 impl Phase {
-    /// Decode from the atomic slot encoding; unknown values collapse to
-    /// [`Phase::Task`] (never happens through the public API).
-    pub fn from_u8(v: u8) -> Phase {
-        match v {
-            1 => Phase::QueueLock,
-            2 => Phase::StealSearch,
-            3 => Phase::StackOverflow,
-            4 => Phase::Idle,
-            _ => Phase::Task,
-        }
-    }
-
     /// The bucket compute cycles charged in this phase belong to.
     pub fn bucket(self) -> Bucket {
         match self {
@@ -167,29 +154,18 @@ impl Phase {
 /// model as it services the access; a blocking stall on the access is
 /// attributed to the class's bucket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
 pub enum MemClass {
     /// The issuing core's own scratchpad.
-    SpmLocal = 0,
+    SpmLocal,
     /// Another core's scratchpad (a mesh round trip).
-    SpmRemote = 1,
+    SpmRemote,
     /// DRAM-region access that hit in the LLC.
-    LlcHit = 2,
+    LlcHit,
     /// DRAM-region access that missed the LLC and went to DRAM.
-    Dram = 3,
+    Dram,
 }
 
 impl MemClass {
-    /// Decode from the atomic slot encoding.
-    pub fn from_u8(v: u8) -> MemClass {
-        match v {
-            1 => MemClass::SpmRemote,
-            2 => MemClass::LlcHit,
-            3 => MemClass::Dram,
-            _ => MemClass::SpmLocal,
-        }
-    }
-
     /// The stall bucket for a blocking access of this class.
     pub fn stall_bucket(self) -> Bucket {
         match self {
@@ -217,31 +193,10 @@ mod tests {
     }
 
     #[test]
-    fn phase_round_trips_through_u8() {
-        for p in [
-            Phase::Task,
-            Phase::QueueLock,
-            Phase::StealSearch,
-            Phase::StackOverflow,
-            Phase::Idle,
-        ] {
-            assert_eq!(Phase::from_u8(p as u8), p);
-        }
-    }
-
-    #[test]
     fn mem_class_maps_to_stall_buckets() {
         assert_eq!(MemClass::SpmLocal.stall_bucket(), Bucket::SpmStall);
         assert_eq!(MemClass::SpmRemote.stall_bucket(), Bucket::SpmStall);
         assert_eq!(MemClass::LlcHit.stall_bucket(), Bucket::LlcStall);
         assert_eq!(MemClass::Dram.stall_bucket(), Bucket::DramStall);
-        for c in [
-            MemClass::SpmLocal,
-            MemClass::SpmRemote,
-            MemClass::LlcHit,
-            MemClass::Dram,
-        ] {
-            assert_eq!(MemClass::from_u8(c as u8), c);
-        }
     }
 }

@@ -3,15 +3,15 @@
 //! One [`ProfSink`] is created per profiled run and cloned into three
 //! places: the [`Machine`](../../mosaic_sim) (which also hands it to
 //! the engine's event loop), each core's `CoreApi`, and — implicitly —
-//! the runtime's phase hooks, which reach it through `CoreApi`. All
-//! counters are per-core atomics, and one OS thread — the one running
-//! the engine and, as coroutines, every core — does all the writing, so
-//! `Relaxed` ordering is sufficient: the totals are only *read* after
-//! the run has returned.
+//! the runtime's phase hooks, which reach it through `CoreApi`. One
+//! OS thread — the one running the engine and, as coroutines, every
+//! core — does all the writing, so the counters are plain `Cell`s
+//! behind an `Rc`; no method holds a borrow across a call out of this
+//! module. The totals are only *read* after the run has returned.
 
 use crate::{Bucket, MemClass, Phase, BUCKET_COUNT};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 /// Cap on the windowed time series; when a run outgrows it, adjacent
 /// windows are merged pairwise and the window width doubles, so the
@@ -71,31 +71,32 @@ impl Series {
 }
 
 struct SinkInner {
-    /// Per-core current phase (written by the core's thread only).
-    phases: Vec<AtomicU8>,
+    /// Per-core current phase.
+    phases: Vec<Cell<Phase>>,
     /// Per-core, per-bucket attributed cycles.
-    buckets: Vec<[AtomicU64; BUCKET_COUNT]>,
+    buckets: Vec<[Cell<u64>; BUCKET_COUNT]>,
     /// Per-core halt cycle (== total elapsed cycles for that core).
-    elapsed: Vec<AtomicU64>,
-    /// Per-core class of the most recent timed access (engine thread).
-    last_class: Vec<AtomicU8>,
+    elapsed: Vec<Cell<u64>>,
+    /// Per-core class of the most recent timed access.
+    last_class: Vec<Cell<MemClass>>,
     /// Per-LLC-bank access counts (hits + misses).
-    llc_banks: Vec<AtomicU64>,
+    llc_banks: Vec<Cell<u64>>,
     /// Per-core count of remote-SPM accesses *served by* that core's
     /// scratchpad — the Fig. 5 hot-spot signal.
-    spm_served: Vec<AtomicU64>,
+    spm_served: Vec<Cell<u64>>,
     /// Machine-wide windowed bucket series for Perfetto counter tracks.
-    series: Mutex<Series>,
+    series: RefCell<Series>,
 }
 
-/// Thread-shared cycle-attribution sink; cheap to clone (an `Arc`).
+/// Shared cycle-attribution sink; cheap to clone (an `Rc`), and like
+/// the engine it serves, confined to one thread.
 ///
 /// All methods are host-side only and charge **zero simulated
 /// cycles** — the sink never feeds anything back into the timing
 /// model.
 #[derive(Clone)]
 pub struct ProfSink {
-    inner: Arc<SinkInner>,
+    inner: Rc<SinkInner>,
 }
 
 impl std::fmt::Debug for ProfSink {
@@ -106,26 +107,32 @@ impl std::fmt::Debug for ProfSink {
     }
 }
 
-fn zero_row() -> [AtomicU64; BUCKET_COUNT] {
-    std::array::from_fn(|_| AtomicU64::new(0))
+fn zeros(n: usize) -> Vec<Cell<u64>> {
+    (0..n).map(|_| Cell::new(0)).collect()
+}
+
+fn bump(counter: &Cell<u64>, by: u64) {
+    counter.set(counter.get() + by);
+}
+
+fn values(counters: &[Cell<u64>]) -> Vec<u64> {
+    counters.iter().map(Cell::get).collect()
 }
 
 impl ProfSink {
     /// A fresh sink for `cores` cores and `llc_banks` LLC banks.
     pub fn new(cores: usize, llc_banks: usize) -> ProfSink {
         ProfSink {
-            inner: Arc::new(SinkInner {
-                phases: (0..cores)
-                    .map(|_| AtomicU8::new(Phase::Task as u8))
+            inner: Rc::new(SinkInner {
+                phases: (0..cores).map(|_| Cell::new(Phase::Task)).collect(),
+                buckets: (0..cores)
+                    .map(|_| std::array::from_fn(|_| Cell::new(0)))
                     .collect(),
-                buckets: (0..cores).map(|_| zero_row()).collect(),
-                elapsed: (0..cores).map(|_| AtomicU64::new(0)).collect(),
-                last_class: (0..cores)
-                    .map(|_| AtomicU8::new(MemClass::SpmLocal as u8))
-                    .collect(),
-                llc_banks: (0..llc_banks).map(|_| AtomicU64::new(0)).collect(),
-                spm_served: (0..cores).map(|_| AtomicU64::new(0)).collect(),
-                series: Mutex::new(Series::new()),
+                elapsed: zeros(cores),
+                last_class: (0..cores).map(|_| Cell::new(MemClass::SpmLocal)).collect(),
+                llc_banks: zeros(llc_banks),
+                spm_served: zeros(cores),
+                series: RefCell::new(Series::new()),
             }),
         }
     }
@@ -139,21 +146,19 @@ impl ProfSink {
         if cycles == 0 {
             return;
         }
-        self.inner.buckets[core][bucket.index()].fetch_add(cycles, Ordering::Relaxed);
-        if let Ok(mut series) = self.inner.series.lock() {
-            series.add(at, bucket, cycles);
-        }
+        bump(&self.inner.buckets[core][bucket.index()], cycles);
+        self.inner.series.borrow_mut().add(at, bucket, cycles);
     }
 
     /// Swap the core's phase, returning the previous one (for nested
     /// begin/end hooks that restore on exit).
     pub fn phase_swap(&self, core: usize, phase: Phase) -> Phase {
-        Phase::from_u8(self.inner.phases[core].swap(phase as u8, Ordering::Relaxed))
+        self.inner.phases[core].replace(phase)
     }
 
     /// The core's current phase.
     pub fn phase(&self, core: usize) -> Phase {
-        Phase::from_u8(self.inner.phases[core].load(Ordering::Relaxed))
+        self.inner.phases[core].get()
     }
 
     /// Attribute `cycles` of compute charged at simulated cycle `at` to
@@ -169,7 +174,7 @@ impl ProfSink {
     /// access (set via [`ProfSink::note_class`]) — loads and
     /// store-queue backpressure.
     pub fn mem_stall(&self, core: usize, at: u64, cycles: u64) {
-        let class = MemClass::from_u8(self.inner.last_class[core].load(Ordering::Relaxed));
+        let class = self.inner.last_class[core].get();
         self.add(core, at, class.stall_bucket(), cycles);
     }
 
@@ -186,23 +191,23 @@ impl ProfSink {
 
     /// Record the core's halt cycle (== its elapsed cycles).
     pub fn halt(&self, core: usize, at: u64) {
-        self.inner.elapsed[core].store(at, Ordering::Relaxed);
+        self.inner.elapsed[core].set(at);
     }
 
     /// Record the destination class of a timed access the machine just
-    /// serviced for `core` (engine thread only).
+    /// serviced for `core`.
     pub fn note_class(&self, core: usize, class: MemClass) {
-        self.inner.last_class[core].store(class as u8, Ordering::Relaxed);
+        self.inner.last_class[core].set(class);
     }
 
     /// Count one access serviced by LLC bank `bank`.
     pub fn note_llc_bank(&self, bank: usize) {
-        self.inner.llc_banks[bank].fetch_add(1, Ordering::Relaxed);
+        bump(&self.inner.llc_banks[bank], 1);
     }
 
     /// Count one remote-SPM access served by `owner`'s scratchpad.
     pub fn note_spm_served(&self, owner: usize) {
-        self.inner.spm_served[owner].fetch_add(1, Ordering::Relaxed);
+        bump(&self.inner.spm_served[owner], 1);
     }
 
     /// Per-core bucket rows (read after the run).
@@ -210,43 +215,29 @@ impl ProfSink {
         self.inner
             .buckets
             .iter()
-            .map(|row| std::array::from_fn(|i| row[i].load(Ordering::Relaxed)))
+            .map(|row| std::array::from_fn(|i| row[i].get()))
             .collect()
     }
 
     /// Per-core elapsed (halt) cycles.
     pub fn elapsed(&self) -> Vec<u64> {
-        self.inner
-            .elapsed
-            .iter()
-            .map(|v| v.load(Ordering::Relaxed))
-            .collect()
+        values(&self.inner.elapsed)
     }
 
     /// Per-LLC-bank access counts.
     pub fn llc_bank_accesses(&self) -> Vec<u64> {
-        self.inner
-            .llc_banks
-            .iter()
-            .map(|v| v.load(Ordering::Relaxed))
-            .collect()
+        values(&self.inner.llc_banks)
     }
 
     /// Per-core remote-SPM-served counts.
     pub fn spm_served(&self) -> Vec<u64> {
-        self.inner
-            .spm_served
-            .iter()
-            .map(|v| v.load(Ordering::Relaxed))
-            .collect()
+        values(&self.inner.spm_served)
     }
 
     /// Drain the windowed series: `(window_cycles, windows)`.
     pub fn series(&self) -> (u64, Vec<[u64; BUCKET_COUNT]>) {
-        match self.inner.series.lock() {
-            Ok(series) => (series.window_cycles(), series.windows.clone()),
-            Err(_) => (1 << SERIES_INITIAL_SHIFT, Vec::new()),
-        }
+        let series = self.inner.series.borrow();
+        (series.window_cycles(), series.windows.clone())
     }
 }
 

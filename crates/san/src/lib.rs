@@ -66,9 +66,9 @@ pub use report::{DiagKind, Diagnostic, SanReport, MAX_DETAILED};
 pub use spec::LayoutSpec;
 
 use mosaic_mem::{Addr, AddrMap, AmoOp, Region};
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// One recorded access to a data word.
 #[derive(Debug, Clone, Copy)]
@@ -160,7 +160,7 @@ impl Sanitizer {
             frozen: HashSet::new(),
             lock_owner: BTreeMap::new(),
             shadow: (0..cores).map(|_| ShadowStack::default()).collect(),
-            notes: Arc::new(Mutex::new(Vec::new())),
+            notes: Rc::new(RefCell::new(Vec::new())),
             now: 0,
             diagnostics: Vec::new(),
             dedup: HashSet::new(),
@@ -619,9 +619,9 @@ impl Sanitizer {
     }
 
     fn drain_notes(&mut self) {
-        // `try_lock` is unnecessary: the engine serializes core
-        // execution, so nothing holds this lock while a hook runs.
-        let drained: Vec<Note> = std::mem::take(&mut *self.notes.lock());
+        // The runtime only borrows the queue for one `push`, so nothing
+        // holds it while a hook runs.
+        let drained: Vec<Note> = std::mem::take(&mut *self.notes.borrow_mut());
         for note in drained {
             self.apply_note(note);
         }
@@ -878,7 +878,7 @@ mod tests {
     fn frozen_env_write_is_reported_once_per_word() {
         let mut s = san(1);
         let base = dram(128).raw();
-        s.note_sink().lock().push(Note::FreezeEnv {
+        s.note_sink().borrow_mut().push(Note::FreezeEnv {
             core: 0,
             base,
             words: 2,
@@ -901,18 +901,18 @@ mod tests {
         });
         let base = dram(128).raw();
         let sink = s.note_sink();
-        sink.lock().push(Note::StackPush {
+        sink.borrow_mut().push(Note::StackPush {
             core: 0,
             base,
             words: 2,
             in_dram: true,
         });
-        sink.lock().push(Note::FreezeEnv {
+        sink.borrow_mut().push(Note::FreezeEnv {
             core: 0,
             base,
             words: 2,
         });
-        sink.lock().push(Note::StackPop {
+        sink.borrow_mut().push(Note::StackPop {
             core: 0,
             base,
             words: 2,
@@ -982,7 +982,7 @@ mod tests {
             dram_stack_words: 1024,
             ..LayoutSpec::default()
         });
-        s.note_sink().lock().push(Note::StackPush {
+        s.note_sink().borrow_mut().push(Note::StackPush {
             core: 0,
             base: AddrMap::SPM_BASE,
             words: 20,
@@ -1003,19 +1003,19 @@ mod tests {
             ..LayoutSpec::default()
         });
         let sink = s.note_sink();
-        sink.lock().push(Note::StackPush {
+        sink.borrow_mut().push(Note::StackPush {
             core: 0,
             base: AddrMap::DRAM_BASE,
             words: 9,
             in_dram: true,
         });
-        sink.lock().push(Note::StackPop {
+        sink.borrow_mut().push(Note::StackPop {
             core: 0,
             base: AddrMap::DRAM_BASE,
             words: 9,
             in_dram: true,
         });
-        sink.lock().push(Note::StackPop {
+        sink.borrow_mut().push(Note::StackPop {
             core: 0,
             base: AddrMap::DRAM_BASE,
             words: 9,
@@ -1090,7 +1090,7 @@ mod tests {
     fn relaxed_store_into_frozen_env_is_still_reported() {
         let mut s = san(1);
         let base = dram(128).raw();
-        s.note_sink().lock().push(Note::FreezeEnv {
+        s.note_sink().borrow_mut().push(Note::FreezeEnv {
             core: 0,
             base,
             words: 1,

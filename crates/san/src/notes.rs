@@ -6,8 +6,8 @@
 //! order, since the engine serializes core execution — at its next
 //! hook. Notes are host-side metadata and charge no simulated cycles.
 
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// One annotation from the runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,7 +48,7 @@ pub enum Note {
 }
 
 /// The shared note queue between runtime and sanitizer.
-pub type NoteSink = Arc<Mutex<Vec<Note>>>;
+pub type NoteSink = Rc<RefCell<Vec<Note>>>;
 
 #[cfg(test)]
 mod tests {
@@ -56,19 +56,19 @@ mod tests {
 
     #[test]
     fn sink_preserves_order() {
-        let sink: NoteSink = Arc::new(Mutex::new(Vec::new()));
-        sink.lock().push(Note::FreezeEnv {
+        let sink: NoteSink = Rc::new(RefCell::new(Vec::new()));
+        sink.borrow_mut().push(Note::FreezeEnv {
             core: 0,
             base: 16,
             words: 2,
         });
-        sink.lock().push(Note::StackPop {
+        sink.borrow_mut().push(Note::StackPop {
             core: 0,
             base: 16,
             words: 2,
             in_dram: false,
         });
-        let drained = std::mem::take(&mut *sink.lock());
+        let drained = std::mem::take(&mut *sink.borrow_mut());
         assert_eq!(drained.len(), 2);
         assert!(matches!(drained[0], Note::FreezeEnv { .. }));
     }

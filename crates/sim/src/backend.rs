@@ -59,6 +59,8 @@ pub struct CycleOutcome {
     pub verified: bool,
     /// Sanitizer findings, when the run was sanitized.
     pub sanitizer: Option<mosaic_san::SanReport>,
+    /// Cycle-attribution profile, when the run was profiled.
+    pub profile: Option<MachineProfile>,
 }
 
 /// One cell's answer from whichever backend produced it.
@@ -79,13 +81,15 @@ pub struct BackendReport {
     pub verified: bool,
     /// Sanitizer findings (cycle runs under `--sanitize` only).
     pub sanitizer: Option<mosaic_san::SanReport>,
+    /// Cycle-attribution profile (cycle runs under `--profile` only).
+    pub profile: Option<MachineProfile>,
     /// The analytic roofline breakdown, when the model answered.
     pub estimate: Option<Estimate>,
 }
 
 /// A unit of work the backend seam can answer: its calibration
 /// identity plus a way to run it for real.
-pub trait BackendJob: Sync {
+pub trait BackendJob {
     /// Which calibration family covers this cell.
     fn family(&self) -> FamilyKey;
     /// Execute cycle-accurately on `machine` (the existing
@@ -130,6 +134,7 @@ impl Backend for CycleBackend {
             instructions: out.instructions,
             verified: out.verified,
             sanitizer: out.sanitizer,
+            profile: out.profile,
             estimate: None,
         })
     }
@@ -189,6 +194,7 @@ impl Backend for AnalyticBackend {
             instructions: family.demand.instructions,
             verified: true,
             sanitizer: None,
+            profile: None,
             estimate: Some(estimate),
         })
     }
@@ -328,6 +334,7 @@ mod tests {
                 instructions: 500,
                 verified: true,
                 sanitizer: None,
+                profile: None,
             }
         }
     }

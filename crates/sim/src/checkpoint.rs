@@ -15,7 +15,7 @@
 //! component in fixed section order, little-endian, sorted where the
 //! in-memory representation is unordered — and is integrity-checked by
 //! `body_len`/`body_crc`, so a truncated or bit-rotted file is
-//! rejected instead of silently restored.
+//! rejected instead of silently compared against.
 //!
 //! ## What a checkpoint means
 //!
@@ -31,13 +31,14 @@
 //! savings of crash recovery come from the job journal plus the
 //! content-addressed result cache (completed jobs are skipped by
 //! digest); the checkpoint is the proof that a resumed run is the same
-//! run. See `docs/determinism.md`.
+//! run. Images are verify-only: nothing decodes a body back into a
+//! [`crate::Machine`]. See `docs/determinism.md`.
 
 use crate::Cycle;
 use jsonlite::{frame, Json};
 
 /// Format version of the checkpoint container (header + body layout).
-/// Bump on any incompatible change; `restore` rejects mismatches.
+/// Bump on any incompatible change; [`decode`] rejects mismatches.
 pub const CHECKPOINT_VERSION: u64 = 1;
 
 /// The self-describing prefix of a checkpoint file. Identifies the
@@ -118,7 +119,7 @@ pub fn encode(mut header: CheckpointHeader, body: &[u8]) -> Vec<u8> {
 
 /// Split a checkpoint file into its validated header and body. Checks
 /// the version, the body length, and the body CRC; a torn or corrupt
-/// file is an error, never a partial restore.
+/// file is an error, never a partial comparison.
 pub fn decode(bytes: &[u8]) -> Result<(CheckpointHeader, &[u8]), String> {
     let nl = bytes
         .iter()
@@ -151,7 +152,7 @@ pub fn decode(bytes: &[u8]) -> Result<(CheckpointHeader, &[u8]), String> {
 }
 
 // ----------------------------------------------------------------------
-// Body section helpers (used by `Machine::checkpoint_body`/`restore_body`)
+// Body section helpers (used by `Machine::checkpoint_body`)
 // ----------------------------------------------------------------------
 
 /// Append one tagged body section: `[tag_len u32][tag][len u64][bytes]`
@@ -164,58 +165,9 @@ pub(crate) fn put_section(out: &mut Vec<u8>, tag: &str, body: &[u8]) {
     out.extend_from_slice(body);
 }
 
-/// Consume the next section, requiring its tag to be `expect` — the
-/// body is positional, so an unexpected tag means a foreign or
-/// reordered file.
-pub(crate) fn take_section<'a>(r: &mut &'a [u8], expect: &str) -> Result<&'a [u8], String> {
-    let tag_len = take_u32(r, expect)? as usize;
-    if r.len() < tag_len {
-        return Err(format!("checkpoint body: truncated tag for '{expect}'"));
-    }
-    let (tag, rest) = r.split_at(tag_len);
-    if tag != expect.as_bytes() {
-        return Err(format!(
-            "checkpoint body: expected section '{expect}', found '{}'",
-            String::from_utf8_lossy(tag)
-        ));
-    }
-    *r = rest;
-    let len = take_u64(r, expect)? as usize;
-    if r.len() < len {
-        return Err(format!("checkpoint body: truncated section '{expect}'"));
-    }
-    let (body, rest) = r.split_at(len);
-    *r = rest;
-    Ok(body)
-}
-
 /// Append a little-endian `u64`.
 pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Consume a little-endian `u64`; `what` names the field for errors.
-pub(crate) fn take_u64(r: &mut &[u8], what: &str) -> Result<u64, String> {
-    if r.len() < 8 {
-        return Err(format!("checkpoint body: truncated u64 '{what}'"));
-    }
-    let (head, rest) = r.split_at(8);
-    *r = rest;
-    let mut raw = [0u8; 8];
-    raw.copy_from_slice(head);
-    Ok(u64::from_le_bytes(raw))
-}
-
-/// Consume a little-endian `u32`; `what` names the field for errors.
-pub(crate) fn take_u32(r: &mut &[u8], what: &str) -> Result<u32, String> {
-    if r.len() < 4 {
-        return Err(format!("checkpoint body: truncated u32 '{what}'"));
-    }
-    let (head, rest) = r.split_at(4);
-    *r = rest;
-    let mut raw = [0u8; 4];
-    raw.copy_from_slice(head);
-    Ok(u32::from_le_bytes(raw))
 }
 
 #[cfg(test)]
@@ -279,21 +231,19 @@ mod tests {
     }
 
     #[test]
-    fn sections_are_positional_and_validated() {
+    fn sections_are_tagged_and_length_prefixed() {
         let mut out = Vec::new();
         put_section(&mut out, "alpha", &[1, 2, 3]);
         put_section(&mut out, "beta", &[]);
-        let mut r = &out[..];
-        assert_eq!(take_section(&mut r, "alpha").unwrap(), &[1, 2, 3]);
-        assert_eq!(take_section(&mut r, "beta").unwrap(), &[] as &[u8]);
-        assert!(r.is_empty());
-        // Wrong order is an error, not a silent skip.
-        let mut r = &out[..];
-        assert!(take_section(&mut r, "beta").is_err());
-        // Torn section payload.
-        let mut torn = &out[..out.len() - 1];
-        take_section(&mut torn, "alpha").unwrap();
-        assert!(take_section(&mut torn, "beta").is_err() || !torn.is_empty());
+        let mut expect = Vec::new();
+        expect.extend_from_slice(&5u32.to_le_bytes());
+        expect.extend_from_slice(b"alpha");
+        expect.extend_from_slice(&3u64.to_le_bytes());
+        expect.extend_from_slice(&[1, 2, 3]);
+        expect.extend_from_slice(&4u32.to_le_bytes());
+        expect.extend_from_slice(b"beta");
+        expect.extend_from_slice(&0u64.to_le_bytes());
+        assert_eq!(out, expect);
     }
 
     #[test]

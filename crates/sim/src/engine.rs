@@ -394,7 +394,7 @@ impl Engine {
     /// [`Engine::try_run`] to receive a [`SimError`] instead.
     pub fn run<F>(machine: Machine, behaviors: F) -> Report
     where
-        F: FnMut(CoreId) -> Box<dyn FnOnce(&mut CoreApi) + Send>,
+        F: FnMut(CoreId) -> Box<dyn FnOnce(&mut CoreApi)>,
     {
         match Self::try_run(machine, behaviors) {
             Ok(report) => report,
@@ -410,7 +410,7 @@ impl Engine {
     /// a failed result instead of aborting the host process.
     pub fn try_run<F>(machine: Machine, mut behaviors: F) -> Result<Report, SimError>
     where
-        F: FnMut(CoreId) -> Box<dyn FnOnce(&mut CoreApi) + Send>,
+        F: FnMut(CoreId) -> Box<dyn FnOnce(&mut CoreApi)>,
     {
         let prof = machine.prof_sink();
         let cores = (0..machine.core_count())
@@ -437,7 +437,7 @@ fn core_main(
     chan: Yielder<Reply, Request>,
     start: Reply,
     prof: Option<ProfSink>,
-    behavior: Box<dyn FnOnce(&mut CoreApi) + Send>,
+    behavior: Box<dyn FnOnce(&mut CoreApi)>,
 ) -> Request {
     let mut api = CoreApi {
         core,
@@ -468,7 +468,7 @@ fn core_main(
     }
 }
 
-/// Engine-side state of one running simulation: the calendar event
+/// Engine-side state of one running simulation: the event
 /// queue, per-core slots, and every core's coroutine. One per
 /// [`Engine::try_run`]; [`EventLoop::run`] consumes it and returns the
 /// final [`Report`].
@@ -517,17 +517,12 @@ impl EventLoop {
         let max_cycles = machine.config().max_cycles;
         let faults = machine.faults_active();
         let prof = machine.prof_sink();
-        // Bucket width: a small multiple of the machine's conservative
-        // lookahead keeps one window's wakes in a day or two of the
-        // ring, so pops stay short scans.
-        let queue = CalendarQueue::with_width(machine.lookahead() * 16);
         EventLoop {
             counters: MachineCounters::new(cores.len()),
-            queue,
+            queue: CalendarQueue::new(),
             pending: Vec::with_capacity(cores.len()),
             // Pre-size each store queue to its hard cap so the loop
-            // never grows them (the calendar queue likewise recycles
-            // its bucket storage).
+            // never grows them.
             store_queues: cores
                 .iter()
                 .map(|_| Vec::with_capacity(depth + 1))
@@ -895,10 +890,10 @@ mod tests {
 
     fn run_two_core<F>(f: F) -> Report
     where
-        F: Fn(CoreId, &mut CoreApi) + Send + Sync + 'static,
+        F: Fn(CoreId, &mut CoreApi) + 'static,
     {
         let machine = Machine::new(MachineConfig::small(2, 1));
-        let f = std::sync::Arc::new(f);
+        let f = std::rc::Rc::new(f);
         Engine::run(machine, move |core| {
             let f = f.clone();
             Box::new(move |api| f(core, api))

@@ -48,7 +48,7 @@ struct FaultState {
 /// dumps (the runtime installs one that reads per-core task-queue
 /// depths out of simulated memory). Wrapped so [`Machine`] can keep
 /// deriving `Debug`.
-pub struct WatchdogProbe(Box<dyn Fn(&Machine) -> String + Send>);
+pub struct WatchdogProbe(Box<dyn Fn(&Machine) -> String>);
 
 impl std::fmt::Debug for WatchdogProbe {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -185,7 +185,7 @@ impl Machine {
 
     /// The attached profiler sink, when `config.profile` is set. The
     /// engine clones this into every core's `CoreApi` and into its own
-    /// event loop; cheap (an `Arc` clone).
+    /// event loop; cheap (an `Rc` clone).
     pub fn prof_sink(&self) -> Option<ProfSink> {
         self.profiler.clone()
     }
@@ -307,7 +307,7 @@ impl Machine {
 
     /// Install a diagnostics callback consulted by watchdog/deadlock
     /// dumps (e.g. the runtime's task-queue-depth reader).
-    pub fn set_watchdog_probe(&mut self, probe: Box<dyn Fn(&Machine) -> String + Send>) {
+    pub fn set_watchdog_probe(&mut self, probe: Box<dyn Fn(&Machine) -> String>) {
         self.watchdog_probe = Some(WatchdogProbe(probe));
     }
 
@@ -353,8 +353,9 @@ impl Machine {
     /// The machine's conservative lookahead: the minimum latency of
     /// any cross-component interaction a core can trigger. Once a core
     /// is woken, nothing it does can affect another component sooner
-    /// than this many cycles later. Sizes the engine's calendar queue
-    /// days.
+    /// than this many cycles later. The engine itself does not need it;
+    /// `benchmark/src/probes.rs` shapes its synthetic event stream
+    /// with it.
     pub fn lookahead(&self) -> Cycle {
         self.mesh
             .hop_latency()
@@ -578,7 +579,7 @@ impl Machine {
     }
 
     // ------------------------------------------------------------------
-    // Checkpoint / restore (see crate::checkpoint)
+    // Checkpoint (see crate::checkpoint)
     // ------------------------------------------------------------------
 
     /// Serialize the machine at canonical event boundary `(cycle, seq)`
@@ -597,29 +598,6 @@ impl Machine {
             body_crc: 0, // recomputed by encode
         };
         crate::checkpoint::encode(header, &self.checkpoint_body())
-    }
-
-    /// Restore machine state from a checkpoint image produced by
-    /// [`Machine::checkpoint`] on an identically configured machine.
-    /// Returns the `(cycle, seq)` event boundary the image was captured
-    /// at. On any error the machine may be partially overwritten — it
-    /// must be discarded, never run.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(Cycle, u64), String> {
-        let (header, body) = crate::checkpoint::decode(bytes)?;
-        if header.cols != self.config.cols as u64 || header.rows != self.config.rows as u64 {
-            return Err(format!(
-                "checkpoint is for a {}x{} machine, this machine is {}x{}",
-                header.cols, header.rows, self.config.cols, self.config.rows
-            ));
-        }
-        if header.seed != self.config.seed {
-            return Err(format!(
-                "checkpoint seed {:#x} does not match this machine's seed {:#x}",
-                header.seed, self.config.seed
-            ));
-        }
-        self.restore_body(body)?;
-        Ok((header.cycle, header.seq))
     }
 
     /// The canonical machine-state body: every stateful component in
@@ -655,73 +633,6 @@ impl Machine {
         }
         put_section(&mut out, "faults", &fault_bytes);
         out
-    }
-
-    /// Inverse of [`Machine::checkpoint_body`]. Validates geometry at
-    /// every level (component restores reject mismatched shapes) and
-    /// rejects trailing bytes.
-    pub(crate) fn restore_body(&mut self, mut r: &[u8]) -> Result<(), String> {
-        use crate::checkpoint::{take_section, take_u64};
-        self.mesh.restore(take_section(&mut r, "mesh")?)?;
-        let mut spm_bytes = take_section(&mut r, "spms")?;
-        let count = take_u64(&mut spm_bytes, "spm count")? as usize;
-        if count != self.spms.len() {
-            return Err(format!(
-                "checkpoint carries {count} scratchpads, this machine has {}",
-                self.spms.len()
-            ));
-        }
-        for (i, spm) in self.spms.iter_mut().enumerate() {
-            let len = take_u64(&mut spm_bytes, "spm snapshot length")? as usize;
-            if spm_bytes.len() < len {
-                return Err(format!("checkpoint body: truncated scratchpad {i}"));
-            }
-            let (snap, rest) = spm_bytes.split_at(len);
-            spm.restore(snap)
-                .map_err(|e| format!("scratchpad {i}: {e}"))?;
-            spm_bytes = rest;
-        }
-        if !spm_bytes.is_empty() {
-            return Err("checkpoint body: trailing bytes after scratchpads".into());
-        }
-        self.llc.restore(take_section(&mut r, "llc")?)?;
-        self.dram.restore(take_section(&mut r, "dram")?)?;
-        let mut brk = take_section(&mut r, "dram_brk")?;
-        self.dram_brk = take_u64(&mut brk, "dram_brk")?;
-        if !brk.is_empty() {
-            return Err("checkpoint body: oversized dram_brk section".into());
-        }
-        let mut fault_bytes = take_section(&mut r, "faults")?;
-        let (present, rest) = fault_bytes
-            .split_first()
-            .ok_or("checkpoint body: empty fault section")?;
-        fault_bytes = rest;
-        match (*present, &mut self.faults) {
-            (0, None) => {}
-            (1, Some(fs)) => {
-                fs.next_flip = take_u64(&mut fault_bytes, "next_flip")? as usize;
-                fs.flips_applied = take_u64(&mut fault_bytes, "flips_applied")?;
-                if fs.next_flip > fs.schedule.flips.len() {
-                    return Err(format!(
-                        "checkpoint fault cursor {} exceeds this plan's {} flips",
-                        fs.next_flip,
-                        fs.schedule.flips.len()
-                    ));
-                }
-            }
-            _ => {
-                return Err(
-                    "checkpoint fault-state presence does not match this machine's plan".into(),
-                )
-            }
-        }
-        if !fault_bytes.is_empty() {
-            return Err("checkpoint body: oversized fault section".into());
-        }
-        if !r.is_empty() {
-            return Err("checkpoint body: trailing bytes after final section".into());
-        }
-        Ok(())
     }
 
     /// Uncontended round-trip latency probe from `core` to `addr`
@@ -951,39 +862,25 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_restore_round_trips_byte_identically() {
+    fn checkpoint_is_canonical_and_covers_every_component() {
         let warm = warmed();
-        let image = warm.checkpoint(1234, 99);
-        let mut cold = machine();
+        assert_eq!(warm.checkpoint(1234, 99), warmed().checkpoint(1234, 99));
         assert_ne!(
             warm.checkpoint_body(),
-            cold.checkpoint_body(),
-            "warm state must differ from a cold machine for this test to mean anything"
+            machine().checkpoint_body(),
+            "warm state must differ from a cold machine"
         );
-        let (cycle, seq) = cold.restore(&image).unwrap();
-        assert_eq!((cycle, seq), (1234, 99));
-        assert_eq!(warm.checkpoint_body(), cold.checkpoint_body());
-        // Functional state carried over too.
-        let spm = cold.addr_map().spm_addr(3, 0);
-        assert_eq!(cold.peek(spm), 15);
-        // And the DRAM bump pointer: the next allocation lands past the
-        // warm machine's data, not on top of it.
-        let mut warm2 = warm;
-        assert_eq!(cold.dram_alloc(4), warm2.dram_alloc(4));
-    }
-
-    #[test]
-    fn restore_rejects_mismatched_machines() {
-        let image = warmed().checkpoint(0, 0);
-        let mut wrong_shape = Machine::new(MachineConfig::small(2, 2));
-        assert!(wrong_shape.restore(&image).is_err());
-        let mut cfg = MachineConfig::small(4, 2);
-        cfg.seed = 0xBEEF;
-        let mut wrong_seed = Machine::new(cfg);
-        assert!(wrong_seed.restore(&image).is_err());
-        let mut torn = machine();
-        let image = warmed().checkpoint(0, 0);
-        assert!(torn.restore(&image[..image.len() - 3]).is_err());
+        // The header names the boundary and the machine; the body is
+        // what `checkpoint_body` wrote.
+        let image = warm.checkpoint(1234, 99);
+        let (header, body) = crate::checkpoint::decode(&image).unwrap();
+        assert_eq!((header.cycle, header.seq), (1234, 99));
+        assert_eq!((header.cols, header.rows), (4, 2));
+        assert_eq!(body, &warm.checkpoint_body()[..]);
+        // The DRAM bump pointer is machine state too.
+        let mut bumped = machine();
+        bumped.dram_alloc(4);
+        assert_ne!(bumped.checkpoint_body(), machine().checkpoint_body());
     }
 
     #[test]
@@ -991,23 +888,25 @@ mod tests {
         use mosaic_chaos::FaultPlan;
         let mut cfg = MachineConfig::small(4, 2);
         cfg.faults = Some(FaultPlan::parse("flip=dram:2:5@100").unwrap());
-        let mut m = Machine::new(cfg.clone());
-        m.apply_flips_due(100);
-        assert_eq!(m.fault_flips_applied(), 1);
-        let image = m.checkpoint(100, 1);
+        let flipped = || {
+            let mut m = Machine::new(cfg.clone());
+            m.apply_flips_due(100);
+            assert_eq!(m.fault_flips_applied(), 1);
+            m
+        };
+        assert_eq!(flipped().checkpoint_body(), flipped().checkpoint_body());
+        // Write the flipped word into a fresh machine by hand: memory is
+        // now equal, so the images differ only by the cursor.
+        let addr = flipped().addr_map().dram_addr(8);
         let mut fresh = Machine::new(cfg.clone());
-        fresh.restore(&image).unwrap();
-        assert_eq!(fresh.fault_flips_applied(), 1);
-        // The already-applied flip must not re-fire after restore.
-        let addr = fresh.addr_map().dram_addr(8);
-        let before = fresh.peek(addr);
-        fresh.apply_flips_due(200);
-        assert_eq!(fresh.peek(addr), before);
-        // A checkpoint from a fault-free machine cannot restore into a
-        // faulted one (and vice versa).
-        let clean = machine().checkpoint(0, 0);
-        let mut faulted = Machine::new(cfg);
-        assert!(faulted.restore(&clean).is_err());
+        fresh.poke(addr, flipped().peek(addr));
+        assert_ne!(flipped().checkpoint_body(), fresh.checkpoint_body());
+        // A fault-free machine's image differs from a faulted one's
+        // even before any flip fires.
+        assert_ne!(
+            Machine::new(cfg.clone()).checkpoint_body(),
+            machine().checkpoint_body()
+        );
     }
 
     #[test]

@@ -1,68 +1,45 @@
-//! Property test pinning the calendar queue's ordering contract: under
-//! random insert/pop interleavings it must pop events in exactly the
-//! order of the engine's previous `BinaryHeap<Reverse<(Cycle, u64,
-//! CoreId)>>` — ascending `(cycle, seq)` with deterministic FIFO
-//! tie-breaking. Goldens being byte-identical across the engine-queue
-//! swap rests on this.
+//! Black-box tests pinning the event queue's ordering contract: under
+//! any insert/pop interleaving it pops events ascending by
+//! `(cycle, seq)` — deterministic FIFO tie-breaking within a cycle —
+//! exactly like the reference model, a `BinaryHeap<Reverse<(Cycle, u64,
+//! CoreId)>>`. Goldens being byte-identical across any change of queue
+//! implementation rests on this.
 
 use mosaic_sim::calendar::CalendarQueue;
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Regression: overflow-bucket migration at day-ring wraparound, with
-/// same-cycle FIFO ties whose events arrive by different paths.
-///
-/// With `width = 1` the ring spans 64 days (one per bucket), so day
-/// `d` lives in bucket `d % 64`. The script below steers three events
-/// onto the tied cycle 130 — two via the overflow (migrated into the
-/// ring when the cursor's day advances past 66, landing in *wrapped*
-/// bucket `130 % 64 = 2`, an index far below the cursor's own bucket)
-/// and one pushed directly once the horizon covers it. `pop` must
-/// still yield strict `(cycle, seq)` order: the wrap-straddling pair
-/// 127 (bucket 63) / 128 (bucket 0) comes out cycle-ordered even
-/// though their bucket indices invert, the cycle-130 ties come out in
-/// insertion-seq order even though `swap_remove` scrambled their
-/// bucket positions, and the final far event exercises the
-/// ring-exhausted cursor jump.
+/// Regression script from the bucket-ring queue this type once was,
+/// kept because it is a good adversarial schedule for any
+/// implementation: keys 64 and 128 apart (the ring's old horizon and
+/// wraparound), three events tied on cycle 130 that were pushed at
+/// different distances from the then-current cycle, and a lone far
+/// event into an otherwise empty queue. `pop` must yield strict
+/// `(cycle, seq)` order throughout.
 #[test]
 fn overflow_migration_at_ring_wraparound_keeps_fifo_ties() {
     let mut q = CalendarQueue::with_width(1);
-    q.push(60, 0, 0); // ring, bucket 60
-    q.push(130, 1, 1); // beyond day 0..=63 horizon: overflow
-    assert_eq!(q.pop(), Some((60, 0, 0))); // cursor -> 60; 130 still out of reach
-    q.push(130, 2, 2); // still beyond the day 60..=123 horizon: overflow
-    q.push(70, 3, 3); // ring, bucket 6
-                      // Popping 70 advances the cursor's day past 66, so both cycle-130
-                      // overflow events migrate into wrapped bucket 2.
+    q.push(60, 0, 0);
+    q.push(130, 1, 1); // far ahead
+    assert_eq!(q.pop(), Some((60, 0, 0)));
+    q.push(130, 2, 2); // tied with seq 1, still far ahead
+    q.push(70, 3, 3);
     assert_eq!(q.pop(), Some((70, 3, 3)));
-    q.push(130, 4, 4); // now inside the horizon: straight to bucket 2
-    q.push(127, 5, 5); // bucket 63 — the last slot before the wrap
-    q.push(128, 6, 6); // bucket 0 — first slot after the wrap
+    q.push(130, 4, 4); // third tie, pushed from close by
+    q.push(127, 5, 5);
+    q.push(128, 6, 6);
     assert_eq!(q.len(), 5);
     assert_eq!(
         q.pop(),
         Some((127, 5, 5)),
-        "must scan bucket 63 before the wrap"
+        "earliest cycle first, though pushed after the 130s"
     );
-    assert_eq!(q.pop(), Some((128, 6, 6)), "wrapped bucket 0 comes after");
-    assert_eq!(
-        q.pop(),
-        Some((130, 1, 1)),
-        "tie: earliest seq, arrived via migration"
-    );
-    assert_eq!(
-        q.pop(),
-        Some((130, 2, 2)),
-        "tie: second seq, arrived via migration"
-    );
-    assert_eq!(
-        q.pop(),
-        Some((130, 4, 4)),
-        "tie: freshest seq, pushed directly"
-    );
-    // Ring now empty with one far event: pop must take the
-    // ring-exhausted path (cursor jumps to the overflow minimum).
+    assert_eq!(q.pop(), Some((128, 6, 6)), "then the next cycle");
+    assert_eq!(q.pop(), Some((130, 1, 1)), "tie: earliest seq");
+    assert_eq!(q.pop(), Some((130, 2, 2)), "tie: second seq");
+    assert_eq!(q.pop(), Some((130, 4, 4)), "tie: freshest seq");
+    // Empty queue, then one far event.
     q.push(500, 7, 7);
     assert_eq!(q.pop(), Some((500, 7, 7)));
     assert_eq!(q.pop(), None);
@@ -74,8 +51,8 @@ proptest! {
 
     /// Replay a random schedule against the reference heap. `ops`
     /// drives the interleaving: each entry pushes a batch of events a
-    /// random distance into the future (including far past the ring
-    /// horizon, to force the overflow path) and then pops a few.
+    /// random distance into the future (near, far and tied) and then
+    /// pops a few.
     #[test]
     fn pops_match_binary_heap_order(
         width in 1u64..100,

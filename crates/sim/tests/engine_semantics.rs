@@ -129,3 +129,62 @@ fn single_core_machine_works() {
     let report = Engine::run(machine, |_| Box::new(|api| api.charge(7, 7)));
     assert_eq!(report.cycles, 7);
 }
+
+#[test]
+fn behaviours_may_capture_thread_local_host_state() {
+    // Every core is a coroutine on the caller's thread, so a behaviour
+    // needs no `Send`: cores interleave at every AMO and still share a
+    // plain `Rc<Cell<_>>`.
+    use std::cell::Cell;
+    use std::rc::Rc;
+    let mut machine = Machine::new(MachineConfig::small(2, 2));
+    let counter = machine.dram_alloc_words(1);
+    let host = Rc::new(Cell::new(0u32));
+    let seen = host.clone();
+    let report = Engine::run(machine, move |core| {
+        let seen = seen.clone();
+        Box::new(move |api| {
+            for _ in 0..10 {
+                api.amo(counter, AmoOp::Add, 1);
+                seen.set(seen.get() + core as u32);
+            }
+        })
+    });
+    assert_eq!(report.machine.peek(counter), 40);
+    assert_eq!(host.get(), 10 * (1 + 2 + 3));
+}
+
+#[test]
+fn a_borrow_held_across_a_core_api_call_fails_the_run_not_the_process() {
+    // The one rule shared host state has to follow: a `CoreApi`
+    // operation switches to other cores, so a `RefCell` borrow held
+    // across one collides with theirs. That is a typed error naming the
+    // second borrower, where a lock would have deadlocked the thread.
+    use mosaic_sim::SimError;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+    let mut machine = Machine::new(MachineConfig::small(2, 1));
+    let word = machine.dram_alloc_words(1);
+    let shared = Rc::new(RefCell::new(0u32));
+    let err = Engine::try_run(machine, move |core| {
+        let shared = shared.clone();
+        Box::new(move |api| {
+            if core == 0 {
+                let mut held = shared.borrow_mut();
+                *held += api.load(word);
+            } else {
+                api.charge(1, 1);
+                api.sync();
+                *shared.borrow_mut() += 1;
+            }
+        })
+    })
+    .unwrap_err();
+    match err {
+        SimError::CorePanicked { core, message } => {
+            assert_eq!(core, 1);
+            assert!(message.contains("borrowed"), "{message}");
+        }
+        other => panic!("expected CorePanicked, got {other}"),
+    }
+}

@@ -82,17 +82,16 @@ impl Benchmark for NQueens {
     fn run(&self, machine: MachineConfig, runtime: RuntimeConfig) -> RunOutcome {
         let sys = Mosaic::new(machine, runtime);
         let n = self.n;
-        let result = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(u32::MAX));
+        let result = std::rc::Rc::new(std::cell::Cell::new(u32::MAX));
         let out = result.clone();
         let report = sys.run(move |ctx| {
             let board = ctx.stack_alloc(1); // row-0 scratch (empty prefix)
             let count = nq_count(ctx, n, 0, board);
             ctx.stack_free();
-            out.store(count, std::sync::atomic::Ordering::Relaxed);
+            out.set(count);
         });
-        let got = result.load(std::sync::atomic::Ordering::Relaxed);
         RunOutcome {
-            verified: got == reference(n),
+            verified: result.get() == reference(n),
             report,
         }
     }

@@ -58,15 +58,14 @@ impl Benchmark for Uts {
     fn run(&self, machine: MachineConfig, runtime: RuntimeConfig) -> RunOutcome {
         let sys = Mosaic::new(machine, runtime);
         let p = self.params;
-        let result = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let result = std::rc::Rc::new(std::cell::Cell::new(0u64));
         let out = result.clone();
         let report = sys.run(move |ctx| {
             let count = count_subtree(ctx, p, p.root_id(), 0);
-            out.store(count, std::sync::atomic::Ordering::Relaxed);
+            out.set(count);
         });
-        let got = result.load(std::sync::atomic::Ordering::Relaxed);
         RunOutcome {
-            verified: got == self.params.count_nodes(),
+            verified: result.get() == self.params.count_nodes(),
             report,
         }
     }

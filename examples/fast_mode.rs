@@ -44,6 +44,7 @@ impl BackendJob for Cell {
             instructions: out.report.instructions(),
             verified: out.verified,
             sanitizer: None,
+            profile: None,
         }
     }
 }
