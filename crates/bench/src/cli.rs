@@ -488,6 +488,7 @@ pub fn spec_argv(spec: &JobSpec) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jsonlite::Json;
 
     /// `spec` -> argv -> `Options` -> spec, under the defaults the wire
     /// clients parse with (shape 0x0 = the experiment's own).
@@ -538,5 +539,90 @@ mod tests {
         let empty_plan = ["--faults", "seed=1"].map(String::from);
         let opts = Options::parse_from(Scale::Small, 0, 0, empty_plan);
         assert_eq!(opts.job_spec("table1"), plain);
+    }
+
+    /// The cache contract across crates: every `MachineConfig` field
+    /// either reaches a job's digest through the `JobSpec` wire key of
+    /// the same name (listed in `DIGESTED`), or carries the reason no
+    /// result depends on it beyond what the digest already pins. The
+    /// destructure is exhaustive, so a new field does not compile until
+    /// it is decided.
+    #[test]
+    fn machine_config_fields_are_digested_or_exempt() {
+        const DIGESTED: [&str; 6] = ["cols", "rows", "seed", "sanitize", "faults", "fidelity"];
+        let MachineConfig {
+            // Digested: each rides the `JobSpec` key in `DIGESTED`.
+            cols: _,
+            rows: _,
+            seed: _,
+            sanitize: _,
+            faults: _,
+            fidelity: _,
+            // Fixed by the experiment's machine preset
+            // (`MachineConfig::small`), which the digested
+            // experiment/config/scale fields select; only ablation_ruche
+            // varies it, and that bin encodes the value in its config
+            // labels.
+            ruche_x: _,
+            // Fixed by the machine preset selected by the digested
+            // experiment/config/scale fields; no bin exposes a knob.
+            spm_size: _,
+            store_queue_depth: _,
+            // Geometry is derived from cols (banks = 2 * cols, digested)
+            // and the preset timing the digested scale/config select.
+            llc: _,
+            // Channel timing comes from the preset the digested
+            // experiment/config/scale select; chaos-injected DRAM spikes
+            // travel in the digested faults spec.
+            dram: _,
+            // Set per variant by fig07 from its digested config labels
+            // (Fib vs Fib-S), never free-form.
+            sw_overflow_penalty: _,
+            // The livelock watchdog only aborts runs (a typed SimError);
+            // it never changes a completed run's numbers.
+            max_cycles: _,
+            // Zero simulated cost: goldens are byte-identical with the
+            // profiler on or off (pinned by crates/bench/tests/prof.rs).
+            profile: _,
+            // Durability only: checkpoints are taken at canonical event
+            // boundaries the engine visits anyway, so results are
+            // byte-identical at every cadence (pinned by
+            // crates/bench/tests/checkpoint.rs).
+            checkpoint_every: _,
+            // Where images land on the host: cannot influence a single
+            // simulated event.
+            checkpoint_dir: _,
+            // Resume is verification only: the run re-executes from
+            // cycle 0 and hard-fails on any divergence from the image,
+            // so it never changes a completed run's numbers.
+            resume_from: _,
+        } = MachineConfig::small(4, 2);
+
+        let base = JobSpec::new("table1", "tiny");
+        let Json::Object(wire) = base.to_json() else {
+            panic!("a spec serializes to an object")
+        };
+        for key in DIGESTED {
+            // Perturb the key on the wire: the parsed spec must hash
+            // differently, or two machines would share a cache entry.
+            let mut changed = wire.clone();
+            let slot = &mut changed
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .unwrap_or_else(|| panic!("{key} missing from JobSpec::to_json"))
+                .1;
+            *slot = match slot {
+                Json::String(s) => Json::String(format!("{s}x")),
+                Json::Number(n) => Json::Number(*n + 1),
+                Json::Bool(b) => Json::Bool(!*b),
+                other => panic!("{key} has an unexpected wire type: {other:?}"),
+            };
+            let spec = JobSpec::from_json(&Json::Object(changed)).expect("perturbed spec parses");
+            assert_ne!(
+                spec.digest(),
+                base.digest(),
+                "MachineConfig.{key} rides the JobSpec key {key}, which does not reach the digest"
+            );
+        }
     }
 }

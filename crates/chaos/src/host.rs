@@ -61,11 +61,17 @@ impl HostFaultPlan {
     }
 
     /// Canonical spec string; `parse` of the result reproduces the
-    /// plan.
+    /// plan. Every field is bound here, so a new one does not compile
+    /// until it is serialized.
     pub fn to_spec(&self) -> String {
+        let HostFaultPlan {
+            panic_attempts,
+            slow_ms,
+            kill_after_ms,
+            node_kill_ms,
+        } = self;
         format!(
-            "panics={},slow={},kill={},node_kill={}",
-            self.panic_attempts, self.slow_ms, self.kill_after_ms, self.node_kill_ms
+            "panics={panic_attempts},slow={slow_ms},kill={kill_after_ms},node_kill={node_kill_ms}"
         )
     }
 

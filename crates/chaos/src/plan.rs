@@ -189,30 +189,36 @@ impl FaultPlan {
 
     /// Emit the canonical spec string; [`FaultPlan::parse`] of the
     /// result reproduces the plan exactly.
+    ///
+    /// The spec is what job digests see, so every field is bound here:
+    /// a new one does not compile until it is serialized.
     pub fn to_spec(&self) -> String {
-        let mut parts = vec![
-            format!("seed={}", self.seed),
-            format!("horizon={}", self.horizon),
-        ];
-        if self.links.count > 0 {
-            parts.push(format!("links={}x{}", self.links.count, self.links.len));
+        let FaultPlan {
+            seed,
+            horizon,
+            links,
+            banks,
+            dram,
+            freeze,
+            flips,
+        } = self;
+        let mut parts = vec![format!("seed={seed}"), format!("horizon={horizon}")];
+        if links.count > 0 {
+            parts.push(format!("links={}x{}", links.count, links.len));
         }
-        if self.banks.count > 0 {
+        if banks.count > 0 {
             parts.push(format!(
                 "banks={}x{}+{}",
-                self.banks.count, self.banks.len, self.banks.extra
+                banks.count, banks.len, banks.extra
             ));
         }
-        if self.dram.count > 0 {
-            parts.push(format!(
-                "dram={}x{}+{}",
-                self.dram.count, self.dram.len, self.dram.extra
-            ));
+        if dram.count > 0 {
+            parts.push(format!("dram={}x{}+{}", dram.count, dram.len, dram.extra));
         }
-        if self.freeze.count > 0 {
-            parts.push(format!("freeze={}x{}", self.freeze.count, self.freeze.len));
+        if freeze.count > 0 {
+            parts.push(format!("freeze={}x{}", freeze.count, freeze.len));
         }
-        for f in &self.flips {
+        for f in flips {
             let at = match f.cycle {
                 Some(c) => c.to_string(),
                 None => "end".to_string(),

@@ -1,5 +1,3 @@
-#![warn(missing_docs)]
-#![warn(clippy::undocumented_unsafe_blocks)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 //! # mosaic-runtime
 //!

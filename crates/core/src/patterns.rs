@@ -144,7 +144,10 @@ impl TaskCtx<'_> {
     /// Parallel reduction over `[lo, hi)` (paper Fig. 3e): `map`
     /// produces a value per index, `combine` folds values, `ident` is
     /// the identity.
-    #[allow(clippy::too_many_arguments)] // mirrors the paper's reduce signature; bundling would hide the API
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "mirrors the paper's reduce signature; bundling would hide the API"
+    )]
     pub fn parallel_reduce<R, M, C>(
         &mut self,
         lo: u32,
@@ -171,7 +174,10 @@ impl TaskCtx<'_> {
     }
 
     /// Body of [`TaskCtx::parallel_reduce`], inside its call frame.
-    #[allow(clippy::too_many_arguments)] // same parameter list as the public entry point it implements
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "same parameter list as the public entry point it implements"
+    )]
     fn parallel_reduce_inner<R>(
         &mut self,
         lo: u32,
@@ -223,7 +229,10 @@ impl TaskCtx<'_> {
     }
 
     /// Recursive splitting for work-stealing `parallel_reduce`.
-    #[allow(clippy::too_many_arguments)] // split state rides the recursion explicitly (no heap env struct)
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "split state rides the recursion explicitly (no heap env struct)"
+    )]
     fn pr_split<R>(
         &mut self,
         lo: u32,

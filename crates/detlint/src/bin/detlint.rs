@@ -1,25 +1,24 @@
 //! `detlint` — run the workspace determinism-and-invariant linter.
 //!
 //! ```text
-//! detlint --workspace [--self-check] [--root DIR] [--config FILE]
+//! detlint --workspace [--self-check] [--root DIR]
 //! detlint PATH [PATH...]          # lint specific files (workspace-relative)
 //! detlint --list-rules
 //! ```
 //!
-//! Exit codes: 0 = clean, 1 = findings, 2 = usage or config error.
+//! Exit codes: 0 = clean, 1 = findings, 2 = usage or I/O error.
 
-use mosaic_detlint::{rules, Config};
+use mosaic_detlint::rules;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: detlint [--workspace] [--self-check] [--root DIR] [--config FILE] [PATH...]\n       \
+        "usage: detlint [--workspace] [--self-check] [--root DIR] [PATH...]\n       \
          detlint --list-rules\n\n  \
          --workspace    lint every workspace source (crates/, xtests/, examples/, tests/)\n  \
-         --self-check   also fail on allowances that no longer suppress anything\n  \
+         --self-check   also fail on directives that no longer suppress anything\n  \
          --root DIR     workspace root (default: current directory)\n  \
-         --config FILE  allowlist/digest config (default: <root>/detlint.toml)\n  \
          --list-rules   print the rule catalog and exit\n  \
          PATH           lint specific files, given workspace-relative"
     );
@@ -30,7 +29,6 @@ fn main() -> ExitCode {
     let mut workspace = false;
     let mut self_check = false;
     let mut root = PathBuf::from(".");
-    let mut config_path: Option<PathBuf> = None;
     let mut paths: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -39,10 +37,6 @@ fn main() -> ExitCode {
             "--self-check" => self_check = true,
             "--root" => match args.next() {
                 Some(d) => root = PathBuf::from(d),
-                None => usage(),
-            },
-            "--config" => match args.next() {
-                Some(f) => config_path = Some(PathBuf::from(f)),
                 None => usage(),
             },
             "--list-rules" => {
@@ -60,19 +54,10 @@ fn main() -> ExitCode {
         usage();
     }
 
-    let config_path = config_path.unwrap_or_else(|| root.join("detlint.toml"));
-    let cfg = match Config::load(&config_path) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("detlint: config error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
     let report = if workspace {
-        mosaic_detlint::scan_workspace(&root, &cfg, self_check)
+        mosaic_detlint::scan_workspace(&root, self_check)
     } else {
-        mosaic_detlint::scan_files(&root, &paths, &cfg, self_check)
+        mosaic_detlint::scan_files(&root, &paths, self_check)
     };
     let report = match report {
         Ok(r) => r,
@@ -86,7 +71,7 @@ fn main() -> ExitCode {
         println!("{f}");
     }
     eprintln!(
-        "detlint: {} file(s), {} finding(s), {} suppressed by allowances{}",
+        "detlint: {} file(s), {} finding(s), {} suppressed by directives{}",
         report.files,
         report.findings.len(),
         report.suppressed,

@@ -14,11 +14,11 @@
 /// What kind of token a [`Token`] is.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Tok {
-    /// Identifier or keyword (`fn`, `HashMap`, `unsafe`, …).
+    /// Identifier or keyword (`fn`, `f64`, `sum`, …).
     Ident(String),
-    /// A string literal (cooked, raw, or byte); `text` is the
-    /// *contents* without quotes or escapes resolved.
-    Str(String),
+    /// A string literal (cooked, raw, or byte), contents unexamined:
+    /// lexing it only keeps its text out of the identifier stream.
+    Str,
     /// A character or byte literal (contents unexamined).
     Char,
     /// A numeric literal, original spelling preserved (so rules can
@@ -46,8 +46,8 @@ pub struct Token {
 }
 
 /// A comment (line, block, or doc), kept out of the token stream but
-/// preserved for the comment-driven rules (invariant comments,
-/// `SAFETY:` notes, reason comments, `detlint: allow` directives).
+/// preserved for the comment-driven rules (`// Invariant:` comments and
+/// `detlint: allow` directives).
 #[derive(Debug, Clone)]
 pub struct Comment {
     /// Comment text without the `//` / `/*` markers.
@@ -58,8 +58,6 @@ pub struct Comment {
     pub end_line: u32,
     /// 1-based column of the opening marker.
     pub col: u32,
-    /// Whether this is a doc comment (`///`, `//!`, `/**`, `/*!`).
-    pub doc: bool,
 }
 
 /// Lexer output: code tokens plus the comment side-channel.
@@ -77,15 +75,14 @@ const OPS: &[&str] = &[
     ">>",
 ];
 
-struct Cursor<'a> {
+struct Cursor {
     chars: Vec<char>,
-    src: &'a str,
     i: usize,
     line: u32,
     col: u32,
 }
 
-impl Cursor<'_> {
+impl Cursor {
     fn peek(&self, ahead: usize) -> Option<char> {
         self.chars.get(self.i + ahead).copied()
     }
@@ -117,7 +114,6 @@ fn is_ident_continue(c: char) -> bool {
 pub fn lex(source: &str) -> Lexed {
     let mut cur = Cursor {
         chars: source.chars().collect(),
-        src: source,
         i: 0,
         line: 1,
         col: 1,
@@ -132,7 +128,6 @@ pub fn lex(source: &str) -> Lexed {
         }
         // Comments.
         if c == '/' && cur.peek(1) == Some('/') {
-            let doc = matches!(cur.peek(2), Some('/') | Some('!'));
             let mut text = String::new();
             while let Some(ch) = cur.peek(0) {
                 if ch == '\n' {
@@ -147,12 +142,10 @@ pub fn lex(source: &str) -> Lexed {
                 line,
                 end_line: line,
                 col,
-                doc,
             });
             continue;
         }
         if c == '/' && cur.peek(1) == Some('*') {
-            let doc = matches!(cur.peek(2), Some('*') | Some('!')) && cur.peek(3) != Some('/');
             cur.bump();
             cur.bump();
             let mut depth = 1u32;
@@ -181,17 +174,20 @@ pub fn lex(source: &str) -> Lexed {
                 line,
                 end_line: cur.line,
                 col,
-                doc,
             });
             continue;
         }
         // Raw strings: r"..." / r#"..."# (with b prefix variants).
         if (c == 'r' || c == 'b') && is_raw_string_start(&cur) {
-            let (tok, consumed_to) = lex_raw_string(&cur);
+            let consumed_to = raw_string_end(&cur);
             while cur.i < consumed_to {
                 cur.bump();
             }
-            out.tokens.push(Token { tok, line, col });
+            out.tokens.push(Token {
+                tok: Tok::Str,
+                line,
+                col,
+            });
             continue;
         }
         // Byte string b"..." / byte char b'x'.
@@ -266,15 +262,7 @@ pub fn lex(source: &str) -> Lexed {
             };
             if is_char {
                 let tok = lex_quoted(&mut cur, '\'');
-                out.tokens.push(Token {
-                    tok: if matches!(tok, Tok::Str(_)) {
-                        Tok::Char
-                    } else {
-                        tok
-                    },
-                    line,
-                    col,
-                });
+                out.tokens.push(Token { tok, line, col });
             } else {
                 cur.bump(); // '
                 while cur.peek(0).is_some_and(is_ident_continue) {
@@ -322,12 +310,11 @@ pub fn lex(source: &str) -> Lexed {
             col,
         });
     }
-    let _ = cur.src;
     out
 }
 
 /// Is the cursor at `r"`/`r#"` or `br"`/`br#"`?
-fn is_raw_string_start(cur: &Cursor<'_>) -> bool {
+fn is_raw_string_start(cur: &Cursor) -> bool {
     let mut j = 0;
     if cur.peek(0) == Some('b') {
         j = 1;
@@ -345,9 +332,9 @@ fn is_raw_string_start(cur: &Cursor<'_>) -> bool {
     }
 }
 
-/// Lex a raw string starting at the cursor; returns the token and the
-/// char index just past the closing delimiter.
-fn lex_raw_string(cur: &Cursor<'_>) -> (Tok, usize) {
+/// The char index just past the closing delimiter of the raw string
+/// starting at the cursor (or the end of input, if unterminated).
+fn raw_string_end(cur: &Cursor) -> usize {
     let mut j = cur.i;
     if cur.chars.get(j) == Some(&'b') {
         j += 1;
@@ -359,13 +346,9 @@ fn lex_raw_string(cur: &Cursor<'_>) -> (Tok, usize) {
         j += 1;
     }
     j += 1; // opening quote
-    let start = j;
     loop {
         match cur.chars.get(j) {
-            None => {
-                let text: String = cur.chars[start..j].iter().collect();
-                return (Tok::Str(text), j);
-            }
+            None => return j,
             Some('"') => {
                 let mut k = j + 1;
                 let mut seen = 0;
@@ -374,8 +357,7 @@ fn lex_raw_string(cur: &Cursor<'_>) -> (Tok, usize) {
                     k += 1;
                 }
                 if seen == hashes {
-                    let text: String = cur.chars[start..j].iter().collect();
-                    return (Tok::Str(text), k);
+                    return k;
                 }
                 j += 1;
             }
@@ -385,31 +367,21 @@ fn lex_raw_string(cur: &Cursor<'_>) -> (Tok, usize) {
 }
 
 /// Lex a quoted literal (string or char) starting at the opening
-/// quote; handles escapes. Returns `Tok::Str` with the raw contents.
-fn lex_quoted(cur: &mut Cursor<'_>, quote: char) -> Tok {
+/// quote, skipping escapes.
+fn lex_quoted(cur: &mut Cursor, quote: char) -> Tok {
     cur.bump(); // opening quote
-    let mut text = String::new();
     while let Some(ch) = cur.peek(0) {
+        cur.bump();
         if ch == '\\' {
             cur.bump();
-            if let Some(esc) = cur.peek(0) {
-                text.push('\\');
-                text.push(esc);
-                cur.bump();
-            }
-            continue;
-        }
-        if ch == quote {
-            cur.bump();
+        } else if ch == quote {
             break;
         }
-        text.push(ch);
-        cur.bump();
     }
     if quote == '\'' {
         Tok::Char
     } else {
-        Tok::Str(text)
+        Tok::Str
     }
 }
 

@@ -1,35 +1,33 @@
-#![deny(missing_docs)]
-#![warn(clippy::undocumented_unsafe_blocks)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 //! mosaic-detlint — the workspace determinism-and-invariant linter.
 //!
-//! The repo's verification story (golden gating, the byte-identical
-//! window-parallel engine, zero-cost sanitizer/profiler/chaos) rests
-//! on invariants that used to be enforced only by convention. This
-//! crate makes them *static*: a dependency-free pass over the
-//! workspace's Rust sources with a hand-rolled lexer
-//! ([`lexer`]), a rule catalog ([`rules::RULES`], codes `D001`…),
-//! span-accurate diagnostics, and two escape hatches that both carry
-//! mandatory written justifications:
+//! The repo's verification story (golden gating, byte-identical
+//! results across `--jobs` counts, zero-cost sanitizer/profiler/chaos)
+//! rests on invariants that would otherwise be enforced only by
+//! convention. Most of them are checked by tools CI already runs:
+//! `clippy.toml` bans hash-ordered containers, the wall clock and
+//! ambient host state; `[workspace.lints]` confines `unsafe` and wants
+//! a reason on every `#[allow]`; each canonical serializer destructures
+//! its struct, so an undigested field does not compile. This crate
+//! keeps the checks that need a lexer and domain knowledge: a
+//! dependency-free pass over the workspace's Rust sources with a
+//! hand-rolled lexer ([`lexer`]), a rule catalog ([`rules::RULES`]) and
+//! span-accurate diagnostics.
 //!
-//! * an in-source directive on (or directly above) the offending
-//!   line — spelled `detlint: allow(D00x) -- reason` after a `//`
-//!   comment marker;
-//! * a checked-in [`config::Config`] (`detlint.toml`) with path-level
-//!   allows and the digest-coverage specs.
+//! The one escape hatch is an in-source directive on (or directly
+//! above) the offending line — spelled `detlint: allow(D00x) -- reason`
+//! after a `//` comment marker, the reason mandatory.
 //!
-//! `detlint --workspace` exits nonzero on any non-allowlisted finding;
-//! `--self-check` additionally fails on allowances that no longer
-//! match anything, so the lists cannot rot. The dynamic checkers in
+//! `detlint --workspace` exits nonzero on any unsuppressed finding;
+//! `--self-check` additionally fails on directives that no longer
+//! suppress anything, so they cannot rot. The dynamic checkers in
 //! `crates/san` catch what a given run executes; this pass catches the
 //! whole class before anything runs.
 
-pub mod config;
 pub mod lexer;
 pub mod rules;
 
-pub use config::Config;
 pub use rules::{classify, FileClass, Finding};
 
 use std::path::{Path, PathBuf};
@@ -52,8 +50,7 @@ pub struct Directive {
 /// Result of scanning one file.
 #[derive(Debug, Default)]
 pub struct FileScan {
-    /// Findings that survived in-source directives (config allows are
-    /// applied by the workspace driver).
+    /// Findings that survived in-source directives.
     pub findings: Vec<Finding>,
     /// All well-formed directives, with usage marked.
     pub directives: Vec<Directive>,
@@ -106,8 +103,7 @@ fn parse_directives(path: &str, comments: &[lexer::Comment]) -> (Vec<Directive>,
 }
 
 /// Scan one file's source under the given [`FileClass`], applying
-/// in-source directives (but not the workspace config). `path` is the
-/// label used in diagnostics.
+/// in-source directives. `path` is the label used in diagnostics.
 pub fn scan_file(path: &str, source: &str, class: &FileClass) -> FileScan {
     let lexed = lexer::lex(source);
     let raw = rules::per_file_rules(path, &lexed, class);
@@ -136,51 +132,32 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// Number of files scanned.
     pub files: usize,
-    /// Count of findings suppressed by in-source directives and config
-    /// allows (for the summary line).
+    /// Count of findings suppressed by in-source directives (for the
+    /// summary line).
     pub suppressed: usize,
 }
 
 /// Walk the workspace at `root` and run every rule. `self_check`
-/// additionally reports allowances that no longer suppress anything
-/// (rule D010) so the lists cannot rot.
-pub fn scan_workspace(root: &Path, cfg: &Config, self_check: bool) -> Result<Report, String> {
+/// additionally reports directives that no longer suppress anything
+/// (rule D010) so they cannot rot.
+pub fn scan_workspace(root: &Path, self_check: bool) -> Result<Report, String> {
     let mut files = Vec::new();
     for dir in ["crates", "xtests", "examples", "tests"] {
         collect_rs_files(&root.join(dir), root, &mut files)?;
     }
     files.sort();
-    scan_files(root, &files, cfg, self_check)
+    scan_files(root, &files, self_check)
 }
 
 /// Scan an explicit list of workspace-relative `.rs` paths.
-pub fn scan_files(
-    root: &Path,
-    rel_paths: &[String],
-    cfg: &Config,
-    self_check: bool,
-) -> Result<Report, String> {
+pub fn scan_files(root: &Path, rel_paths: &[String], self_check: bool) -> Result<Report, String> {
     let mut report = Report::default();
-    let mut config_used = vec![false; cfg.allows.len()];
     for rel in rel_paths {
-        let class = classify(rel);
         let source = std::fs::read_to_string(root.join(rel)).map_err(|e| format!("{rel}: {e}"))?;
-        let scan = scan_file(rel, &source, &class);
+        let scan = scan_file(rel, &source, &classify(rel));
         report.files += 1;
         report.suppressed += scan.directives.iter().filter(|d| d.used).count();
-        for f in scan.findings {
-            let allowed = cfg
-                .allows
-                .iter()
-                .position(|a| a.rule == f.rule && a.path == *rel);
-            match allowed {
-                Some(i) => {
-                    config_used[i] = true;
-                    report.suppressed += 1;
-                }
-                None => report.findings.push(f),
-            }
-        }
+        report.findings.extend(scan.findings);
         if self_check {
             for d in scan.directives.iter().filter(|d| !d.used) {
                 report.findings.push(Finding {
@@ -192,53 +169,6 @@ pub fn scan_files(
                         "unused directive: nothing on this or the next line triggers \
                          {} any more — remove the allow",
                         d.rule
-                    ),
-                });
-            }
-        }
-    }
-    // D005 digest coverage — cross-file, driven by the config.
-    for entry in &cfg.digests {
-        let struct_src = std::fs::read_to_string(root.join(&entry.file))
-            .map_err(|e| format!("{}: {e}", entry.file))?;
-        let struct_lexed = lexer::lex(&struct_src);
-        let ser_lexed = if entry.serializer_file == entry.file {
-            None
-        } else {
-            let s = std::fs::read_to_string(root.join(&entry.serializer_file))
-                .map_err(|e| format!("{}: {e}", entry.serializer_file))?;
-            Some(lexer::lex(&s))
-        };
-        report.findings.extend(rules::digest_rule(
-            entry,
-            &struct_lexed,
-            ser_lexed.as_ref().unwrap_or(&struct_lexed),
-        ));
-    }
-    if self_check {
-        for (i, a) in cfg.allows.iter().enumerate() {
-            if !root.join(&a.path).is_file() {
-                report.findings.push(Finding {
-                    rule: "D010",
-                    path: "detlint.toml".to_string(),
-                    line: 1,
-                    col: 1,
-                    message: format!(
-                        "allowlist entry ({} in {}) points at a file that does not \
-                         exist — remove or fix the entry",
-                        a.rule, a.path
-                    ),
-                });
-            } else if !config_used[i] && rel_paths.iter().any(|p| p == &a.path) {
-                report.findings.push(Finding {
-                    rule: "D010",
-                    path: "detlint.toml".to_string(),
-                    line: 1,
-                    col: 1,
-                    message: format!(
-                        "allowlist entry ({} in {}) suppressed nothing this scan — \
-                         the finding it covered is gone; remove the entry",
-                        a.rule, a.path
                     ),
                 });
             }
@@ -294,19 +224,25 @@ mod tests {
         classify("crates/sim/src/fake.rs")
     }
 
+    /// A float accumulator declared on line 1, with `extra` between the
+    /// declaration and the `+=` that D004 flags.
+    fn accumulation(extra: &str) -> String {
+        format!("let mut acc = 0.0;\n{extra}acc += x;")
+    }
+
     #[test]
     fn inline_directive_suppresses_same_and_next_line() {
-        let trailing = "use std::collections::HashMap; // detlint: allow(D001) -- keyed only\n";
-        let scan = scan_file("crates/sim/src/x.rs", trailing, &golden_class());
+        let trailing = accumulation("") + " // detlint: allow(D004) -- fixed order\n";
+        let scan = scan_file("crates/sim/src/x.rs", &trailing, &golden_class());
         assert!(scan.findings.is_empty(), "{:?}", scan.findings);
         assert!(scan.directives[0].used);
 
-        let standalone = "// detlint: allow(D001) -- keyed only\nuse std::collections::HashMap;\n";
-        let scan = scan_file("crates/sim/src/x.rs", standalone, &golden_class());
+        let standalone = accumulation("// detlint: allow(D004) -- fixed order\n");
+        let scan = scan_file("crates/sim/src/x.rs", &standalone, &golden_class());
         assert!(scan.findings.is_empty(), "{:?}", scan.findings);
 
-        let far = "// detlint: allow(D001) -- keyed only\n\nuse std::collections::HashMap;\n";
-        let scan = scan_file("crates/sim/src/x.rs", far, &golden_class());
+        let far = accumulation("// detlint: allow(D004) -- fixed order\n\n");
+        let scan = scan_file("crates/sim/src/x.rs", &far, &golden_class());
         assert_eq!(
             scan.findings.len(),
             1,
@@ -318,9 +254,10 @@ mod tests {
     #[test]
     fn malformed_directives_are_their_own_finding() {
         for bad in [
-            "// detlint: allow(D001)\n",            // no reason
+            "// detlint: allow(D004)\n",            // no reason
             "// detlint: allow(D999) -- reason\n",  // unknown rule
-            "// detlint: permit(D001) -- reason\n", // wrong verb
+            "// detlint: allow(D001) -- reason\n",  // retired rule
+            "// detlint: permit(D004) -- reason\n", // wrong verb
         ] {
             let scan = scan_file("crates/sim/src/x.rs", bad, &golden_class());
             assert_eq!(scan.findings.len(), 1, "{bad:?}");
@@ -330,9 +267,9 @@ mod tests {
 
     #[test]
     fn directive_for_a_different_rule_does_not_suppress() {
-        let src = "use std::collections::HashMap; // detlint: allow(D002) -- wrong code\n";
-        let scan = scan_file("crates/sim/src/x.rs", src, &golden_class());
+        let src = accumulation("") + " // detlint: allow(D006) -- wrong code\n";
+        let scan = scan_file("crates/sim/src/x.rs", &src, &golden_class());
         assert_eq!(scan.findings.len(), 1);
-        assert_eq!(scan.findings[0].rule, "D001");
+        assert_eq!(scan.findings[0].rule, "D004");
     }
 }

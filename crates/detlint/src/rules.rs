@@ -1,19 +1,18 @@
-//! The detlint rule catalog (D001…D010) and the token-level passes
-//! that implement it.
+//! The detlint rule catalog (D004, D006, D010) and the token-level
+//! passes that implement it.
 //!
 //! Every rule reports span-accurate findings (`file:line:col`) against
 //! the lexed token stream from [`crate::lexer`], plus two cheap
 //! structural passes: brace-matched `#[cfg(test)]` module regions and
 //! `fn` body spans. See `docs/detlint.md` for the full catalog with
-//! fix-it examples.
+//! fix-it examples, and for where the retired codes are checked now.
 
-use crate::config::DigestEntry;
 use crate::lexer::{Comment, Lexed, Tok, Token};
 
 /// One diagnostic produced by a rule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule code (`D001`…).
+    /// Rule code (`D004`…).
     pub rule: &'static str,
     /// Workspace-relative path of the offending file.
     pub path: String,
@@ -38,7 +37,7 @@ impl std::fmt::Display for Finding {
 /// Static description of one rule, for `--list-rules` and the docs.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
-    /// Rule code (`D001`…).
+    /// Rule code (`D004`…).
     pub code: &'static str,
     /// Short name (kebab case).
     pub name: &'static str,
@@ -46,40 +45,16 @@ pub struct RuleInfo {
     pub summary: &'static str,
 }
 
-/// The full rule catalog.
+/// The full rule catalog. The missing codes are retired: D007 with the
+/// experiment registry, the others to clippy, `[workspace.lints]` and
+/// exhaustive destructuring (`docs/detlint.md` says where each lives).
 pub const RULES: &[RuleInfo] = &[
-    RuleInfo {
-        code: "D001",
-        name: "unordered-container",
-        summary: "HashMap/HashSet in a golden-affecting crate: iteration order is \
-                  host-random; use BTreeMap/BTreeSet or sorted iteration, or allow \
-                  with a written justification",
-    },
-    RuleInfo {
-        code: "D002",
-        name: "wall-clock",
-        summary: "Instant/SystemTime outside the host-side crates (bench, serve): \
-                  wall-clock time must never influence simulated state",
-    },
-    RuleInfo {
-        code: "D003",
-        name: "ambient-host-state",
-        summary: "std::env reads or thread::current() in a golden-affecting crate: \
-                  environment and host-thread identity must not influence simulation",
-    },
     RuleInfo {
         code: "D004",
         name: "float-accumulation",
         summary: "floating-point accumulation (+= or .sum::<f32/f64>()) in a \
                   golden-affecting crate: association order changes the result; \
                   use integers or document the fixed order with an allow",
-    },
-    RuleInfo {
-        code: "D005",
-        name: "digest-coverage",
-        summary: "a field of a digest-tracked struct (JobSpec/MachineConfig/FaultPlan) \
-                  is neither serialized by the canonical serializer nor on the \
-                  exemption list: new knobs must not silently alias cache entries",
     },
     RuleInfo {
         code: "D006",
@@ -89,21 +64,10 @@ pub const RULES: &[RuleInfo] = &[
                   ordering protects",
     },
     RuleInfo {
-        code: "D008",
-        name: "undocumented-unsafe",
-        summary: "`unsafe` without an adjacent `// SAFETY:` comment",
-    },
-    RuleInfo {
-        code: "D009",
-        name: "allow-without-reason",
-        summary: "#[allow(...)] without an adjacent `//` reason comment",
-    },
-    RuleInfo {
         code: "D010",
         name: "stale-allowance",
-        summary: "a detlint allowance that no longer does anything: malformed \
-                  directive, unused directive/allowlist entry (--self-check), or a \
-                  digest exemption that names a missing or already-covered field",
+        summary: "a detlint directive that does nothing: malformed (unknown rule \
+                  code or no reason), or suppressing nothing (--self-check)",
     },
 ];
 
@@ -117,11 +81,8 @@ pub fn rule_info(code: &str) -> Option<&'static RuleInfo> {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FileClass {
     /// Crate whose behaviour feeds golden numbers (sim, core, mem,
-    /// mesh, prof, workloads, chaos, model): D001/D003/D004 apply.
+    /// mesh, prof, workloads, chaos, model): D004 applies.
     pub golden_affecting: bool,
-    /// Host-side crate (bench, serve, detlint) or workspace test /
-    /// example code: wall-clock use is fine (D002 does not apply).
-    pub host_side: bool,
     /// Crate whose fence/AMO sync sites must carry invariant comments
     /// (core, sim): D006 applies.
     pub sync_documented: bool,
@@ -129,9 +90,8 @@ pub struct FileClass {
 
 /// Crates whose behaviour determines golden numbers. `model` is on
 /// the list because analytic answers are cached and diffed like any
-/// other payload: the estimator must be exactly reproducible, so the
-/// determinism rules (no hash iteration, no floats, no ambient host
-/// state) bind it the same as the cycle engine.
+/// other payload: the estimator must be exactly reproducible, so float
+/// accumulation binds it the same as the cycle engine.
 pub const GOLDEN_CRATES: &[&str] = &[
     "sim",
     "core",
@@ -143,27 +103,19 @@ pub const GOLDEN_CRATES: &[&str] = &[
     "model",
 ];
 
-/// Host-side crates where wall-clock time is legitimate.
-pub const HOST_CRATES: &[&str] = &["bench", "serve", "detlint"];
-
 /// Classify a workspace-relative path (forward slashes).
 pub fn classify(path: &str) -> FileClass {
-    let mut class = FileClass::default();
-    if let Some(rest) = path.strip_prefix("crates/") {
-        let krate = rest.split('/').next().unwrap_or("");
-        class.golden_affecting = GOLDEN_CRATES.contains(&krate);
-        class.host_side = HOST_CRATES.contains(&krate);
+    let Some(rest) = path.strip_prefix("crates/") else {
+        return FileClass::default();
+    };
+    let krate = rest.split('/').next().unwrap_or("");
+    FileClass {
+        golden_affecting: GOLDEN_CRATES.contains(&krate),
         // Integration-test files exercise sync sites without making
         // ordering decisions; only library code needs the invariant
         // comments (in-crate #[cfg(test)] mods are handled per-region).
-        class.sync_documented = (krate == "core" || krate == "sim") && !rest.contains("/tests/");
-    } else if path.starts_with("xtests/")
-        || path.starts_with("examples/")
-        || path.starts_with("tests/")
-    {
-        class.host_side = true;
+        sync_documented: (krate == "core" || krate == "sim") && !rest.contains("/tests/"),
     }
-    class
 }
 
 /// A line range (1-based, inclusive) of a `#[cfg(test)] mod` body or a
@@ -314,8 +266,8 @@ fn comment_above(comments: &[Comment], marker: &str, line: u32, window: u32) -> 
 }
 
 /// Run every per-file rule that applies under `class` and return raw
-/// (un-suppressed) findings. Directive/allowlist filtering happens in
-/// the driver ([`crate::scan_file`]).
+/// (un-suppressed) findings; [`crate::scan_file`] applies the
+/// directives.
 pub fn per_file_rules(path: &str, lexed: &Lexed, class: &FileClass) -> Vec<Finding> {
     let tokens = &lexed.tokens;
     let comments = &lexed.comments;
@@ -338,68 +290,6 @@ pub fn per_file_rules(path: &str, lexed: &Lexed, class: &FileClass) -> Vec<Findi
 
     for (i, t) in tokens.iter().enumerate() {
         match &t.tok {
-            // D001 — unordered containers in golden-affecting crates.
-            Tok::Ident(id) if class.golden_affecting && (id == "HashMap" || id == "HashSet") => {
-                out.push(finding(
-                    "D001",
-                    t,
-                    format!(
-                        "{id} in a golden-affecting crate: iteration order is randomized \
-                         per-process and can leak into golden numbers; use BTree{} or \
-                         sorted iteration, or add `// detlint: allow(D001) -- <why>`",
-                        if id == "HashMap" { "Map" } else { "Set" }
-                    ),
-                ));
-            }
-            // D002 — wall-clock types outside host-side crates.
-            Tok::Ident(id) if !class.host_side && (id == "Instant" || id == "SystemTime") => {
-                out.push(finding(
-                    "D002",
-                    t,
-                    format!(
-                        "{id} outside a host-side crate: wall-clock time must never \
-                         influence simulated state (move timing to crates/bench or \
-                         crates/serve, or allow with a reason)"
-                    ),
-                ));
-            }
-            // D003 — ambient host state in golden-affecting crates.
-            Tok::Ident(id) if class.golden_affecting && id == "env" => {
-                let from_std =
-                    i >= 2 && tokens[i - 1].tok.is_op("::") && tokens[i - 2].tok.is_ident("std");
-                let reads = tokens.get(i + 1).is_some_and(|n| n.tok.is_op("::"))
-                    && tokens.get(i + 2).is_some_and(|n| {
-                        ["var", "vars", "var_os", "vars_os", "args", "args_os"]
-                            .iter()
-                            .any(|m| n.tok.is_ident(m))
-                    });
-                if from_std || reads {
-                    out.push(finding(
-                        "D003",
-                        t,
-                        "std::env read in a golden-affecting crate: the simulation \
-                         must be a pure function of MachineConfig + inputs, not of \
-                         the host environment"
-                            .to_string(),
-                    ));
-                }
-            }
-            Tok::Ident(id)
-                if class.golden_affecting
-                    && id == "current"
-                    && i >= 2
-                    && tokens[i - 1].tok.is_op("::")
-                    && tokens[i - 2].tok.is_ident("thread") =>
-            {
-                out.push(finding(
-                    "D003",
-                    t,
-                    "thread::current() in a golden-affecting crate: host-thread \
-                     identity is scheduling-dependent and must not influence \
-                     simulation (the window-parallel engine varies it freely)"
-                        .to_string(),
-                ));
-            }
             // D004 — float accumulation in golden-affecting crates.
             Tok::Op(op) if class.golden_affecting && (*op == "+=" || *op == "-=") => {
                 if let Some(name) = accumulation_target(tokens, i) {
@@ -457,37 +347,6 @@ pub fn per_file_rules(path: &str, lexed: &Lexed, class: &FileClass) -> Vec<Findi
                                  every sync site must say what ordering it \
                                  establishes and which reader depends on it"
                             ),
-                        ));
-                    }
-                }
-            }
-            // D008 — undocumented unsafe.
-            Tok::Ident(id) if id == "unsafe" && !comment_above(comments, "SAFETY", t.line, 3) => {
-                out.push(finding(
-                    "D008",
-                    t,
-                    "`unsafe` without an adjacent `// SAFETY:` comment".to_string(),
-                ));
-            }
-            // D009 — #[allow(…)] without a reason comment.
-            Tok::Ident(id) if id == "allow" => {
-                let attr = (i >= 2
-                    && tokens[i - 1].tok.is_punct('[')
-                    && (tokens[i - 2].tok.is_punct('#') || tokens[i - 2].tok.is_punct('!')))
-                    && tokens.get(i + 1).is_some_and(|n| n.tok.is_punct('('));
-                if attr {
-                    let has_reason = comments.iter().any(|c| {
-                        !c.doc
-                            && !c.text.trim().is_empty()
-                            && (c.end_line + 1 == t.line || c.line == t.line)
-                    });
-                    if !has_reason {
-                        out.push(finding(
-                            "D009",
-                            t,
-                            "#[allow(...)] without a reason: add a trailing or \
-                             preceding `//` comment saying why the lint is wrong here"
-                                .to_string(),
                         ));
                     }
                 }
@@ -575,270 +434,6 @@ fn accumulation_target(tokens: &[Token], op_idx: usize) -> Option<&str> {
     tokens[i].tok.ident()
 }
 
-// ---------------------------------------------------------------------------
-// D005 — digest coverage
-// ---------------------------------------------------------------------------
-
-/// A struct field with its declaration site.
-#[derive(Debug, Clone)]
-pub struct FieldDecl {
-    /// Field name.
-    pub name: String,
-    /// 1-based line of the name token.
-    pub line: u32,
-    /// 1-based column of the name token.
-    pub col: u32,
-}
-
-/// Extract the named struct's field list from a lexed file.
-pub fn struct_fields(lexed: &Lexed, struct_name: &str) -> Option<Vec<FieldDecl>> {
-    let tokens = &lexed.tokens;
-    let mut i = 0;
-    while i + 1 < tokens.len() {
-        if tokens[i].tok.is_ident("struct") && tokens[i + 1].tok.is_ident(struct_name) {
-            // Find the body `{` (skipping generics); `;` means a unit
-            // or tuple struct — no named fields.
-            let mut j = i + 2;
-            while let Some(t) = tokens.get(j) {
-                if t.tok.is_punct('{') {
-                    return Some(fields_in_body(tokens, j));
-                }
-                if t.tok.is_punct(';') || t.tok.is_punct('(') {
-                    return Some(Vec::new());
-                }
-                j += 1;
-            }
-            return Some(Vec::new());
-        }
-        i += 1;
-    }
-    None
-}
-
-/// Fields at depth 1 of the brace body opening at `open`.
-fn fields_in_body(tokens: &[Token], open: usize) -> Vec<FieldDecl> {
-    let close = match_brace(tokens, open);
-    let mut fields = Vec::new();
-    let mut i = open + 1;
-    while i < close {
-        let t = &tokens[i];
-        // Skip attributes.
-        if t.tok.is_punct('#') {
-            let mut depth = 0usize;
-            while i < close {
-                if tokens[i].tok.is_punct('[') {
-                    depth += 1;
-                } else if tokens[i].tok.is_punct(']') {
-                    depth -= 1;
-                    if depth == 0 {
-                        i += 1;
-                        break;
-                    }
-                }
-                i += 1;
-            }
-            continue;
-        }
-        // Skip visibility.
-        if t.tok.is_ident("pub") {
-            i += 1;
-            if tokens.get(i).is_some_and(|t| t.tok.is_punct('(')) {
-                while i < close && !tokens[i].tok.is_punct(')') {
-                    i += 1;
-                }
-                i += 1;
-            }
-            continue;
-        }
-        // A field: ident `:` type…,
-        if let Tok::Ident(name) = &t.tok {
-            if tokens.get(i + 1).is_some_and(|n| n.tok.is_punct(':')) {
-                fields.push(FieldDecl {
-                    name: name.clone(),
-                    line: t.line,
-                    col: t.col,
-                });
-                // Skip the type to the field-separating comma at depth 0
-                // (angle brackets and parens both nest). The lexer
-                // fuses `>>`/`<<` into shift operators, which in type
-                // position are really two nested angle closes — e.g.
-                // `Option<Box<T>>` — so they count double here.
-                let mut angle = 0i32;
-                let mut paren = 0i32;
-                let mut j = i + 2;
-                while j < close {
-                    match tokens[j].tok {
-                        Tok::Punct('<') => angle += 1,
-                        Tok::Punct('>') => angle -= 1,
-                        Tok::Op("<<") => angle += 2,
-                        Tok::Op(">>") => angle -= 2,
-                        Tok::Punct('(') => paren += 1,
-                        Tok::Punct(')') => paren -= 1,
-                        Tok::Punct(',') if angle <= 0 && paren <= 0 => break,
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                i = j + 1;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    fields
-}
-
-/// All string literals inside the body of `fn name`.
-pub fn fn_string_literals(lexed: &Lexed, name: &str) -> Option<Vec<String>> {
-    let tokens = &lexed.tokens;
-    let mut i = 0;
-    while i + 1 < tokens.len() {
-        if tokens[i].tok.is_ident("fn") && tokens[i + 1].tok.is_ident(name) {
-            let mut paren = 0i32;
-            let mut j = i + 2;
-            while let Some(t) = tokens.get(j) {
-                match &t.tok {
-                    Tok::Punct('(') => paren += 1,
-                    Tok::Punct(')') => paren -= 1,
-                    Tok::Punct(';') if paren == 0 => return None,
-                    Tok::Punct('{') if paren == 0 => {
-                        let close = match_brace(tokens, j);
-                        return Some(
-                            tokens[j..=close]
-                                .iter()
-                                .filter_map(|t| match &t.tok {
-                                    Tok::Str(s) => Some(s.clone()),
-                                    _ => None,
-                                })
-                                .collect(),
-                        );
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-            return None;
-        }
-        i += 1;
-    }
-    None
-}
-
-/// True when `literal` mentions `word` with non-identifier characters
-/// (or the string boundary) on both sides — so the field `seed` is
-/// covered by `"seed"` and by `"seed={}"`, but `freeze` is not covered
-/// by `"unfreeze"` and `flips` is not covered by `"flip="`.
-fn contains_word(literal: &str, word: &str) -> bool {
-    let bytes = literal.as_bytes();
-    let w = word.as_bytes();
-    if w.is_empty() || bytes.len() < w.len() {
-        return false;
-    }
-    let is_ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
-    for start in 0..=(bytes.len() - w.len()) {
-        if &bytes[start..start + w.len()] == w {
-            let before_ok = start == 0 || !is_ident(bytes[start - 1]);
-            let after = start + w.len();
-            let after_ok = after == bytes.len() || !is_ident(bytes[after]);
-            if before_ok && after_ok {
-                return true;
-            }
-        }
-    }
-    false
-}
-
-/// D005: check one digest-tracked struct against its canonical
-/// serializer. `struct_lexed`/`ser_lexed` are the lexed declaration
-/// and serializer files (which may be the same file).
-pub fn digest_rule(entry: &DigestEntry, struct_lexed: &Lexed, ser_lexed: &Lexed) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let Some(fields) = struct_fields(struct_lexed, &entry.struct_name) else {
-        out.push(Finding {
-            rule: "D005",
-            path: entry.file.clone(),
-            line: 1,
-            col: 1,
-            message: format!(
-                "digest-tracked struct `{}` not found in {} — fix detlint.toml so \
-                 digest coverage cannot silently stop checking",
-                entry.struct_name, entry.file
-            ),
-        });
-        return out;
-    };
-    let Some(literals) = fn_string_literals(ser_lexed, &entry.serializer) else {
-        out.push(Finding {
-            rule: "D005",
-            path: entry.serializer_file.clone(),
-            line: 1,
-            col: 1,
-            message: format!(
-                "canonical serializer fn `{}` not found in {} — fix detlint.toml so \
-                 digest coverage cannot silently stop checking",
-                entry.serializer, entry.serializer_file
-            ),
-        });
-        return out;
-    };
-    let alias = |field: &str| -> String {
-        entry
-            .map
-            .iter()
-            .find(|(f, _)| f == field)
-            .map(|(_, a)| a.clone())
-            .unwrap_or_else(|| field.to_string())
-    };
-    for f in &fields {
-        let token = alias(&f.name);
-        let covered = literals.iter().any(|l| contains_word(l, &token));
-        let exempted = entry.exempt.iter().any(|(n, _)| n == &f.name);
-        if exempted && covered {
-            out.push(Finding {
-                rule: "D010",
-                path: entry.file.clone(),
-                line: f.line,
-                col: f.col,
-                message: format!(
-                    "`{}.{}` is on the digest exemption list but `{}` serializes it — \
-                     remove the stale exemption",
-                    entry.struct_name, f.name, entry.serializer
-                ),
-            });
-        } else if !exempted && !covered {
-            out.push(Finding {
-                rule: "D005",
-                path: entry.file.clone(),
-                line: f.line,
-                col: f.col,
-                message: format!(
-                    "`{}.{}` is neither serialized by `{}` nor on the exemption list: \
-                     a knob outside the digest silently aliases cache entries — digest \
-                     it, or exempt it in detlint.toml with a reason",
-                    entry.struct_name, f.name, entry.serializer
-                ),
-            });
-        }
-    }
-    // Exemptions must name real fields, or the list rots.
-    for (name, _) in &entry.exempt {
-        if !fields.iter().any(|f| &f.name == name) {
-            out.push(Finding {
-                rule: "D010",
-                path: entry.file.clone(),
-                line: 1,
-                col: 1,
-                message: format!(
-                    "digest exemption names `{}.{name}`, which is not a field of the \
-                     struct — remove or fix the entry",
-                    entry.struct_name
-                ),
-            });
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -851,42 +446,9 @@ mod tests {
         assert!(!classify("crates/sim/tests/engine_semantics.rs").sync_documented);
         assert!(classify("crates/sim/tests/engine_semantics.rs").golden_affecting);
         assert!(classify("crates/model/src/estimate.rs").golden_affecting);
-        assert!(!classify("crates/model/src/estimate.rs").host_side);
-        assert!(classify("crates/bench/src/cli.rs").host_side);
-        assert!(!classify("crates/san/src/lib.rs").golden_affecting);
-        assert!(!classify("crates/san/src/lib.rs").host_side);
-        assert!(classify("tests/determinism.rs").host_side);
-    }
-
-    #[test]
-    fn contains_word_respects_boundaries() {
-        assert!(contains_word("seed={}", "seed"));
-        assert!(contains_word("seed", "seed"));
-        assert!(contains_word("a,seed=3", "seed"));
-        assert!(!contains_word("unfreeze", "freeze"));
-        assert!(!contains_word("flip=", "flips"));
-        assert!(!contains_word("seeded", "seed"));
-    }
-
-    #[test]
-    fn struct_fields_survive_fused_shift_tokens_in_types() {
-        // `Option<Box<T>>` ends in a `>>` the lexer fuses into one
-        // shift token; the angle-depth tracker must count it as two
-        // closes or every field after it silently vanishes from D005.
-        let src = r#"
-struct M {
-    config: Config,
-    sanitizer: Option<Box<Sanitizer>>,
-    profiler: Option<ProfSink>,
-    faults: Option<FaultState>,
-}
-"#;
-        let fields: Vec<String> = struct_fields(&lex(src), "M")
-            .expect("struct found")
-            .into_iter()
-            .map(|f| f.name)
-            .collect();
-        assert_eq!(fields, ["config", "sanitizer", "profiler", "faults"]);
+        assert_eq!(classify("crates/bench/src/cli.rs"), FileClass::default());
+        assert_eq!(classify("crates/san/src/lib.rs"), FileClass::default());
+        assert_eq!(classify("tests/determinism.rs"), FileClass::default());
     }
 
     #[test]

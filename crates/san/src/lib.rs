@@ -1,5 +1,3 @@
-#![warn(missing_docs)]
-#![warn(clippy::undocumented_unsafe_blocks)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 //! # mosaic-san
 //!
@@ -742,7 +740,7 @@ impl Sanitizer {
         }
     }
 
-    #[allow(clippy::too_many_arguments)] // one flat record per diagnostic
+    #[allow(clippy::too_many_arguments, reason = "one flat record per diagnostic")]
     fn diag(
         &mut self,
         kind: DiagKind,

@@ -286,17 +286,16 @@ mod tests {
     }
 
     /// Digest-exemption parity: every `JobSpec` field must either change
-    /// the digest when perturbed or be on the same exemption list detlint
-    /// checks statically (`detlint.toml` `[[digest]]` JobSpec). Adding a
-    /// field without deciding which side it lands on fails here three
-    /// ways: the exhaustive destructure below stops compiling, the
-    /// wire-form key count stops matching the mutator table, and the
-    /// per-field digest assertions catch a field the canonical serializer
-    /// silently drops.
+    /// the digest when perturbed or be on the exemption list below,
+    /// with its reason. Adding a field without deciding which side it
+    /// lands on fails here three ways: the exhaustive destructure below
+    /// stops compiling, the wire-form key count stops matching the
+    /// mutator table, and the per-field digest assertions catch a field
+    /// the canonical serializer silently drops.
     #[test]
     fn jobspec_fields_stay_digest_covered_or_exempt() {
-        // Must mirror the exempt list in detlint.toml — fields that ride
-        // the wire but are byte-identity-irrelevant to results.
+        // Fields that ride the wire but are byte-identity-irrelevant to
+        // results; each carries its reason in the destructure below.
         const EXEMPT: &[&str] = &["checkpoint_every"];
 
         let base = JobSpec::new("table1", "tiny");
@@ -313,6 +312,12 @@ mod tests {
             sanitize: _,
             faults: _,
             fidelity: _,
+            // Exempt: checkpoint writes are observationally free — the
+            // engine pops the same events and produces byte-identical
+            // results at every cadence, so a checkpointed run must share
+            // its cache entry with the plain one (pinned by
+            // `digest_ignores_checkpoint_every` and the crash-recovery CI
+            // job).
             checkpoint_every: _,
         } = base.clone();
 
@@ -367,7 +372,7 @@ mod tests {
                     spec.digest(),
                     "{field} does not reach the digest: two different computations \
                      would share a cache entry — serialize it in canonical_json or \
-                     exempt it (here and in detlint.toml) with a justification"
+                     exempt it here with a justification"
                 );
             }
         }

@@ -8,9 +8,9 @@
 //! <body bytes: the Machine's canonical component snapshot>
 //! ```
 //!
-//! The header is the explicit, digest-covered contract (detlint D005
-//! tracks [`CheckpointHeader`] against [`CheckpointHeader::to_json`]):
-//! a new header field that never reaches serialization fails CI. The
+//! The header is the explicit contract: [`CheckpointHeader::to_json`]
+//! destructures the struct, so a new header field that never reaches
+//! serialization does not compile. The
 //! body is the `Machine`'s canonical snapshot — every stateful
 //! component in fixed section order, little-endian, in index order —
 //! and is integrity-checked by
@@ -73,19 +73,30 @@ pub struct CheckpointHeader {
 }
 
 impl CheckpointHeader {
-    /// Serialize to the canonical single-line JSON form. This is the
-    /// digest-covered serializer: every header field must appear here
-    /// by name.
+    /// Serialize to the canonical single-line JSON form. Every header
+    /// field is bound here, so a new one does not compile until it is
+    /// serialized: a dropped field would let a mismatched image pass
+    /// the `--resume-from` geometry check.
     pub fn to_json(&self) -> Json {
+        let CheckpointHeader {
+            version,
+            cycle,
+            seq,
+            cols,
+            rows,
+            seed,
+            body_len,
+            body_crc,
+        } = *self;
         Json::obj()
-            .field("version", self.version)
-            .field("cycle", self.cycle)
-            .field("seq", self.seq)
-            .field("cols", self.cols)
-            .field("rows", self.rows)
-            .field("seed", self.seed)
-            .field("body_len", self.body_len)
-            .field("body_crc", self.body_crc)
+            .field("version", version)
+            .field("cycle", cycle)
+            .field("seq", seq)
+            .field("cols", cols)
+            .field("rows", rows)
+            .field("seed", seed)
+            .field("body_len", body_len)
+            .field("body_crc", body_crc)
             .build()
     }
 
@@ -256,9 +267,9 @@ mod tests {
 
     #[test]
     fn header_line_omits_no_field() {
-        // The wire form carries exactly the struct's fields — the
-        // digest contract (detlint D005) keeps the reverse direction
-        // honest.
+        // The wire form carries every one of these keys; the exhaustive
+        // destructure in `to_json` keeps the reverse direction honest
+        // (a new field does not compile until it is serialized).
         let line = header().to_json().write();
         for key in [
             "version", "cycle", "seq", "cols", "rows", "seed", "body_len", "body_crc",

@@ -45,33 +45,28 @@
 //!
 //! ## Targets
 //!
-//! Linux on x86_64 (System V: rbx, rbp, r12–r15, MXCSR, x87 control
-//! word) and on aarch64 (AAPCS64: x19–x30, d8–d15, FPCR). CI builds and
-//! runs the x86_64 code, debug and release; the aarch64 code is
-//! compile-checked there, not run. Any other target is a compile
-//! error — there is no fallback substrate.
+//! Linux on x86_64 only (System V: rbx, rbp, r12–r15, MXCSR, x87
+//! control word), which CI builds and runs, debug and release. Any
+//! other target is a compile error — there is no fallback substrate.
 
 use std::cell::Cell;
 use std::ffi::{c_int, c_void};
 use std::rc::Rc;
 
-#[cfg(not(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-)))]
+#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
 compile_error!(
     "mosaic-sim runs simulated cores as stackful coroutines and has a context \
-     switch for x86_64 and aarch64 Linux only"
+     switch for x86_64 Linux only"
 );
 
 /// Usable stack per coroutine.
 const STACK_BYTES: usize = 32 << 20;
 
-/// Inaccessible bytes below each stack. One page would do; 64 KiB
-/// covers every page size Linux runs with on the supported targets.
+/// Inaccessible bytes below each stack. One 4 KiB page would do; the
+/// rest costs only address space.
 const GUARD_BYTES: usize = 64 << 10;
 
-// Linux values, identical on x86_64 and aarch64.
+// Linux x86_64 values.
 const PROT_NONE: c_int = 0;
 const PROT_READ: c_int = 1;
 const PROT_WRITE: c_int = 2;
@@ -225,7 +220,6 @@ impl<I, O> Task<I, O> {
 /// `task` must point to a live `Task` that stays alive until this
 /// function has switched out for the last time, and the call must be
 /// the trampoline's on that task's own stack.
-// SAFETY: an `unsafe fn`; its caller owes the contract above.
 unsafe extern "C" fn entry<I, O>(task: *const Task<I, O>) -> ! {
     // SAFETY: live per the contract — the `Coroutine` whose `resume`
     // or `drop` switched in holds an `Rc` to it for that whole call.
@@ -346,7 +340,6 @@ impl<I, O> Yielder<I, O> {
     }
 }
 
-#[cfg(target_arch = "x86_64")]
 mod arch {
     use std::arch::naked_asm;
 
@@ -421,7 +414,6 @@ mod arch {
     ///
     /// `top` must be 16-aligned with at least ten writable words
     /// directly below it.
-    // SAFETY: an `unsafe fn`; its caller owes the contract above.
     pub(super) unsafe fn first_frame(top: *mut u8, task: usize, entry: usize) -> *mut u8 {
         let frame: [usize; 10] = [
             FIRST_MXCSR | FIRST_X87_CW << 32,
@@ -438,93 +430,6 @@ mod arch {
         // SAFETY: the caller guarantees the ten words below `top`.
         unsafe {
             let sp = top.cast::<[usize; 10]>().sub(1);
-            sp.write(frame);
-            sp.cast()
-        }
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-mod arch {
-    use std::arch::naked_asm;
-
-    /// Save the current context on the current stack, store its stack
-    /// pointer to `*save`, and continue the context at `to`.
-    ///
-    /// A context is 176 bytes from `sp` up: x19–x28, x29 (frame
-    /// pointer), x30 (the address to continue at), d8–d15, FPCR and a
-    /// padding word — everything AAPCS64 makes a callee preserve.
-    ///
-    /// # Safety
-    ///
-    /// As for the x86_64 `switch`: `to` is a context saved by this
-    /// function or laid out by [`first_frame`] on a mapped stack
-    /// nothing is running on, continued at most once; `save` is valid
-    /// for a write and not behind a live `&mut`.
-    // SAFETY: naked, so the asm below is the whole function and nothing
-    // touches the stack before its stores; callers owe the contract above.
-    #[unsafe(naked)]
-    pub(super) unsafe extern "C" fn switch(save: *mut *mut u8, to: *mut u8) {
-        naked_asm!(
-            "sub sp, sp, #176",
-            "stp x19, x20, [sp, #0]",
-            "stp x21, x22, [sp, #16]",
-            "stp x23, x24, [sp, #32]",
-            "stp x25, x26, [sp, #48]",
-            "stp x27, x28, [sp, #64]",
-            "stp x29, x30, [sp, #80]",
-            "stp d8, d9, [sp, #96]",
-            "stp d10, d11, [sp, #112]",
-            "stp d12, d13, [sp, #128]",
-            "stp d14, d15, [sp, #144]",
-            "mrs x9, fpcr",
-            "str x9, [sp, #160]",
-            "mov x9, sp",
-            "str x9, [x0]",
-            "mov sp, x1",
-            "ldr x9, [sp, #160]",
-            "msr fpcr, x9",
-            "ldp x19, x20, [sp, #0]",
-            "ldp x21, x22, [sp, #16]",
-            "ldp x23, x24, [sp, #32]",
-            "ldp x25, x26, [sp, #48]",
-            "ldp x27, x28, [sp, #64]",
-            "ldp x29, x30, [sp, #80]",
-            "ldp d8, d9, [sp, #96]",
-            "ldp d10, d11, [sp, #112]",
-            "ldp d12, d13, [sp, #128]",
-            "ldp d14, d15, [sp, #144]",
-            "add sp, sp, #176",
-            "ret",
-        )
-    }
-
-    /// Where a fresh context continues: x19 holds the task pointer and
-    /// x20 the entry function, which never returns.
-    // SAFETY: naked; entered only by `switch`'s `ret` into a frame
-    // built by `first_frame`, never called.
-    #[unsafe(naked)]
-    extern "C" fn trampoline() {
-        naked_asm!("mov x0, x19", "blr x20", "brk #1")
-    }
-
-    /// Lay out below `top` the context that makes the first switch
-    /// start `entry(task)`, and return its stack pointer. x29 is zero,
-    /// which ends the frame chain; FPCR zero is the thread default.
-    ///
-    /// # Safety
-    ///
-    /// `top` must be 16-aligned with at least 22 writable words
-    /// directly below it.
-    // SAFETY: an `unsafe fn`; its caller owes the contract above.
-    pub(super) unsafe fn first_frame(top: *mut u8, task: usize, entry: usize) -> *mut u8 {
-        let mut frame = [0usize; 22];
-        frame[0] = task; // x19
-        frame[1] = entry; // x20
-        frame[11] = trampoline as extern "C" fn() as usize; // x30
-                                                            // SAFETY: the caller guarantees the 22 words below `top`.
-        unsafe {
-            let sp = top.cast::<[usize; 22]>().sub(1);
             sp.write(frame);
             sp.cast()
         }

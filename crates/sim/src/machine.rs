@@ -602,28 +602,57 @@ impl Machine {
 
     /// The canonical machine-state body: every stateful component in
     /// fixed section order. The section tags name exactly the machine
-    /// fields a checkpoint carries (detlint's digest contract checks
-    /// this list against the struct); everything else is either
-    /// rebuilt identically by construction + deterministic replay
-    /// (host-side observers, cached geometry) or intentionally
-    /// host-only.
+    /// fields a checkpoint carries. Every field is bound below, so a
+    /// new one does not compile until it is either serialized or
+    /// bound `_` with the reason replay cannot depend on it.
     pub(crate) fn checkpoint_body(&self) -> Vec<u8> {
         use crate::checkpoint::{put_section, put_u64};
+        let Machine {
+            mesh,
+            spms,
+            llc,
+            dram,
+            dram_brk,
+            faults,
+            // Immutable for the machine's lifetime and pinned by the
+            // header's cols/rows/seed check: `--resume-from` rejects an
+            // image from a differently-configured machine before
+            // comparing a byte.
+            config: _,
+            // A pure function of the (checked) config, rebuilt
+            // identically by `Machine::new`.
+            map: _,
+            // Cached pure functions of the mesh geometry, rebuilt
+            // identically by `Machine::new`.
+            core_nodes: _,
+            llc_nodes: _,
+            // Host-side observers: they charge no simulated cycle and
+            // never feed timing back, so verified runs are
+            // byte-identical without them (the profiler's zero cost is
+            // pinned by crates/bench/tests/prof.rs); a verifying run
+            // attaches its own.
+            latency_probe: _,
+            sanitizer: _,
+            profiler: _,
+            // Host-side diagnostics for watchdog dumps: fires only on
+            // aborted runs and never touches state.
+            watchdog_probe: _,
+        } = self;
         let mut out = Vec::new();
-        put_section(&mut out, "mesh", &self.mesh.snapshot());
+        put_section(&mut out, "mesh", &mesh.snapshot());
         let mut spm_bytes = Vec::new();
-        put_u64(&mut spm_bytes, self.spms.len() as u64);
-        for spm in &self.spms {
+        put_u64(&mut spm_bytes, spms.len() as u64);
+        for spm in spms {
             let snap = spm.snapshot();
             put_u64(&mut spm_bytes, snap.len() as u64);
             spm_bytes.extend_from_slice(&snap);
         }
         put_section(&mut out, "spms", &spm_bytes);
-        put_section(&mut out, "llc", &self.llc.snapshot());
-        put_section(&mut out, "dram", &self.dram.snapshot());
-        put_section(&mut out, "dram_brk", &self.dram_brk.to_le_bytes());
+        put_section(&mut out, "llc", &llc.snapshot());
+        put_section(&mut out, "dram", &dram.snapshot());
+        put_section(&mut out, "dram_brk", &dram_brk.to_le_bytes());
         let mut fault_bytes = Vec::new();
-        match &self.faults {
+        match faults {
             Some(fs) => {
                 fault_bytes.push(1);
                 put_u64(&mut fault_bytes, fs.next_flip as u64);

@@ -58,7 +58,10 @@ fn lower_bound(ctx: &mut TaskCtx<'_>, data: Addr, mut lo: u32, mut hi: u32, key:
 }
 
 /// Merge sorted `src[a0,a1)` and `src[b0,b1)` into `dst[out..]`.
-#[allow(clippy::too_many_arguments)] // two ranges + two buffers: the merge's natural arity
+#[allow(
+    clippy::too_many_arguments,
+    reason = "two ranges + two buffers: the merge's natural arity"
+)]
 fn merge_rec(
     ctx: &mut TaskCtx<'_>,
     src: Addr,

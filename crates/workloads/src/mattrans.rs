@@ -24,7 +24,10 @@ pub struct MatTrans {
     pub seed: u64,
 }
 
-#[allow(clippy::too_many_arguments)] // tile coordinates ride the recursion explicitly
+#[allow(
+    clippy::too_many_arguments,
+    reason = "tile coordinates ride the recursion explicitly"
+)]
 fn transpose_rec(
     ctx: &mut TaskCtx<'_>,
     src: Addr,
