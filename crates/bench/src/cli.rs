@@ -488,7 +488,6 @@ pub fn spec_argv(spec: &JobSpec) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jsonlite::Json;
 
     /// `spec` -> argv -> `Options` -> spec, under the defaults the wire
     /// clients parse with (shape 0x0 = the experiment's own).
@@ -542,22 +541,36 @@ mod tests {
     }
 
     /// The cache contract across crates: every `MachineConfig` field
-    /// either reaches a job's digest through the `JobSpec` wire key of
-    /// the same name (listed in `DIGESTED`), or carries the reason no
-    /// result depends on it beyond what the digest already pins. The
-    /// destructure is exhaustive, so a new field does not compile until
-    /// it is decided.
+    /// either reaches a job's digest through the `JobSpec` field of the
+    /// same name, or carries the reason no result depends on it beyond
+    /// what the digest already pins. The destructure is exhaustive, so a
+    /// new field does not compile until it is either bound by name and
+    /// checked against its `JobSpec` field here, or bound `_` with a
+    /// reason. That each `JobSpec` field reaches the digest is
+    /// `jobspec_fields_stay_digest_covered_or_exempt`'s job.
     #[test]
     fn machine_config_fields_are_digested_or_exempt() {
-        const DIGESTED: [&str; 6] = ["cols", "rows", "seed", "sanitize", "faults", "fidelity"];
+        let argv = [
+            "--cols",
+            "3",
+            "--rows",
+            "5",
+            "--sanitize",
+            "--faults",
+            "seed=7,horizon=1000,freeze=2x100",
+            "--fidelity",
+            "analytic",
+        ];
+        let opts = Options::parse_from(Scale::Tiny, 0, 0, argv.map(String::from));
+        let spec = opts.job_spec("table1");
         let MachineConfig {
-            // Digested: each rides the `JobSpec` key in `DIGESTED`.
-            cols: _,
-            rows: _,
-            seed: _,
-            sanitize: _,
-            faults: _,
-            fidelity: _,
+            // Digested: each is checked against its `JobSpec` field below.
+            cols,
+            rows,
+            seed,
+            sanitize,
+            faults,
+            fidelity,
             // Fixed by the experiment's machine preset
             // (`MachineConfig::small`), which the digested
             // experiment/config/scale fields select; only ablation_ruche
@@ -596,33 +609,19 @@ mod tests {
             // cycle 0 and hard-fails on any divergence from the image,
             // so it never changes a completed run's numbers.
             resume_from: _,
-        } = MachineConfig::small(4, 2);
+        } = opts.machine();
 
-        let base = JobSpec::new("table1", "tiny");
-        let Json::Object(wire) = base.to_json() else {
-            panic!("a spec serializes to an object")
-        };
-        for key in DIGESTED {
-            // Perturb the key on the wire: the parsed spec must hash
-            // differently, or two machines would share a cache entry.
-            let mut changed = wire.clone();
-            let slot = &mut changed
-                .iter_mut()
-                .find(|(k, _)| k == key)
-                .unwrap_or_else(|| panic!("{key} missing from JobSpec::to_json"))
-                .1;
-            *slot = match slot {
-                Json::String(s) => Json::String(format!("{s}x")),
-                Json::Number(n) => Json::Number(*n + 1),
-                Json::Bool(b) => Json::Bool(!*b),
-                other => panic!("{key} has an unexpected wire type: {other:?}"),
-            };
-            let spec = JobSpec::from_json(&Json::Object(changed)).expect("perturbed spec parses");
-            assert_ne!(
-                spec.digest(),
-                base.digest(),
-                "MachineConfig.{key} rides the JobSpec key {key}, which does not reach the digest"
-            );
-        }
+        assert_eq!(
+            (cols, rows, sanitize),
+            (spec.cols, spec.rows, spec.sanitize)
+        );
+        assert_eq!(faults.as_ref().map(FaultPlan::to_spec), Some(spec.faults));
+        assert_eq!(fidelity.to_string(), spec.fidelity);
+        // A spec's seed 0 selects the preset seed; the daemon refuses
+        // any other, so the two cannot disagree.
+        assert_eq!(
+            (seed, spec.seed),
+            (MachineConfig::small(cols, rows).seed, 0)
+        );
     }
 }
