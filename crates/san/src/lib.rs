@@ -52,41 +52,41 @@
 //! that is exactly the ordering the hardware guarantees (stores drain
 //! in order after a fence), so a reader polling an unfenced mailbox
 //! store never gains spurious edges from it.
+//!
+//! ## Shadow layout and cost
+//!
+//! Every simulated word has a slot in one flat shadow table, paged on
+//! first touch (FastTrack-style shadow memory, Flanagan & Freund, PLDI
+//! 2009). Slots are dense: SPM words first (`core × spm_words +
+//! offset/4`), then DRAM words by word index, so a hook finds its slot
+//! with the address decode it does anyway. A slot holds four flag bits
+//! (declared sync range, AMO-sticky sync, frozen, lock word) and two
+//! ids: the word's access record (last write, then its readers in
+//! first-read order, the order race details are reported in) and its
+//! published clock, in an arena of vector clocks stored back to back.
+//! Records and clocks are recycled through free lists. A frame pop
+//! frees the records and clocks of the frame's slots and clears their
+//! sticky and frozen bits; the declared bits come from the
+//! [`LayoutSpec`] and stay. Epochs are `u32`: a core's epoch advances
+//! once per fence, so four billion fences per core fit, halving the
+//! clocks against `u64`, and an overflow panics rather than wraps.
 
 mod clock;
 mod notes;
 mod report;
+mod shadow;
 mod spec;
 
-pub use clock::VectorClock;
 pub use notes::{Note, NoteSink};
 pub use report::{DiagKind, Diagnostic, SanReport, MAX_DETAILED};
 pub use spec::LayoutSpec;
 
+use clock::{ClockArena, VectorClock};
 use mosaic_mem::{Addr, AddrMap, AmoOp, Region};
+use shadow::{Access, Records, Shadow, Slot, FROZEN, LOCK, STICKY_SYNC};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
-
-/// One recorded access to a data word.
-#[derive(Debug, Clone, Copy)]
-struct Access {
-    core: usize,
-    epoch: u64,
-    cycle: u64,
-    /// Issued through the relaxed-atomic API: unordered pairs where
-    /// both sides are relaxed are not races (C++ `memory_order_relaxed`
-    /// semantics); relaxed vs. plain still is.
-    relaxed: bool,
-}
-
-/// Per-word metadata for ordinary (non-sync) DRAM words.
-#[derive(Debug, Default)]
-struct WordState {
-    write: Option<Access>,
-    /// Most recent read per core (at most one entry per core).
-    reads: Vec<Access>,
-}
 
 /// Host-side mirror of one core's stack engine.
 #[derive(Debug, Default)]
@@ -100,8 +100,6 @@ struct ShadowStack {
 /// docs for the checks it performs.
 #[derive(Debug)]
 pub struct Sanitizer {
-    map: AddrMap,
-    cores: usize,
     spec: Option<LayoutSpec>,
     /// Per-core happens-before clock.
     clocks: Vec<VectorClock>,
@@ -111,22 +109,23 @@ pub struct Sanitizer {
     /// Stores issued since the core's last fence (for the unfenced
     /// lock-release check).
     stores_since_fence: Vec<u64>,
-    /// Ordinary DRAM data words.
-    words: HashMap<u64, WordState>,
-    /// Published clocks of sync and SPM words, by raw address.
-    sync_clocks: HashMap<u64, VectorClock>,
-    /// DRAM words sticky-classified as synchronization by an AMO.
-    sync_dram: HashSet<u64>,
-    /// Frozen (read-only) environment words.
-    frozen: HashSet<u64>,
+    /// Per-word flags and record/clock ids.
+    shadow: Shadow,
+    /// Access records of ordinary DRAM data words.
+    records: Records,
+    /// Published clocks of sync and SPM words.
+    published: ClockArena,
     /// Current holder of each declared lock word.
     lock_owner: BTreeMap<u64, Option<usize>>,
-    shadow: Vec<ShadowStack>,
+    stacks: Vec<ShadowStack>,
     notes: NoteSink,
+    /// The buffer the note queue is swapped with when it drains, so
+    /// neither side reallocates.
+    note_batch: Vec<Note>,
     /// Cycle of the most recent hook (used for note-derived findings).
     now: u64,
     diagnostics: Vec<Diagnostic>,
-    dedup: HashSet<(DiagKind, u64)>,
+    dedup: BTreeSet<(DiagKind, u64)>,
     counts: BTreeMap<DiagKind, u64>,
     total: u64,
     ops: u64,
@@ -146,22 +145,20 @@ impl Sanitizer {
             clocks.push(vc);
         }
         Sanitizer {
-            map,
-            cores,
             spec: None,
             clocks,
             release: vec![VectorClock::new(cores); cores],
             stores_since_fence: vec![0; cores],
-            words: HashMap::new(),
-            sync_clocks: HashMap::new(),
-            sync_dram: HashSet::new(),
-            frozen: HashSet::new(),
+            shadow: Shadow::new(map),
+            records: Records::default(),
+            published: ClockArena::new(cores),
             lock_owner: BTreeMap::new(),
-            shadow: (0..cores).map(|_| ShadowStack::default()).collect(),
+            stacks: (0..cores).map(|_| ShadowStack::default()).collect(),
             notes: Rc::new(RefCell::new(Vec::new())),
+            note_batch: Vec::new(),
             now: 0,
             diagnostics: Vec::new(),
-            dedup: HashSet::new(),
+            dedup: BTreeSet::new(),
             counts: BTreeMap::new(),
             total: 0,
             ops: 0,
@@ -174,6 +171,8 @@ impl Sanitizer {
         for &lk in &spec.lock_words {
             self.lock_owner.insert(lk, None);
         }
+        self.shadow
+            .set_spec_flags(&spec.sync_ranges, &spec.lock_words);
         self.spec = Some(spec);
     }
 
@@ -188,22 +187,21 @@ impl Sanitizer {
 
     /// Observe a timed load.
     pub fn load(&mut self, core: usize, addr: Addr, cycle: u64) {
-        self.enter(cycle);
-        self.ops += 1;
+        let (region, s, slot) = self.begin(addr, cycle);
         let raw = addr.raw();
-        match self.map.decode(addr) {
+        match region {
             Region::Spm {
                 core: owner,
                 offset,
             } => {
                 self.check_remote_spm(core, owner as usize, offset, raw, cycle);
-                self.join(core, raw);
+                self.join(core, slot.clock);
             }
             Region::Dram { .. } => {
-                if self.is_sync(raw) {
-                    self.join(core, raw);
+                if slot.is_sync() {
+                    self.join(core, slot.clock);
                 } else {
-                    self.check_data_read(core, raw, cycle, false);
+                    self.check_data_read(core, s, raw, cycle, false);
                 }
             }
         }
@@ -214,10 +212,9 @@ impl Sanitizer {
     /// intentional benign races, e.g. Ligra-style pull BFS peeking at
     /// the level array while claimers update it).
     pub fn load_relaxed(&mut self, core: usize, addr: Addr, cycle: u64) {
-        self.enter(cycle);
-        self.ops += 1;
+        let (region, s, slot) = self.begin(addr, cycle);
         let raw = addr.raw();
-        match self.map.decode(addr) {
+        match region {
             Region::Spm {
                 core: owner,
                 offset,
@@ -225,43 +222,36 @@ impl Sanitizer {
                 self.check_remote_spm(core, owner as usize, offset, raw, cycle);
             }
             Region::Dram { .. } => {
-                if !self.is_sync(raw) {
-                    self.check_data_read(core, raw, cycle, true);
+                if !slot.is_sync() {
+                    self.check_data_read(core, s, raw, cycle, true);
                 }
             }
         }
     }
 
     /// Observe a timed store.
-    pub fn store(&mut self, core: usize, addr: Addr, _value: u32, cycle: u64) {
-        self.enter(cycle);
-        self.ops += 1;
+    pub fn store(&mut self, core: usize, addr: Addr, value: u32, cycle: u64) {
+        let (region, s, slot) = self.begin(addr, cycle);
         let raw = addr.raw();
-        if self.frozen.contains(&raw) {
-            self.diag(
-                DiagKind::ReadOnlyWrite,
-                raw,
-                core,
-                cycle,
-                None,
-                None,
-                "store into a frozen captured environment".into(),
-            );
+        if slot.flags & FROZEN != 0 {
+            self.diag_frozen(core, raw, cycle, "store into");
         }
-        self.check_lock_store(core, raw, _value, cycle);
-        match self.map.decode(addr) {
+        if slot.flags & LOCK != 0 {
+            self.check_lock_store(core, raw, value, cycle);
+        }
+        match region {
             Region::Spm {
                 core: owner,
                 offset,
             } => {
                 self.check_remote_spm(core, owner as usize, offset, raw, cycle);
-                self.publish(core, raw);
+                self.publish(core, s);
             }
             Region::Dram { .. } => {
-                if self.is_sync(raw) {
-                    self.publish(core, raw);
+                if slot.is_sync() {
+                    self.publish(core, s);
                 } else {
-                    self.check_data_write(core, raw, cycle);
+                    self.check_data_write(core, s, raw, cycle, false);
                 }
             }
         }
@@ -273,22 +263,15 @@ impl Sanitizer {
     /// checks still apply — relaxing the ordering does not make those
     /// writes legal.
     pub fn store_relaxed(&mut self, core: usize, addr: Addr, value: u32, cycle: u64) {
-        self.enter(cycle);
-        self.ops += 1;
+        let (region, s, slot) = self.begin(addr, cycle);
         let raw = addr.raw();
-        if self.frozen.contains(&raw) {
-            self.diag(
-                DiagKind::ReadOnlyWrite,
-                raw,
-                core,
-                cycle,
-                None,
-                None,
-                "relaxed store into a frozen captured environment".into(),
-            );
+        if slot.flags & FROZEN != 0 {
+            self.diag_frozen(core, raw, cycle, "relaxed store into");
         }
-        self.check_lock_store(core, raw, value, cycle);
-        match self.map.decode(addr) {
+        if slot.flags & LOCK != 0 {
+            self.check_lock_store(core, raw, value, cycle);
+        }
+        match region {
             Region::Spm {
                 core: owner,
                 offset,
@@ -296,8 +279,8 @@ impl Sanitizer {
                 self.check_remote_spm(core, owner as usize, offset, raw, cycle);
             }
             Region::Dram { .. } => {
-                if !self.is_sync(raw) {
-                    self.check_data_write_kinded(core, raw, cycle, "", true);
+                if !slot.is_sync() {
+                    self.check_data_write(core, s, raw, cycle, true);
                 }
             }
         }
@@ -308,60 +291,49 @@ impl Sanitizer {
 
     /// Observe a timed AMO (`old` is the value it read).
     pub fn amo(&mut self, core: usize, addr: Addr, op: AmoOp, operand: u32, old: u32, cycle: u64) {
-        self.enter(cycle);
-        self.ops += 1;
+        let (region, s, slot) = self.begin(addr, cycle);
         let raw = addr.raw();
-        if self.frozen.contains(&raw) {
-            self.diag(
-                DiagKind::ReadOnlyWrite,
-                raw,
-                core,
-                cycle,
-                None,
-                None,
-                "AMO on a frozen captured environment".into(),
-            );
+        if slot.flags & FROZEN != 0 {
+            self.diag_frozen(core, raw, cycle, "AMO on");
         }
         // Lock acquire: a successful amoswap of nonzero over zero.
-        if op == AmoOp::Swap
-            && operand != 0
-            && old == 0
-            && self.spec.as_ref().is_some_and(|s| s.is_lock_word(raw))
-        {
+        if op == AmoOp::Swap && operand != 0 && old == 0 && slot.flags & LOCK != 0 {
             self.lock_owner.insert(raw, Some(core));
         }
-        match self.map.decode(addr) {
+        match region {
             Region::Spm {
                 core: owner,
                 offset,
             } => {
                 self.check_remote_spm(core, owner as usize, offset, raw, cycle);
-                self.join(core, raw);
-                self.publish(core, raw);
             }
             Region::Dram { .. } => {
-                if !self.is_sync(raw) {
+                if !slot.is_sync() {
                     // Sticky classification: the first AMO turns a data
                     // word into a synchronization word. The transition is
                     // checked against earlier *writes* only — earlier plain
                     // loads of a soon-to-be-sync word are the intended
                     // acquire-side spin pattern (readers acquire on every
                     // load in this memory model), not a race.
-                    self.check_sync_transition(core, raw, cycle);
-                    self.words.remove(&raw);
-                    self.sync_dram.insert(raw);
+                    self.check_sync_transition(core, s, raw, cycle);
+                    let word = self.shadow.get_mut(s);
+                    word.flags |= STICKY_SYNC;
+                    if word.record != 0 {
+                        self.records.free(word.record);
+                        word.record = 0;
+                    }
                 }
-                self.join(core, raw);
-                self.publish(core, raw);
             }
         }
+        self.join(core, slot.clock);
+        self.publish(core, s);
     }
 
     /// Observe a fence (store-queue drain): snapshot the release clock
     /// and start a new epoch.
     pub fn fence(&mut self, core: usize, cycle: u64) {
         self.enter(cycle);
-        self.release[core] = self.clocks[core].clone();
+        self.release[core].copy_from(&self.clocks[core]);
         self.clocks[core].tick(core);
         self.stores_since_fence[core] = 0;
     }
@@ -404,27 +376,43 @@ impl Sanitizer {
 
     fn enter(&mut self, cycle: u64) {
         self.now = self.now.max(cycle);
-        self.drain_notes();
-    }
-
-    fn is_sync(&self, raw: u64) -> bool {
-        self.sync_dram.contains(&raw) || self.spec.as_ref().is_some_and(|s| s.in_sync_range(raw))
-    }
-
-    /// Acquire-join the published clock of a sync/SPM word.
-    fn join(&mut self, core: usize, raw: u64) {
-        if let Some(l) = self.sync_clocks.get(&raw) {
-            self.clocks[core].join(l);
+        if !self.notes.borrow().is_empty() {
+            self.drain_notes();
         }
     }
 
-    /// Publish the core's release clock on a sync/SPM word.
-    fn publish(&mut self, core: usize, raw: u64) {
-        let l = self
-            .sync_clocks
-            .entry(raw)
-            .or_insert_with(|| VectorClock::new(self.cores));
-        l.join(&self.release[core]);
+    /// The common prologue of a memory-op hook: count the op and
+    /// locate `addr`'s region, slot number, and slot.
+    fn begin(&mut self, addr: Addr, cycle: u64) -> (Region, usize, Slot) {
+        self.enter(cycle);
+        self.ops += 1;
+        let (region, s) = self.shadow.decode(addr);
+        (region, s, *self.shadow.get_mut(s))
+    }
+
+    /// Acquire-join published clock `id` (0: none) of a sync/SPM word.
+    fn join(&mut self, core: usize, id: u32) {
+        if id != 0 {
+            self.clocks[core].join(self.published.get(id));
+        }
+    }
+
+    /// Publish the core's release clock on the sync/SPM word in slot `s`.
+    fn publish(&mut self, core: usize, s: usize) {
+        let slot = self.shadow.get_mut(s);
+        slot.clock = self.published.publish(slot.clock, &self.release[core]);
+    }
+
+    fn diag_frozen(&mut self, core: usize, raw: u64, cycle: u64, what: &str) {
+        self.diag(
+            DiagKind::ReadOnlyWrite,
+            raw,
+            core,
+            cycle,
+            None,
+            None,
+            format!("{what} a frozen captured environment"),
+        );
     }
 
     fn check_remote_spm(&mut self, core: usize, owner: usize, offset: u32, raw: u64, cycle: u64) {
@@ -444,27 +432,31 @@ impl Sanitizer {
         }
     }
 
-    fn check_data_read(&mut self, core: usize, raw: u64, cycle: u64, relaxed: bool) {
-        let epoch = self.clocks[core].get(core);
-        let mut race: Option<Access> = None;
-        let st = self.words.entry(raw).or_default();
-        if let Some(w) = st.write {
-            if w.core != core
-                && !(relaxed && w.relaxed)
-                && !self.clocks[core].covers(w.core, w.epoch)
-            {
-                race = Some(w);
-            }
+    /// The access record of data-word slot `s`, created on first use.
+    fn record_id(&mut self, s: usize) -> u32 {
+        let slot = self.shadow.get_mut(s);
+        if slot.record == 0 {
+            slot.record = self.records.alloc();
         }
+        slot.record
+    }
+
+    fn check_data_read(&mut self, core: usize, s: usize, raw: u64, cycle: u64, relaxed: bool) {
+        let id = self.record_id(s);
+        let clock = &self.clocks[core];
+        let rec = self.records.get_mut(id);
+        let race = rec.write.filter(|w| {
+            w.core != core && !(relaxed && w.relaxed) && !clock.covers(w.core, w.epoch)
+        });
         let me = Access {
             core,
-            epoch,
+            epoch: clock.get(core),
             cycle,
             relaxed,
         };
-        match st.reads.iter_mut().find(|r| r.core == core) {
+        match rec.reads.iter_mut().find(|r| r.core == core) {
             Some(r) => *r = me,
-            None => st.reads.push(me),
+            None => rec.reads.push(me),
         }
         if let Some(w) = race {
             self.diag(
@@ -479,46 +471,28 @@ impl Sanitizer {
         }
     }
 
-    fn check_data_write(&mut self, core: usize, raw: u64, cycle: u64) {
-        self.check_data_write_kinded(core, raw, cycle, "", false);
-    }
-
-    /// Write-style race check (also used for the AMO sticky
-    /// transition); records the write and clears reads.
-    fn check_data_write_kinded(
-        &mut self,
-        core: usize,
-        raw: u64,
-        cycle: u64,
-        why: &str,
-        relaxed: bool,
-    ) {
-        let epoch = self.clocks[core].get(core);
+    /// Write-style race check; records the write and clears reads.
+    fn check_data_write(&mut self, core: usize, s: usize, raw: u64, cycle: u64, relaxed: bool) {
+        let id = self.record_id(s);
+        let clock = &self.clocks[core];
+        let rec = self.records.get_mut(id);
+        let unordered = |a: &Access| {
+            a.core != core && !(relaxed && a.relaxed) && !clock.covers(a.core, a.epoch)
+        };
         let mut races: Vec<(DiagKind, Access)> = Vec::new();
-        let st = self.words.entry(raw).or_default();
-        if let Some(w) = st.write {
-            if w.core != core
-                && !(relaxed && w.relaxed)
-                && !self.clocks[core].covers(w.core, w.epoch)
-            {
-                races.push((DiagKind::RaceWriteWrite, w));
-            }
+        if let Some(w) = rec.write.filter(unordered) {
+            races.push((DiagKind::RaceWriteWrite, w));
         }
-        for &r in &st.reads {
-            if r.core != core
-                && !(relaxed && r.relaxed)
-                && !self.clocks[core].covers(r.core, r.epoch)
-            {
-                races.push((DiagKind::RaceReadWrite, r));
-            }
+        for r in rec.reads.iter().filter(|r| unordered(r)) {
+            races.push((DiagKind::RaceReadWrite, *r));
         }
-        st.write = Some(Access {
+        rec.write = Some(Access {
             core,
-            epoch,
+            epoch: clock.get(core),
             cycle,
             relaxed,
         });
-        st.reads.clear();
+        rec.reads.clear();
         for (kind, other) in races {
             self.diag(
                 kind,
@@ -527,11 +501,7 @@ impl Sanitizer {
                 cycle,
                 Some(other.core),
                 Some(other.cycle),
-                if why.is_empty() {
-                    "write unordered with earlier access".into()
-                } else {
-                    format!("write unordered with earlier access; {why}")
-                },
+                "write unordered with earlier access".into(),
             );
         }
     }
@@ -541,11 +511,14 @@ impl Sanitizer {
     /// AMO (a release edge must have published it). Prior plain *loads*
     /// are deliberately not checked — spinning on a word before its first
     /// AMO is the acquire-side handshake pattern.
-    fn check_sync_transition(&mut self, core: usize, raw: u64, cycle: u64) {
-        let Some(st) = self.words.get(&raw) else {
+    fn check_sync_transition(&mut self, core: usize, s: usize, raw: u64, cycle: u64) {
+        let id = self.shadow.get_mut(s).record;
+        if id == 0 {
+            return;
+        }
+        let Some(w) = self.records.get(id).write else {
             return;
         };
-        let Some(w) = st.write else { return };
         if w.core != core && !self.clocks[core].covers(w.core, w.epoch) {
             self.diag(
                 DiagKind::RaceWriteWrite,
@@ -561,9 +534,6 @@ impl Sanitizer {
 
     /// Lock-discipline checks on plain stores to declared lock words.
     fn check_lock_store(&mut self, core: usize, raw: u64, value: u32, cycle: u64) {
-        if !self.spec.as_ref().is_some_and(|s| s.is_lock_word(raw)) {
-            return;
-        }
         if value != 0 {
             // The runtime only ever releases locks with plain stores;
             // acquires go through amoswap.
@@ -619,10 +589,12 @@ impl Sanitizer {
     fn drain_notes(&mut self) {
         // The runtime only borrows the queue for one `push`, so nothing
         // holds it while a hook runs.
-        let drained: Vec<Note> = std::mem::take(&mut *self.notes.borrow_mut());
-        for note in drained {
+        let mut batch = std::mem::take(&mut self.note_batch);
+        std::mem::swap(&mut batch, &mut *self.notes.borrow_mut());
+        for note in batch.drain(..) {
             self.apply_note(note);
         }
+        self.note_batch = batch;
     }
 
     fn apply_note(&mut self, note: Note) {
@@ -645,7 +617,9 @@ impl Sanitizer {
                 words,
             } => {
                 for i in 0..words as u64 {
-                    self.frozen.insert(base + i * 4);
+                    if let Some(s) = self.shadow.slot_of_raw(base + i * 4) {
+                        self.shadow.get_mut(s).flags |= FROZEN;
+                    }
                 }
             }
         }
@@ -653,12 +627,12 @@ impl Sanitizer {
 
     fn stack_push(&mut self, core: usize, base: u64, words: u32, in_dram: bool) {
         let now = self.now;
-        let shadow = &mut self.shadow[core];
-        shadow.frames.push((base, words, in_dram));
+        let stack = &mut self.stacks[core];
+        stack.frames.push((base, words, in_dram));
         if in_dram {
-            shadow.dram_words += words;
+            stack.dram_words += words;
             let cap = self.spec.as_ref().map(|s| s.dram_stack_words);
-            let depth = shadow.dram_words;
+            let depth = stack.dram_words;
             if let Some(cap) = cap {
                 if depth > cap {
                     self.diag(
@@ -673,9 +647,9 @@ impl Sanitizer {
                 }
             }
         } else {
-            let overflowed = shadow.dram_words > 0;
-            shadow.spm_words += words;
-            let depth = shadow.spm_words;
+            let overflowed = stack.dram_words > 0;
+            stack.spm_words += words;
+            let depth = stack.spm_words;
             if overflowed {
                 self.diag(
                     DiagKind::SpmFrameWhileOverflowed,
@@ -709,8 +683,8 @@ impl Sanitizer {
 
     fn stack_pop(&mut self, core: usize, base: u64, words: u32, in_dram: bool) {
         let now = self.now;
-        let shadow = &mut self.shadow[core];
-        if shadow.frames.pop().is_none() {
+        let stack = &mut self.stacks[core];
+        if stack.frames.pop().is_none() {
             self.diag(
                 DiagKind::StackUnderflow,
                 base,
@@ -723,20 +697,29 @@ impl Sanitizer {
             return;
         }
         if in_dram {
-            shadow.dram_words = shadow.dram_words.saturating_sub(words);
+            stack.dram_words = stack.dram_words.saturating_sub(words);
         } else {
-            shadow.spm_words = shadow.spm_words.saturating_sub(words);
+            stack.spm_words = stack.spm_words.saturating_sub(words);
         }
-        // The frame's words are dead: clear all per-word metadata so
-        // reuse by a later (unordered but well-nested) frame does not
-        // report stale races, and sticky sync classification does not
-        // leak onto unrelated data.
+        // The frame's words are dead: clear their records, published
+        // clocks, sticky sync classification and freezes so reuse by a
+        // later (unordered but well-nested) frame does not report stale
+        // races, and sticky sync classification does not leak onto
+        // unrelated data. Declared flags come from the spec and stay.
         for i in 0..words as u64 {
-            let a = base + i * 4;
-            self.words.remove(&a);
-            self.sync_clocks.remove(&a);
-            self.sync_dram.remove(&a);
-            self.frozen.remove(&a);
+            let Some(s) = self.shadow.slot_of_raw(base + i * 4) else {
+                continue;
+            };
+            let slot = self.shadow.get_mut(s);
+            slot.flags &= !(STICKY_SYNC | FROZEN);
+            if slot.record != 0 {
+                self.records.free(slot.record);
+                slot.record = 0;
+            }
+            if slot.clock != 0 {
+                self.published.free(slot.clock);
+                slot.clock = 0;
+            }
         }
     }
 
