@@ -10,9 +10,8 @@
 //! `shutdown`), but runs nothing itself: singleton jobs are forwarded
 //! to the worker owning their digest on the consistent-hash ring, the
 //! sweep experiments (`table1`, `fig09_speedup`) are fanned out into
-//! per-workload subjobs and merged back in canonical order, dead
-//! workers are routed around, and per-tenant token-bucket admission
-//! (`--tenant-rate`/`--tenant-burst`) rides the `overloaded` response.
+//! per-workload subjobs and merged back in canonical order, and dead
+//! workers are routed around.
 
 use mosaic_bench::SweepFanout;
 use mosaic_serve::fleet::ring::DEFAULT_REPLICAS;
@@ -24,8 +23,6 @@ fn main() {
         addr: "127.0.0.1:9200".to_string(),
         workers: Vec::new(),
         replicas: DEFAULT_REPLICAS,
-        tenant_rate: 0,
-        tenant_burst: 8,
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -48,24 +45,12 @@ fn main() {
                     .parse()
                     .expect("--replicas must be an integer");
             }
-            "--tenant-rate" => {
-                cfg.tenant_rate = value("--tenant-rate")
-                    .parse()
-                    .expect("--tenant-rate must be an integer (tokens/sec)");
-            }
-            "--tenant-burst" => {
-                cfg.tenant_burst = value("--tenant-burst")
-                    .parse()
-                    .expect("--tenant-burst must be an integer");
-            }
             "--help" | "-h" => {
                 eprintln!(
                     "mosaic fleet gateway\n\
                      options: --addr HOST:PORT       bind address (default 127.0.0.1:9200; port 0 = ephemeral)\n         \
                      --workers A:P,B:P      worker daemon addresses (required; the hash-ring members)\n         \
-                     --replicas N           virtual points per worker on the ring (default 64)\n         \
-                     --tenant-rate N        per-tenant admission: tokens per second (default 0 = off)\n         \
-                     --tenant-burst N       per-tenant admission: bucket capacity (default 8)"
+                     --replicas N           virtual points per worker on the ring (default 64)"
                 );
                 std::process::exit(0);
             }
@@ -78,18 +63,10 @@ fn main() {
     }
 
     eprintln!(
-        "gateway: {} workers ({}), {} ring replicas each{}",
+        "gateway: {} workers ({}), {} ring replicas each",
         cfg.workers.len(),
         cfg.workers.join(", "),
         cfg.replicas,
-        if cfg.tenant_rate > 0 {
-            format!(
-                ", tenant admission {}t/s burst {}",
-                cfg.tenant_rate, cfg.tenant_burst
-            )
-        } else {
-            String::new()
-        }
     );
     let gateway = Gateway::start(cfg, Arc::new(SweepFanout)).expect("bind fleet gateway");
     // Stdout carries exactly the bound address so scripts can scrape

@@ -18,7 +18,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: mosaic-client [--addr HOST:PORT] [--connect-timeout-ms N] COMMAND\n\
          commands:\n  \
-         submit EXPERIMENT [HARNESS FLAGS] [--tenant NAME] [--wait] [--watch]\n                   \
+         submit EXPERIMENT [HARNESS FLAGS] [--wait] [--watch]\n                   \
          (harness flags as `EXPERIMENT --help` lists them; the spec-shaping ones ride the wire)\n  \
          status ID\n  \
          result ID\n  \
@@ -76,16 +76,11 @@ fn main() {
             let experiment = args.remove(0);
             let mut wait = false;
             let mut watch = false;
-            // Only meaningful against a gateway with per-tenant
-            // admission on; a plain worker daemon ignores it.
-            let mut tenant = String::new();
             // Everything else is a harness flag, parsed the way the
             // harnesses parse it (shape 0x0 = the experiment's own).
             let mut harness_flags = Vec::new();
-            let mut it = args.into_iter();
-            while let Some(a) = it.next() {
+            for a in args {
                 match a.as_str() {
-                    "--tenant" => tenant = it.next().unwrap_or_else(|| usage()),
                     "--wait" => wait = true,
                     "--watch" => watch = true,
                     _ => harness_flags.push(a),
@@ -101,7 +96,7 @@ fn main() {
                 eprintln!("note: {flag} is local-only; the wire JobSpec does not carry it");
             }
             let spec = opts.job_spec(&experiment);
-            let reply = client.submit_as(&spec, &tenant).unwrap_or_else(|e| fail(e));
+            let reply = client.submit(&spec).unwrap_or_else(|e| fail(e));
             match reply {
                 SubmitReply::Accepted { id, state, cached } => {
                     eprintln!(
@@ -184,9 +179,9 @@ fn main() {
                 );
                 // Keys this client predates get a sorted "other"
                 // section instead of being silently dropped — a newer
-                // daemon's counters (a worker's `steals`, a gateway's
-                // `forwards`/`remote_cache_hits`, ...) stay visible
-                // without a client upgrade.
+                // daemon's counters (a gateway's `forwards`,
+                // `remote_cache_hits`, ...) stay visible without a
+                // client upgrade.
                 let known = [
                     "type",
                     "accepted",

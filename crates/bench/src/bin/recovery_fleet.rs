@@ -7,8 +7,8 @@
 //! cargo run --release -p mosaic-bench --bin recovery_fleet
 //! ```
 //!
-//! Two phases, each a 3-process fleet (gateway + 2 workers) built from
-//! the sibling `gateway` and `serve` binaries:
+//! Two phases, each a 3-process fleet (gateway + 2 plain workers)
+//! built from the sibling `gateway` and `serve` binaries:
 //!
 //! 1. **Golden** — a clean fleet runs the fanned-out `table1` sweep
 //!    plus a forwarded singleton; the merged payloads are the
@@ -67,7 +67,7 @@ fn scrape_addr(child: &mut Child, what: &str) -> String {
 }
 
 /// Spawn a worker daemon on an ephemeral port.
-fn spawn_worker(cache: &Path, journal: &Path, peers: &[&str], chaos: Option<&str>) -> Daemon {
+fn spawn_worker(cache: &Path, journal: &Path, chaos: Option<&str>) -> Daemon {
     let mut cmd = Command::new(exe_dir().join("serve"));
     cmd.arg("--addr")
         .arg("127.0.0.1:0")
@@ -76,9 +76,6 @@ fn spawn_worker(cache: &Path, journal: &Path, peers: &[&str], chaos: Option<&str
         .arg("--journal-dir")
         .arg(journal)
         .args(["--workers", "1"]);
-    if !peers.is_empty() {
-        cmd.args(["--peers", &peers.join(",")]);
-    }
     if let Some(spec) = chaos {
         cmd.args(["--chaos-host", spec]);
     }
@@ -210,12 +207,10 @@ fn main() {
     let _ = std::fs::remove_dir_all(&scratch);
     let dir = |name: &str| scratch.join(name);
 
-    // Phase 1: fault-free fleet reference. Worker B peers on A (the
-    // ephemeral ports force one-directional peering here; CI's
-    // fixed-port fleet-smoke exercises the bidirectional mesh).
+    // Phase 1: fault-free fleet reference.
     eprintln!("recovery_fleet: phase 1: golden (fault-free) fleet");
-    let a1 = spawn_worker(&dir("a1-cache"), &dir("a1-journal"), &[], None);
-    let b1 = spawn_worker(&dir("b1-cache"), &dir("b1-journal"), &[&a1.addr], None);
+    let a1 = spawn_worker(&dir("a1-cache"), &dir("a1-journal"), None);
+    let b1 = spawn_worker(&dir("b1-cache"), &dir("b1-journal"), None);
     let g1 = spawn_gateway(&[&a1.addr, &b1.addr]);
     let mut client = connect(&g1.addr);
     let ids = submit_all(&mut client);
@@ -236,13 +231,8 @@ fn main() {
         "recovery_fleet: phase 2: node-kill fleet (node_kill={node_kill_ms}ms, slow={slow_ms}ms)"
     );
     let chaos = format!("slow={slow_ms},node_kill={node_kill_ms}");
-    let a2 = spawn_worker(&dir("a2-cache"), &dir("a2-journal"), &[], None);
-    let mut b2 = spawn_worker(
-        &dir("b2-cache"),
-        &dir("b2-journal"),
-        &[&a2.addr],
-        Some(&chaos),
-    );
+    let a2 = spawn_worker(&dir("a2-cache"), &dir("a2-journal"), None);
+    let mut b2 = spawn_worker(&dir("b2-cache"), &dir("b2-journal"), Some(&chaos));
     let g2 = spawn_gateway(&[&a2.addr, &b2.addr]);
     let mut client = connect(&g2.addr);
     let chaos_ids = submit_all(&mut client);

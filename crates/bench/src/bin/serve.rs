@@ -80,14 +80,6 @@ fn main() {
                 chaos_host = HostFaultPlan::parse(&spec)
                     .unwrap_or_else(|e| panic!("bad --chaos-host spec {spec:?}: {e}"));
             }
-            "--peers" => {
-                cfg.peers = value("--peers")
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|p| !p.is_empty())
-                    .map(str::to_string)
-                    .collect();
-            }
             "--calibration" => calibration = Some(PathBuf::from(value("--calibration"))),
             "--escalate-bound-ppm" => {
                 escalate_bound_ppm = Some(
@@ -114,8 +106,6 @@ fn main() {
                      (testing the isolation/retry/crash-recovery machinery;\n                                \
                      node_kill aborts the whole daemon N ms after boot;\n                                \
                      see mosaic-chaos)\n         \
-                     --peers A:P,B:P        fleet peer daemons: steal queued jobs from them when\n                                \
-                     idle and answer submissions from their caches\n         \
                      --calibration PATH     calibration table backing auto-fidelity submissions\n                                \
                      (default results/model/calibration.json when present;\n                                \
                      without a table, auto submissions are rejected)\n         \
@@ -194,9 +184,6 @@ fn main() {
             .kill_after(Duration::from_millis(chaos_host.kill_after_ms)),
         )
     };
-    if !cfg.peers.is_empty() {
-        eprintln!("serve: fleet peers: {}", cfg.peers.join(", "));
-    }
     let server = Server::start(cfg, executor).expect("bind serve daemon");
     // Stdout carries exactly the bound address so scripts can scrape
     // the ephemeral port; everything else goes to stderr.

@@ -38,7 +38,6 @@ fn real_tiny_job_twice_second_is_cache_hit() {
         },
         cache_dir: None,
         journal_dir: None,
-        peers: Vec::new(),
     };
     let server = Server::start(cfg, Arc::new(executor)).expect("start server");
     let mut client = Client::connect(&server.local_addr().to_string()).expect("connect");

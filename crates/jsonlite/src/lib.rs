@@ -37,12 +37,19 @@ pub enum Json {
     Bool(bool),
 }
 
+/// Deepest container nesting [`Json::parse`] accepts. The parser
+/// recurses once per open `{`/`[`, so an unbounded depth lets one line
+/// of `[[[[…` overflow a daemon thread's stack. The deepest document
+/// the workspace writes (the calibration table) nests 5 levels.
+pub const MAX_DEPTH: usize = 128;
+
 impl Json {
-    /// Parse a complete document; trailing non-whitespace is an error.
+    /// Parse a complete document; trailing non-whitespace is an error,
+    /// and so is nesting deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -253,8 +260,15 @@ fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse one value; `depth` counts the containers already open around
+/// it.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'{' | b'[')) && depth >= MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        ));
+    }
     match b.get(*pos) {
         Some(b'{') => {
             *pos += 1;
@@ -268,7 +282,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 skip_ws(b, pos);
                 let key = parse_string(b, pos)?;
                 expect(b, pos, b':')?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -290,7 +304,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Array(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -439,6 +453,25 @@ mod tests {
         assert!(Json::parse("-1").is_err());
         assert!(Json::parse("nul").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_depth_limit_is_an_error_not_a_stack_overflow() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        // Objects count too, and a 1 MB unterminated line is refused
+        // at the limit rather than recursed into.
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).unwrap_err().contains("nesting"));
+        assert!(Json::parse(&"[".repeat(1 << 20))
+            .unwrap_err()
+            .contains("nesting"));
     }
 
     #[test]

@@ -111,23 +111,6 @@ impl ResultCache {
         }
     }
 
-    /// Like [`lookup`](Self::lookup) but without touching the hit/miss
-    /// counters: peer `fetch` probes from the rest of the fleet are
-    /// not this daemon's workload, so they must not distort the
-    /// admission-facing cache statistics.
-    pub fn peek(&self, digest: &str) -> Option<String> {
-        if let Some(p) = lock(&self.map).get(digest).cloned() {
-            return Some(p);
-        }
-        if let Some(path) = self.disk_path(digest) {
-            if let Some(payload) = read_entry(&path, digest) {
-                lock(&self.map).insert(digest.to_string(), payload.clone());
-                return Some(payload);
-            }
-        }
-        None
-    }
-
     /// Lookups that found a payload.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)

@@ -138,19 +138,9 @@ impl Client {
         Ok(v)
     }
 
-    /// Submit a spec (anonymous tenant).
+    /// Submit a spec.
     pub fn submit(&mut self, spec: &JobSpec) -> Result<SubmitReply, String> {
-        self.submit_as(spec, "")
-    }
-
-    /// Submit a spec under a tenant label. Only the gateway's
-    /// token-bucket admission reads the label; workers ignore it, and
-    /// an empty label is omitted from the wire form entirely.
-    pub fn submit_as(&mut self, spec: &JobSpec, tenant: &str) -> Result<SubmitReply, String> {
-        let v = self.request(&Request::Submit {
-            spec: spec.clone(),
-            tenant: tenant.to_string(),
-        })?;
+        let v = self.request(&Request::Submit { spec: spec.clone() })?;
         let obj = v.as_object("submit response")?;
         Ok(
             match obj.get("type", "submit response")?.as_string()?.as_str() {
@@ -230,19 +220,6 @@ impl Client {
                 "error" => return Err(obj.get("message", "error")?.as_string()?),
                 other => return Err(format!("unexpected watch line {other:?}")),
             }
-        }
-    }
-
-    /// Cache-only lookup: the payload for `id` if the daemon's result
-    /// cache holds it, without executing anything. Fleet peers use
-    /// this to resolve cross-node cache hits.
-    pub fn fetch(&mut self, id: &str) -> Result<Option<String>, String> {
-        let v = self.request(&Request::Fetch { id: id.to_string() })?;
-        let obj = v.as_object("fetch response")?;
-        if obj.get("hit", "cache")?.as_bool()? {
-            Ok(Some(obj.get("payload", "cache")?.as_string()?))
-        } else {
-            Ok(None)
         }
     }
 

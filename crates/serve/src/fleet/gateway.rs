@@ -14,7 +14,7 @@
 //!   fanned into per-cell subjobs, each routed to its own owner; the
 //!   parts are collected and merged **in canonical split order**, so
 //!   the merged payload is byte-identical to a single-node run no
-//!   matter which nodes (or thieves) executed which cells.
+//!   matter which nodes executed which cells.
 //! - **Failure re-routing.** A node that stops answering is marked
 //!   down and its jobs are resubmitted along the ring-walk fallback
 //!   order ([`HashRing::route`](crate::fleet::ring::HashRing::route)).
@@ -22,13 +22,12 @@
 //!   independently re-converges on the same payloads; the gateway's
 //!   re-route just refuses to wait for the restart.
 //!
-//! Per-tenant token-bucket admission
-//! ([`TenantGate`]) is layered on
-//! the existing `overloaded` response, and a `tenant` label on
-//! `submit` picks the bucket.
+//! Resubmitting a spec the gateway already knows coalesces onto its
+//! record while that record is in flight or `Done`; a failed, timed
+//! out or cancelled record is replaced by a fresh attempt, as the
+//! worker scheduler does.
 
 use crate::client::Client;
-use crate::fleet::bucket::TenantGate;
 use crate::fleet::ring::{HashRing, DEFAULT_REPLICAS};
 use crate::job::{JobSpec, JobState};
 use crate::protocol::{self, Request};
@@ -93,10 +92,6 @@ pub struct GatewayConfig {
     pub workers: Vec<String>,
     /// Virtual points per worker on the hash ring.
     pub replicas: usize,
-    /// Per-tenant admission: tokens per second (0 = admission off).
-    pub tenant_rate: u64,
-    /// Per-tenant admission: bucket capacity (burst).
-    pub tenant_burst: u64,
 }
 
 impl Default for GatewayConfig {
@@ -105,8 +100,6 @@ impl Default for GatewayConfig {
             addr: "127.0.0.1:9119".to_string(),
             workers: Vec::new(),
             replicas: DEFAULT_REPLICAS,
-            tenant_rate: 0,
-            tenant_burst: 8,
         }
     }
 }
@@ -126,8 +119,6 @@ pub struct FleetMetrics {
     pub reroutes: AtomicU64,
     /// Forwarded submissions a worker answered from its cache.
     pub remote_cache_hits: AtomicU64,
-    /// Submissions bounced by per-tenant admission.
-    pub throttled: AtomicU64,
     /// Gateway jobs that reached `Done`.
     pub completed: AtomicU64,
     /// Gateway jobs that reached `Failed`.
@@ -137,7 +128,6 @@ pub struct FleetMetrics {
 struct Shared {
     ring: HashRing,
     fanout: Arc<dyn Fanout>,
-    gate: TenantGate,
     jobs: Mutex<HashMap<String, Arc<JobRecord>>>,
     metrics: FleetMetrics,
     down: Mutex<BTreeSet<String>>,
@@ -163,7 +153,6 @@ impl Gateway {
         let shared = Arc::new(Shared {
             ring,
             fanout,
-            gate: TenantGate::new(cfg.tenant_rate, cfg.tenant_burst),
             jobs: Mutex::new(HashMap::new()),
             metrics: FleetMetrics::default(),
             down: Mutex::new(BTreeSet::new()),
@@ -254,7 +243,6 @@ impl Shared {
                 "remote_cache_hits",
                 m.remote_cache_hits.load(Ordering::Relaxed),
             )
-            .field("throttled", m.throttled.load(Ordering::Relaxed))
             .field("completed", m.completed.load(Ordering::Relaxed))
             .field("failed", m.failed.load(Ordering::Relaxed))
             .build()
@@ -305,9 +293,7 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
             }
         };
         match req {
-            Request::Submit { spec, tenant } => {
-                send(&mut out, &submit(shared, spec, &tenant))?;
-            }
+            Request::Submit { spec } => send(&mut out, &submit(shared, spec))?,
             Request::Status { id } => {
                 let resp = match lock(&shared.jobs).get(&id) {
                     Some(job) => protocol::resp_status(&id, &job.view()),
@@ -378,51 +364,32 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
                 shared.draining.store(true, Ordering::Relaxed);
                 send(&mut out, &protocol::resp_shutdown())?;
             }
-            Request::Fetch { id } => {
-                // The gateway holds no cache of its own; answer from
-                // completed job records so peers probing it see hits
-                // for anything it merged.
-                let payload = lock(&shared.jobs)
-                    .get(&id)
-                    .map(|j| j.view())
-                    .filter(|v| v.state == JobState::Done)
-                    .and_then(|v| v.payload);
-                send(&mut out, &protocol::resp_fetch(&id, payload.as_deref()))?;
-            }
-            Request::Steal | Request::Offer { .. } => {
-                send(
-                    &mut out,
-                    &protocol::resp_error("the gateway runs nothing locally; steal from a worker"),
-                )?;
-            }
         }
     }
     Ok(())
 }
 
-/// Admission + dispatch for one submission; returns the response line.
-fn submit(shared: &Arc<Shared>, spec: JobSpec, tenant: &str) -> Json {
+/// Dispatch one submission; returns the response line.
+fn submit(shared: &Arc<Shared>, spec: JobSpec) -> Json {
     if shared.draining.load(Ordering::Relaxed) {
         return protocol::resp_draining();
     }
-    if !shared.gate.admit(tenant) {
-        shared.metrics.throttled.fetch_add(1, Ordering::Relaxed);
-        // The bucket rides the existing overloaded path: depth 0 (the
-        // gateway queues nothing), cap = the tenant's burst.
-        return protocol::resp_overloaded(0, shared.gate.burst() as usize);
-    }
     let id = spec.digest();
-    {
-        let jobs = lock(&shared.jobs);
+    let record = {
+        let mut jobs = lock(&shared.jobs);
         if let Some(existing) = jobs.get(&id) {
-            let view = existing.view();
-            // Coalesce onto in-flight work; replay a completed record
-            // as a (gateway-level) cache hit.
-            return protocol::resp_accepted(&id, view.state, view.state == JobState::Done);
+            let state = existing.view().state;
+            // Coalesce onto in-flight work and replay a completed
+            // record as a (gateway-level) cache hit. Any other terminal
+            // state is replaced below: the workers may have recovered.
+            if state == JobState::Done || !state.is_terminal() {
+                return protocol::resp_accepted(&id, state, state == JobState::Done);
+            }
         }
-    }
-    let record = JobRecord::new(spec.clone(), JobState::Queued);
-    lock(&shared.jobs).insert(id.clone(), Arc::clone(&record));
+        let record = JobRecord::new(spec.clone(), JobState::Queued);
+        jobs.insert(id.clone(), Arc::clone(&record));
+        record
+    };
     {
         let mut g = lock(&shared.active);
         *g += 1;
@@ -569,8 +536,8 @@ fn run_sweep(shared: &Arc<Shared>, record: &Arc<JobRecord>, subs: Vec<SubJob>) {
     record.push_event(0, total, &format!("fan-out into {} subjobs", subs.len()));
 
     // Fire phase: land every subjob on its owner so the workers chew
-    // in parallel (and idle ones start stealing). A submission that
-    // cannot land anywhere fails the sweep immediately.
+    // in parallel. A submission that cannot land anywhere fails the
+    // sweep immediately.
     for sub in &subs {
         shared.metrics.subjobs.fetch_add(1, Ordering::Relaxed);
         shared.metrics.forwards.fetch_add(1, Ordering::Relaxed);
@@ -586,8 +553,8 @@ fn run_sweep(shared: &Arc<Shared>, record: &Arc<JobRecord>, subs: Vec<SubJob>) {
 
     // Collect phase: wait in canonical split order; a node loss
     // re-routes that subjob along its ring walk (where the fire-phase
-    // submission's journal/cache on a restarted node, or a thief's
-    // cache, make the retry cheap).
+    // submission's journal/cache on a restarted node makes the retry
+    // cheap).
     let mut parts: Vec<(String, String)> = Vec::with_capacity(subs.len());
     for (i, sub) in subs.iter().enumerate() {
         if record.is_cancelled() {

@@ -1,35 +1,29 @@
 //! The fleet tier: consistent-hash sharding, sweep fan-out, and
-//! inter-node work stealing across multiple serve daemons.
+//! dead-node re-routing across multiple serve daemons.
 //!
 //! A fleet is N ordinary serve daemons (the *workers*) plus one
 //! [`Gateway`](gateway::Gateway) front tier. The gateway speaks the
 //! same newline-delimited JSON protocol as a single daemon, so every
 //! existing client (`mosaic-client`, `reproduce_all --via-server`)
 //! works against it unchanged — `--via-fleet` is `--via-server`
-//! pointed at the gateway.
+//! pointed at the gateway. Workers know nothing of each other or of
+//! the gateway: they are plain daemons.
 //!
-//! Four pieces, each its own module:
+//! Two pieces, each its own module:
 //!
 //! - [`ring`] — the consistent-hash ring mapping a [`JobSpec`] digest
 //!   to its owning worker, plus the deterministic fallback order used
 //!   for re-routing around dead nodes. Because the job id *is* the
 //!   content digest, sharding by ring position shards the
 //!   content-addressed cache with zero coordination.
-//! - [`bucket`] — per-tenant token-bucket admission at the gateway,
-//!   layered on the existing `overloaded` response path.
 //! - [`gateway`] — the front tier itself: forwards singleton jobs to
 //!   their owning shard, splits sweeps into per-workload subjobs via a
 //!   caller-provided [`Fanout`](gateway::Fanout), collects the parts
-//!   in canonical order, and merges them byte-identically to a
-//!   single-node run.
-//! - [`steal`] — the worker-side stealer thread and the peer-cache
-//!   lookup: an idle daemon pulls queued jobs from loaded peers over
-//!   the `steal`/`offer` verbs, and consults peer caches (`fetch`)
-//!   before re-executing a job some other shard already paid for.
+//!   in canonical order, merges them byte-identically to a
+//!   single-node run, and re-routes around workers that stop
+//!   answering.
 //!
 //! [`JobSpec`]: crate::job::JobSpec
 
-pub mod bucket;
 pub mod gateway;
 pub mod ring;
-pub mod steal;

@@ -13,9 +13,8 @@
 //!   ring clockwise from the digest's point and returns every distinct
 //!   node in encounter order. That order is a pure function of the
 //!   digest and the member list — it is the re-route order after a
-//!   node death *and* the victim order for steal probes, both "seeded
-//!   by digest" in the sense that different digests spread their
-//!   fallback load across different survivors.
+//!   node death, "seeded by digest" in the sense that different
+//!   digests spread their fallback load across different survivors.
 //!
 //! Virtual points keep the shards balanced: with one point per node, a
 //! 2-node ring can degenerate to a 90/10 split; with the default 64,

@@ -25,12 +25,10 @@
 //! - [`protocol`] / [`server`] / [`client`] — newline-delimited JSON
 //!   over `std::net::TcpListener` (the environment is offline; no
 //!   hyper/tokio): `submit` / `status` / `result` / `watch` /
-//!   `cancel` / `metrics` / `shutdown`, plus the fleet verbs
-//!   `steal` / `offer` / `fetch`.
+//!   `cancel` / `metrics` / `shutdown`.
 //! - [`fleet`] — the multi-daemon tier: a consistent-hash
-//!   [`Gateway`] front, inter-node work
-//!   stealing, cross-node cache lookup, and per-tenant token-bucket
-//!   admission.
+//!   [`Gateway`] front that forwards jobs to their owning worker,
+//!   fans sweeps out per workload, and re-routes around dead workers.
 //!
 //! The crate is executor-agnostic: callers inject an [`Executor`]
 //! mapping a spec to a JSON payload. `mosaic-bench` provides the real
@@ -52,16 +50,12 @@ mod sync;
 
 pub use cache::ResultCache;
 pub use client::{Client, ResultReply, SubmitReply};
-pub use fleet::bucket::TenantGate;
 pub use fleet::gateway::{Fanout, Gateway, GatewayConfig, NoFanout, SubJob};
 pub use fleet::ring::HashRing;
-pub use fleet::steal::PeerCache;
 pub use inject::FaultyExecutor;
 pub use job::{JobSpec, JobState};
 pub use journal::{Journal, Replay, ReplayJob};
 pub use metrics::Metrics;
 pub use protocol::Request;
-pub use scheduler::{
-    Executor, JobRecord, JobView, RemoteLookup, RetryPolicy, SchedConfig, Scheduler, Submit,
-};
+pub use scheduler::{Executor, JobRecord, JobView, RetryPolicy, SchedConfig, Scheduler, Submit};
 pub use server::{Server, ServerConfig};

@@ -40,16 +40,6 @@ pub struct Metrics {
     /// because the experiment was uncalibrated or its confidence band
     /// was wider than the threshold.
     pub escalations: AtomicU64,
-    /// Fleet: jobs this daemon stole from a loaded peer and ran
-    /// locally.
-    pub steals: AtomicU64,
-    /// Fleet: queued jobs this daemon donated to an idle thief.
-    pub donated: AtomicU64,
-    /// Fleet: jobs answered by a peer's result cache (cache-only
-    /// `fetch`) instead of a local execution. The gateway counts its
-    /// own flavor too: forwarded submissions a worker answered
-    /// `cached`.
-    pub remote_cache_hits: AtomicU64,
     /// Wall-clock latency of each terminal job, in milliseconds,
     /// keyed by the job's (resolved) fidelity label.
     latencies_ms: Mutex<BTreeMap<&'static str, Vec<u64>>>,
@@ -158,12 +148,6 @@ impl Metrics {
             .field("replayed_jobs", self.replayed_jobs.load(Ordering::Relaxed))
             .field("fast_jobs", self.fast_jobs.load(Ordering::Relaxed))
             .field("escalations", self.escalations.load(Ordering::Relaxed))
-            .field("steals", self.steals.load(Ordering::Relaxed))
-            .field("donated", self.donated.load(Ordering::Relaxed))
-            .field(
-                "remote_cache_hits",
-                self.remote_cache_hits.load(Ordering::Relaxed),
-            )
             .field("cache_hits", cache_hits)
             .field("cache_misses", cache_misses)
             .field("queue_depth", queue_depth as u64)

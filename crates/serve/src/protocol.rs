@@ -18,12 +18,6 @@ pub enum Request {
     Submit {
         /// The job to run.
         spec: JobSpec,
-        /// Tenant label for the gateway's token-bucket admission;
-        /// empty = the shared anonymous bucket. Workers ignore it (it
-        /// is admission metadata, not part of the job), and it is
-        /// omitted from the wire form when empty so pre-fleet daemons
-        /// parse new clients' submissions unchanged.
-        tenant: String,
     },
     /// Query one job's state and progress counters.
     Status {
@@ -52,28 +46,6 @@ pub enum Request {
     Metrics,
     /// Drain and stop the server (in-flight jobs complete).
     Shutdown,
-    /// Fleet: ask this daemon to donate one queued job. Response:
-    /// `stolen` (id + spec) or `no_work`. The connection then *is* the
-    /// lease — the victim keeps the job marked running and expects an
-    /// `offer` for it on the same connection; EOF before the offer
-    /// requeues the job locally.
-    Steal,
-    /// Fleet: deliver the outcome of a previously stolen job back to
-    /// its victim on the steal connection. Response: `offered`.
-    Offer {
-        /// Job id (spec digest) named by the `stolen` response.
-        id: String,
-        /// The thief's outcome: payload on success, error otherwise.
-        payload: Result<String, String>,
-    },
-    /// Fleet: cache-only lookup — answer from the result cache without
-    /// executing anything. Response: `cache` with `hit` true/false.
-    /// Peers use it to resolve cross-node cache hits before paying for
-    /// a re-execution.
-    Fetch {
-        /// Job id (spec digest).
-        id: String,
-    },
 }
 
 impl Request {
@@ -84,12 +56,10 @@ impl Request {
         let ty = obj.get("type", "request")?.as_string()?;
         let id = |field: &str| -> Result<String, String> { obj.get(field, "request")?.as_string() };
         Ok(match ty.as_str() {
+            // Older clients may still send a `"tenant"` key (the label
+            // of a retired gateway admission scheme); it is ignored.
             "submit" => Request::Submit {
                 spec: JobSpec::from_json(obj.get("spec", "submit")?)?,
-                tenant: match obj.opt("tenant") {
-                    Some(t) => t.as_string()?,
-                    None => String::new(),
-                },
             },
             "status" => Request::Status { id: id("id")? },
             "result" => Request::Result {
@@ -103,16 +73,6 @@ impl Request {
             "cancel" => Request::Cancel { id: id("id")? },
             "metrics" => Request::Metrics,
             "shutdown" => Request::Shutdown,
-            "steal" => Request::Steal,
-            "offer" => Request::Offer {
-                id: id("id")?,
-                payload: if obj.get("ok", "offer")?.as_bool()? {
-                    Ok(obj.get("payload", "offer")?.as_string()?)
-                } else {
-                    Err(obj.get("error", "offer")?.as_string()?)
-                },
-            },
-            "fetch" => Request::Fetch { id: id("id")? },
             other => return Err(format!("unknown request type {other:?}")),
         })
     }
@@ -120,15 +80,10 @@ impl Request {
     /// Encode for the wire (client side).
     pub fn to_json(&self) -> Json {
         match self {
-            Request::Submit { spec, tenant } => {
-                let mut b = Json::obj()
-                    .field("type", "submit")
-                    .field("spec", spec.to_json());
-                if !tenant.is_empty() {
-                    b = b.field("tenant", tenant.as_str());
-                }
-                b.build()
-            }
+            Request::Submit { spec } => Json::obj()
+                .field("type", "submit")
+                .field("spec", spec.to_json())
+                .build(),
             Request::Status { id } => Json::obj()
                 .field("type", "status")
                 .field("id", id.as_str())
@@ -148,22 +103,6 @@ impl Request {
                 .build(),
             Request::Metrics => Json::obj().field("type", "metrics").build(),
             Request::Shutdown => Json::obj().field("type", "shutdown").build(),
-            Request::Steal => Json::obj().field("type", "steal").build(),
-            Request::Offer { id, payload } => {
-                let mut b = Json::obj()
-                    .field("type", "offer")
-                    .field("id", id.as_str())
-                    .field("ok", payload.is_ok());
-                match payload {
-                    Ok(p) => b = b.field("payload", p.as_str()),
-                    Err(e) => b = b.field("error", e.as_str()),
-                }
-                b.build()
-            }
-            Request::Fetch { id } => Json::obj()
-                .field("type", "fetch")
-                .field("id", id.as_str())
-                .build(),
         }
     }
 }
@@ -255,42 +194,6 @@ pub fn resp_shutdown() -> Json {
         .build()
 }
 
-/// `stolen`: this daemon donates one queued job to the caller.
-pub fn resp_stolen(id: &str, spec: &JobSpec) -> Json {
-    Json::obj()
-        .field("type", "stolen")
-        .field("id", id)
-        .field("spec", spec.to_json())
-        .build()
-}
-
-/// `no_work`: a steal probe found nothing queued to donate.
-pub fn resp_no_work() -> Json {
-    Json::obj().field("type", "no_work").build()
-}
-
-/// `offered`: a stolen job's outcome was delivered home; `state` is
-/// the job's terminal state as recorded by the victim.
-pub fn resp_offered(id: &str, state: JobState) -> Json {
-    Json::obj()
-        .field("type", "offered")
-        .field("id", id)
-        .field("state", state.as_str())
-        .build()
-}
-
-/// `cache`: a cache-only `fetch` answer (payload present iff `hit`).
-pub fn resp_fetch(id: &str, payload: Option<&str>) -> Json {
-    let mut b = Json::obj()
-        .field("type", "cache")
-        .field("id", id)
-        .field("hit", payload.is_some());
-    if let Some(p) = payload {
-        b = b.field("payload", p);
-    }
-    b.build()
-}
-
 /// `error`: the request could not be served (unknown id, parse
 /// failure, ...).
 pub fn resp_error(message: &str) -> Json {
@@ -303,18 +206,18 @@ pub fn resp_error(message: &str) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    #[test]
-    fn requests_round_trip_through_the_wire_form() {
-        let reqs = [
+    /// One request of every kind, as a client would send it.
+    fn every_request() -> Vec<Request> {
+        let mut spec = JobSpec::new("table1", "tiny");
+        spec.workload = "Fib-12".into();
+        spec.faults = "seed=1,horizon=1000,links=1x10".into();
+        vec![
             Request::Submit {
                 spec: JobSpec::new("table1", "tiny"),
-                tenant: String::new(),
             },
-            Request::Submit {
-                spec: JobSpec::new("table1", "tiny"),
-                tenant: "acme".into(),
-            },
+            Request::Submit { spec },
             Request::Status { id: "ab12".into() },
             Request::Result {
                 id: "ab12".into(),
@@ -324,18 +227,12 @@ mod tests {
             Request::Cancel { id: "ab12".into() },
             Request::Metrics,
             Request::Shutdown,
-            Request::Steal,
-            Request::Offer {
-                id: "ab12".into(),
-                payload: Ok("{\"cells\":[]}".into()),
-            },
-            Request::Offer {
-                id: "ab12".into(),
-                payload: Err("thief choked".into()),
-            },
-            Request::Fetch { id: "ab12".into() },
-        ];
-        for r in reqs {
+        ]
+    }
+
+    #[test]
+    fn requests_round_trip_through_the_wire_form() {
+        for r in every_request() {
             let line = r.to_json().write();
             assert!(!line.contains('\n'));
             assert_eq!(Request::parse(&line).unwrap(), r);
@@ -356,25 +253,106 @@ mod tests {
 
     #[test]
     fn unknown_request_types_are_rejected() {
-        assert!(Request::parse("{\"type\":\"frobnicate\"}").is_err());
+        // The retired fleet verbs are unknown types like any other.
+        for line in [
+            r#"{"type":"frobnicate"}"#,
+            r#"{"type":"steal"}"#,
+            r#"{"type":"offer","id":"ab12","ok":true,"payload":"{}"}"#,
+            r#"{"type":"fetch","id":"ab12"}"#,
+        ] {
+            let err = Request::parse(line).unwrap_err();
+            assert!(err.contains("unknown request type"), "{line}: {err}");
+        }
         assert!(Request::parse("not json").is_err());
     }
 
     #[test]
-    fn submit_without_tenant_is_the_anonymous_tenant() {
-        // The pre-fleet wire form (no tenant key) must keep parsing.
+    fn a_legacy_tenant_key_on_submit_is_ignored() {
+        // Older clients label submissions with a tenant; the key must
+        // keep parsing, to the same request as without it.
         let spec = JobSpec::new("table1", "tiny");
-        let line = Json::obj()
-            .field("type", "submit")
-            .field("spec", spec.to_json())
-            .build()
-            .write();
-        assert_eq!(
-            Request::parse(&line).unwrap(),
-            Request::Submit {
-                spec,
-                tenant: String::new()
+        let line = |tenant: Option<&str>| {
+            let b = Json::obj()
+                .field("type", "submit")
+                .field("spec", spec.to_json());
+            match tenant {
+                Some(t) => b.field("tenant", t),
+                None => b,
             }
-        );
+            .build()
+            .write()
+        };
+        let plain = Request::parse(&line(None)).unwrap();
+        assert_eq!(plain, Request::Submit { spec: spec.clone() });
+        assert_eq!(Request::parse(&line(Some("acme"))).unwrap(), plain);
+        assert_eq!(Request::parse(&line(Some(""))).unwrap(), plain);
+    }
+
+    #[test]
+    fn every_truncation_and_single_byte_mutation_decodes_without_panicking() {
+        // Exhaustive over each request's wire line: every prefix, and
+        // every position overwritten with every byte value. Decode must
+        // return, never panic; most of these are errors.
+        for r in every_request() {
+            let line = r.to_json().write().into_bytes();
+            for end in 0..line.len() {
+                let _ = Request::parse(&String::from_utf8_lossy(&line[..end]));
+            }
+            let mut mutated = line.clone();
+            for i in 0..line.len() {
+                for b in 0..=u8::MAX {
+                    mutated[i] = b;
+                    let _ = Request::parse(&String::from_utf8_lossy(&mutated));
+                }
+                mutated[i] = line[i];
+            }
+        }
+    }
+
+    /// `v` with one field, at any depth, replaced by a value of each
+    /// JSON type or removed.
+    fn field_variants(v: &Json) -> Vec<Json> {
+        let Json::Object(fields) = v else {
+            return Vec::new();
+        };
+        let retyped = [
+            Json::Number(u64::MAX),
+            Json::String(String::new()),
+            Json::Bool(false),
+            Json::Array(Vec::new()),
+            Json::Object(Vec::new()),
+        ];
+        let mut out = Vec::new();
+        for (i, (_, value)) in fields.iter().enumerate() {
+            let mut dropped = fields.clone();
+            dropped.remove(i);
+            out.push(Json::Object(dropped));
+            for alt in retyped.iter().cloned().chain(field_variants(value)) {
+                let mut swapped = fields.clone();
+                swapped[i].1 = alt;
+                out.push(Json::Object(swapped));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn every_field_retyped_or_dropped_decodes_without_panicking() {
+        // Byte mutations rarely keep a line valid JSON; this reaches
+        // the field decoders with well-formed lines of the wrong shape.
+        for r in every_request() {
+            for v in field_variants(&r.to_json()) {
+                let _ = Request::parse(&v.write());
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn decode_is_total_on_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
+            let _ = Request::parse(&String::from_utf8_lossy(&bytes));
+        }
     }
 }

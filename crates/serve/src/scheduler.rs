@@ -40,18 +40,6 @@ pub trait Executor: Send + Sync + 'static {
     ) -> Result<String, String>;
 }
 
-/// Cross-node cache lookup, consulted once per job right before the
-/// first execution attempt. Implementations ask fleet peers (over the
-/// cache-only `fetch` verb) whether any of them already paid for this
-/// digest; a hit is completed like a local run — cached, journaled,
-/// counted — without invoking the executor. Soundness rests on the
-/// same property as the local cache: the id is a content digest, so
-/// any peer's payload for it is *the* payload.
-pub trait RemoteLookup: Send + Sync + std::fmt::Debug {
-    /// The cached payload for `id`, if some peer holds it.
-    fn fetch(&self, id: &str) -> Option<String>;
-}
-
 /// Scheduler tuning knobs.
 #[derive(Debug, Clone)]
 pub struct SchedConfig {
@@ -85,10 +73,6 @@ pub struct SchedConfig {
     /// journals nothing; the server opens one, replays it, and passes
     /// the handle in so every lifecycle transition is durably logged.
     pub journal: Option<Arc<crate::journal::Journal>>,
-    /// Cross-node cache lookup ([`RemoteLookup`]); `None` (the
-    /// default) asks no peers. The server wires in a fleet peer-cache
-    /// client when started with peers.
-    pub remote: Option<Arc<dyn RemoteLookup>>,
 }
 
 impl Default for SchedConfig {
@@ -101,7 +85,6 @@ impl Default for SchedConfig {
             calibration: None,
             escalate_bound_ppm: 100_000,
             journal: None,
-            remote: None,
         }
     }
 }
@@ -296,10 +279,14 @@ struct SchedInner {
     jobs: HashMap<String, Arc<JobRecord>>,
     draining: bool,
     busy: usize,
-    /// Jobs donated to a thief and not yet resolved (offer delivered
-    /// or requeued). Drain and worker shutdown wait on this reaching
-    /// zero so a stolen job can always be requeued into a live pool.
-    stolen_out: usize,
+}
+
+impl SchedInner {
+    /// A requested drain has completed: nothing queued, nothing
+    /// running.
+    fn drained(&self) -> bool {
+        self.draining && self.queue.is_empty() && self.busy == 0
+    }
 }
 
 /// The scheduler: queue, worker pool, cache, and metrics in one place.
@@ -329,7 +316,6 @@ impl Scheduler {
                 jobs: HashMap::new(),
                 draining: false,
                 busy: 0,
-                stolen_out: 0,
             }),
             work_cv: Condvar::new(),
             drain_cv: Condvar::new(),
@@ -458,100 +444,10 @@ impl Scheduler {
         (g.queue.len(), g.busy)
     }
 
-    /// The configured worker-pool size.
-    pub fn worker_count(&self) -> usize {
-        self.cfg.workers.max(1)
-    }
-
     /// Whether a requested drain has fully completed: nothing queued,
-    /// nothing running, nothing out on loan to a thief.
+    /// nothing running.
     pub fn quiesced(&self) -> bool {
-        let g = lock(&self.inner);
-        g.draining && g.queue.is_empty() && g.busy == 0 && g.stolen_out == 0
-    }
-
-    /// Donate one queued job to a thief: pop the *back* of the queue
-    /// (the FIFO front stays reserved for local workers, mirroring the
-    /// steal-from-the-tail discipline of the simulated runtime's work
-    /// queues), mark it running, and hand the record out. The caller
-    /// owns resolving it — [`complete_stolen`](Self::complete_stolen)
-    /// when the thief's offer arrives, or
-    /// [`requeue_stolen`](Self::requeue_stolen) if the thief vanishes.
-    /// A draining scheduler donates nothing.
-    pub fn steal_one(&self) -> Option<Arc<JobRecord>> {
-        let job = {
-            let mut g = lock(&self.inner);
-            if g.draining {
-                return None;
-            }
-            let job = g.queue.pop_back()?;
-            g.stolen_out += 1;
-            job
-        };
-        job.set_state(|v| v.state = JobState::Running);
-        if let Some(j) = &self.cfg.journal {
-            j.record_started(&job.id);
-        }
-        self.metrics.donated.fetch_add(1, Ordering::Relaxed);
-        Some(job)
-    }
-
-    /// Resolve a stolen job with the outcome its thief offered home.
-    /// Success lands exactly like a local completion (cached,
-    /// journaled, counted), so the victim's cache gains the payload
-    /// even though a peer computed it; failure is terminal — the thief
-    /// already ran the job under its own retry policy, and executors
-    /// are deterministic in the spec, so a local rerun would fail the
-    /// same way.
-    pub fn complete_stolen(&self, job: &Arc<JobRecord>, outcome: Result<String, String>) {
-        if job.is_cancelled() {
-            self.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
-            self.metrics
-                .observe_latency(&job.spec.fidelity, job.enqueued_at.elapsed());
-            if let Some(j) = &self.cfg.journal {
-                j.record_cancelled(&job.id);
-            }
-            job.set_state(|v| v.state = JobState::Cancelled);
-        } else {
-            match outcome {
-                Ok(payload) => self.finish_ok(job, payload),
-                Err(e) => {
-                    self.metrics.failed.fetch_add(1, Ordering::Relaxed);
-                    self.metrics
-                        .observe_latency(&job.spec.fidelity, job.enqueued_at.elapsed());
-                    if let Some(j) = &self.cfg.journal {
-                        j.record_completed(&job.id, false);
-                    }
-                    job.set_state(|v| {
-                        v.state = JobState::Failed;
-                        v.error = Some(e);
-                    });
-                }
-            }
-        }
-        self.resolve_loan();
-    }
-
-    /// Put a stolen job back at the queue *front* (it has already
-    /// waited its turn once) after its thief disappeared without
-    /// offering an outcome.
-    pub fn requeue_stolen(&self, job: &Arc<JobRecord>) {
-        job.set_state(|v| v.state = JobState::Queued);
-        {
-            let mut g = lock(&self.inner);
-            g.queue.push_front(Arc::clone(job));
-        }
-        self.resolve_loan();
-    }
-
-    /// One loan resolved: wake workers (a requeue needs a runner; a
-    /// drain-blocked worker needs to recheck) and drain waiters.
-    fn resolve_loan(&self) {
-        let mut g = lock(&self.inner);
-        g.stolen_out -= 1;
-        drop(g);
-        self.work_cv.notify_all();
-        self.drain_cv.notify_all();
+        lock(&self.inner).drained()
     }
 
     /// Begin draining: reject new submissions, let queued and running
@@ -562,12 +458,11 @@ impl Scheduler {
         self.work_cv.notify_all();
     }
 
-    /// Block until the drain completes (queue empty, no busy worker,
-    /// no job out on loan to a thief). Must be preceded by
-    /// [`begin_drain`](Self::begin_drain).
+    /// Block until the drain completes (queue empty, no busy worker).
+    /// Must be preceded by [`begin_drain`](Self::begin_drain).
     pub fn wait_drained(&self) {
         let mut g = lock(&self.inner);
-        while !(g.draining && g.queue.is_empty() && g.busy == 0 && g.stolen_out == 0) {
+        while !g.drained() {
             g = wait(&self.drain_cv, g);
         }
     }
@@ -580,11 +475,6 @@ impl Scheduler {
         }
     }
 
-    /// Whether a drain has been requested.
-    pub fn is_draining(&self) -> bool {
-        lock(&self.inner).draining
-    }
-
     fn worker_loop(&self) {
         loop {
             let job = {
@@ -594,10 +484,7 @@ impl Scheduler {
                         g.busy += 1;
                         break job;
                     }
-                    // Stay alive while jobs are out on loan: an EOF on
-                    // the thief's connection requeues them here, and a
-                    // dead pool would strand the requeue forever.
-                    if g.draining && g.stolen_out == 0 {
+                    if g.draining {
                         self.drain_cv.notify_all();
                         return;
                     }
@@ -619,19 +506,6 @@ impl Scheduler {
         job.set_state(|v| v.state = JobState::Running);
         if let Some(j) = &self.cfg.journal {
             j.record_started(&job.id);
-        }
-        // Ask fleet peers for the payload before paying for an
-        // execution: a cross-node hit completes like a local run.
-        if let Some(remote) = &self.cfg.remote {
-            if !job.is_cancelled() {
-                if let Some(payload) = remote.fetch(&job.id) {
-                    self.metrics
-                        .remote_cache_hits
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.finish_ok(job, payload);
-                    return;
-                }
-            }
         }
         let max_attempts = self.cfg.retry.max_attempts.max(1);
         let mut last_err = String::new();
@@ -678,7 +552,20 @@ impl Scheduler {
             }
             match outcome {
                 Ok(payload) => {
-                    self.finish_ok(job, payload);
+                    self.metrics.absorb_profile(&payload);
+                    // Cache before journal: once `completed` is durable,
+                    // a restart will trust the cache to have the bytes.
+                    self.cache.insert(&job.id, &job.spec, &payload);
+                    if let Some(j) = &self.cfg.journal {
+                        j.record_completed(&job.id, true);
+                    }
+                    self.metrics.completed.fetch_add(1, Ordering::Relaxed);
+                    self.metrics
+                        .observe_latency(&job.spec.fidelity, job.enqueued_at.elapsed());
+                    job.set_state(|v| {
+                        v.state = JobState::Done;
+                        v.payload = Some(payload);
+                    });
                     return;
                 }
                 Err(e) => {
@@ -709,26 +596,6 @@ impl Scheduler {
         job.set_state(|v| {
             v.state = JobState::Failed;
             v.error = Some(last_err);
-        });
-    }
-
-    /// Publish a successful payload: absorb profiler counters, cache,
-    /// journal, count, and mark the record `Done`. Shared by local
-    /// runs, cross-node cache hits, and offered-home stolen jobs.
-    fn finish_ok(&self, job: &Arc<JobRecord>, payload: String) {
-        self.metrics.absorb_profile(&payload);
-        // Cache before journal: once `completed` is durable,
-        // a restart will trust the cache to have the bytes.
-        self.cache.insert(&job.id, &job.spec, &payload);
-        if let Some(j) = &self.cfg.journal {
-            j.record_completed(&job.id, true);
-        }
-        self.metrics.completed.fetch_add(1, Ordering::Relaxed);
-        self.metrics
-            .observe_latency(&job.spec.fidelity, job.enqueued_at.elapsed());
-        job.set_state(|v| {
-            v.state = JobState::Done;
-            v.payload = Some(payload);
         });
     }
 

@@ -8,7 +8,7 @@
 //! queued and running job has finished, and `Server::join` returns.
 
 use crate::protocol::{self, Request};
-use crate::scheduler::{Executor, JobRecord, SchedConfig, Scheduler, Submit};
+use crate::scheduler::{Executor, SchedConfig, Scheduler, Submit};
 use crate::sync::lock;
 use jsonlite::Json;
 use std::io::{BufRead, BufReader, Write};
@@ -31,11 +31,6 @@ pub struct ServerConfig {
     /// and unfinished jobs are re-admitted before the listener binds,
     /// so clients never observe the half-recovered state.
     pub journal_dir: Option<PathBuf>,
-    /// Fleet peer addresses (the *other* workers). Non-empty turns on
-    /// the fleet worker role: a stealer thread pulls queued jobs from
-    /// loaded peers when this daemon is idle, and every job consults
-    /// the peers' caches (cache-only `fetch`) before executing.
-    pub peers: Vec<String>,
 }
 
 impl Default for ServerConfig {
@@ -45,19 +40,16 @@ impl Default for ServerConfig {
             sched: SchedConfig::default(),
             cache_dir: Some(PathBuf::from("results/cache")),
             journal_dir: Some(PathBuf::from("results/journal")),
-            peers: Vec::new(),
         }
     }
 }
 
-/// A running server: scheduler plus accept thread (plus, in a fleet,
-/// the stealer thread).
+/// A running server: scheduler plus accept thread.
 pub struct Server {
     sched: Arc<Scheduler>,
     journal: Option<Arc<crate::journal::Journal>>,
     local_addr: SocketAddr,
     accept: std::sync::Mutex<Option<std::thread::JoinHandle<()>>>,
-    stealer: std::sync::Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl Server {
@@ -73,11 +65,6 @@ impl Server {
     pub fn start(cfg: ServerConfig, executor: Arc<dyn Executor>) -> std::io::Result<Server> {
         let cache = crate::cache::ResultCache::new(cfg.cache_dir.clone())?;
         let mut sched_cfg = cfg.sched.clone();
-        if !cfg.peers.is_empty() && sched_cfg.remote.is_none() {
-            sched_cfg.remote = Some(Arc::new(crate::fleet::steal::PeerCache::new(
-                cfg.peers.clone(),
-            )));
-        }
         let mut journal = None;
         let mut replay = None;
         if let Some(dir) = &cfg.journal_dir {
@@ -120,20 +107,11 @@ impl Server {
             .name("serve-accept".to_string())
             .spawn(move || accept_loop(listener, accept_sched))
             .expect("spawn accept thread");
-        let stealer = if cfg.peers.is_empty() {
-            None
-        } else {
-            Some(crate::fleet::steal::spawn_stealer(
-                Arc::clone(&sched),
-                cfg.peers.clone(),
-            ))
-        };
         Ok(Server {
             sched,
             journal,
             local_addr,
             accept: std::sync::Mutex::new(Some(handle)),
-            stealer: std::sync::Mutex::new(stealer),
         })
     }
 
@@ -163,9 +141,6 @@ impl Server {
             j.record_drained_clean();
         }
         if let Some(h) = lock(&self.accept).take() {
-            let _ = h.join();
-        }
-        if let Some(h) = lock(&self.stealer).take() {
             let _ = h.join();
         }
         self.sched.join_workers();
@@ -204,23 +179,7 @@ fn send(stream: &mut TcpStream, v: &Json) -> std::io::Result<()> {
 }
 
 /// Serve one connection: requests in, response line(s) out, until EOF.
-/// If the connection donated a job to a thief (`steal`) and closed
-/// before the thief's `offer` came home, the job is requeued — the
-/// connection's lifetime is the steal lease.
 fn handle_conn(stream: TcpStream, sched: &Arc<Scheduler>) -> std::io::Result<()> {
-    let mut pending_steal: Option<Arc<JobRecord>> = None;
-    let result = conn_loop(stream, sched, &mut pending_steal);
-    if let Some(job) = pending_steal {
-        sched.requeue_stolen(&job);
-    }
-    result
-}
-
-fn conn_loop(
-    stream: TcpStream,
-    sched: &Arc<Scheduler>,
-    pending_steal: &mut Option<Arc<JobRecord>>,
-) -> std::io::Result<()> {
     let reader = BufReader::new(stream.try_clone()?);
     let mut out = stream;
     for line in reader.lines() {
@@ -236,10 +195,7 @@ fn conn_loop(
             }
         };
         match req {
-            // Workers ignore the tenant label: admission metering is
-            // the gateway's job; by the time a submit reaches a worker
-            // it has already been admitted.
-            Request::Submit { spec, tenant: _ } => {
+            Request::Submit { spec } => {
                 let resp = match sched.submit(spec) {
                     Submit::Cached(job) => protocol::resp_accepted(&job.id, job.view().state, true),
                     Submit::Enqueued(job) | Submit::InFlight(job) => {
@@ -319,46 +275,6 @@ fn conn_loop(
             Request::Shutdown => {
                 sched.begin_drain();
                 send(&mut out, &protocol::resp_shutdown())?;
-            }
-            Request::Steal => {
-                if pending_steal.is_some() {
-                    send(
-                        &mut out,
-                        &protocol::resp_error(
-                            "a stolen job is already pending on this connection; \
-                             offer its outcome first",
-                        ),
-                    )?;
-                } else {
-                    match sched.steal_one() {
-                        Some(job) => {
-                            let resp = protocol::resp_stolen(&job.id, &job.spec);
-                            *pending_steal = Some(job);
-                            send(&mut out, &resp)?;
-                        }
-                        None => send(&mut out, &protocol::resp_no_work())?,
-                    }
-                }
-            }
-            Request::Offer { id, payload } => {
-                let matches = pending_steal.as_ref().is_some_and(|job| job.id == id);
-                if matches {
-                    if let Some(job) = pending_steal.take() {
-                        sched.complete_stolen(&job, payload);
-                        send(&mut out, &protocol::resp_offered(&id, job.view().state))?;
-                    }
-                } else {
-                    send(
-                        &mut out,
-                        &protocol::resp_error(&format!(
-                            "no stolen job {id:?} is pending on this connection"
-                        )),
-                    )?;
-                }
-            }
-            Request::Fetch { id } => {
-                let payload = sched.cache.peek(&id);
-                send(&mut out, &protocol::resp_fetch(&id, payload.as_deref()))?;
             }
         }
     }

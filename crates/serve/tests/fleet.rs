@@ -1,13 +1,14 @@
-//! Fleet-tier integration tests over real TCP sockets: inter-node
-//! steal, cross-node cache lookup, gateway forwarding and fan-out,
-//! per-tenant admission, dead-node re-routing, and idempotent replay
-//! of orphaned subjob journal records.
+//! Fleet-tier integration tests over real TCP sockets: gateway
+//! forwarding and fan-out, dead-node re-routing, retrying a failed
+//! record once workers recover, hostile request lines, and idempotent
+//! replay of orphaned subjob journal records.
 
 use mosaic_serve::fleet::ring::DEFAULT_REPLICAS;
 use mosaic_serve::{
     Client, Executor, Fanout, Gateway, GatewayConfig, HashRing, JobSpec, JobState, SchedConfig,
     Server, ServerConfig, SubJob, SubmitReply,
 };
+use std::io::{BufRead, BufReader, Write};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -39,42 +40,29 @@ impl Executor for TestExec {
     }
 }
 
-/// An executor that must never run: proves a job was answered from a
-/// peer's cache rather than executed.
-struct MustNotRun;
-
-impl Executor for MustNotRun {
-    fn run(
-        &self,
-        spec: &JobSpec,
-        _progress: &dyn Fn(u64, u64, &str),
-        _cancelled: &AtomicBool,
-    ) -> Result<String, String> {
-        panic!(
-            "executor ran for {} — the peer cache was bypassed",
-            spec.experiment
-        );
-    }
-}
-
-fn worker_with(peers: Vec<String>, workers: usize, exec: Arc<dyn Executor>) -> Server {
+fn worker_at(addr: &str) -> Server {
     let cfg = ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
+        addr: addr.to_string(),
         sched: SchedConfig {
             queue_cap: 64,
-            workers,
+            workers: 1,
             job_timeout: Duration::from_secs(60),
             ..SchedConfig::default()
         },
         cache_dir: None,
         journal_dir: None,
-        peers,
     };
-    Server::start(cfg, exec).expect("start worker")
+    Server::start(cfg, Arc::new(TestExec)).expect("start worker")
 }
 
-fn worker(peers: Vec<String>) -> Server {
-    worker_with(peers, 1, Arc::new(TestExec))
+fn worker() -> Server {
+    worker_at("127.0.0.1:0")
+}
+
+/// An address that answered once and will never answer again.
+fn unused_addr() -> String {
+    let l = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    l.local_addr().expect("addr").to_string()
 }
 
 fn connect(addr: &str) -> Client {
@@ -103,83 +91,6 @@ fn metric(client: &mut Client, field: &str) -> u64 {
         .unwrap()
         .as_u64()
         .unwrap()
-}
-
-#[test]
-fn an_idle_peer_steals_queued_jobs_and_payloads_are_unchanged() {
-    // The victim's single worker is buried under queued jobs; the
-    // thief is idle and peered on it. Every job must still complete on
-    // the victim's records (offers resolve the loans), with the same
-    // payload a solo run would produce, and both sides must count the
-    // transfer.
-    let victim = worker(Vec::new());
-    let victim_addr = victim.local_addr().to_string();
-    let thief = worker(vec![victim_addr.clone()]);
-
-    let mut client = connect(&victim_addr);
-    let ids: Vec<String> = (0..6)
-        .map(|i| {
-            accept(
-                client
-                    .submit(&spec("stealable", "sleep:150", i))
-                    .expect("submit"),
-            )
-        })
-        .collect();
-    for (i, id) in ids.iter().enumerate() {
-        let res = client.wait_result(id).expect("result");
-        assert_eq!(res.state, JobState::Done, "job {id}");
-        assert_eq!(
-            res.payload.as_deref(),
-            Some(
-                format!("{{\"echo\":\"stealable\",\"workload\":\"sleep:150\",\"seed\":{i}}}")
-                    .as_str()
-            ),
-            "stolen jobs must produce the exact solo payload"
-        );
-    }
-
-    let donated = metric(&mut client, "donated");
-    assert!(donated >= 1, "the idle peer never stole (donated = 0)");
-    let mut thief_client = connect(&thief.local_addr().to_string());
-    assert_eq!(metric(&mut thief_client, "steals"), donated);
-
-    client.shutdown().expect("shutdown victim");
-    victim.join();
-    thief_client.shutdown().expect("shutdown thief");
-    thief.join();
-}
-
-#[test]
-fn a_peer_cache_hit_answers_without_executing() {
-    // Worker A computes the payload; worker B — whose executor panics
-    // if it ever runs — is peered on A and must answer the same spec
-    // from A's cache.
-    let a = worker(Vec::new());
-    let a_addr = a.local_addr().to_string();
-    let mut client_a = connect(&a_addr);
-    let s = spec("cached-exp", "", 42);
-    let id = accept(client_a.submit(&s).expect("submit"));
-    let reference = client_a.wait_result(&id).expect("result");
-    assert_eq!(reference.state, JobState::Done);
-
-    let b = worker_with(vec![a_addr], 1, Arc::new(MustNotRun));
-    let mut client_b = connect(&b.local_addr().to_string());
-    let id_b = accept(client_b.submit(&s).expect("submit"));
-    assert_eq!(id_b, id, "content-addressed ids agree across the fleet");
-    let res = client_b.wait_result(&id_b).expect("result");
-    assert_eq!(res.state, JobState::Done);
-    assert_eq!(
-        res.payload, reference.payload,
-        "remote hit must be byte-identical"
-    );
-    assert_eq!(metric(&mut client_b, "remote_cache_hits"), 1);
-    assert_eq!(metric(&mut client_b, "failed"), 0);
-
-    client_a.shutdown().expect("shutdown a");
-    a.join();
-    client_b.shutdown().expect("shutdown b");
-    b.join();
 }
 
 /// A gateway fanout for tests: splits `sweep-*` experiments into three
@@ -213,23 +124,21 @@ impl Fanout for TestFanout {
     }
 }
 
-fn gateway(workers: Vec<String>, tenant_rate: u64, tenant_burst: u64) -> Gateway {
+fn gateway(workers: Vec<String>) -> Gateway {
     let cfg = GatewayConfig {
         addr: "127.0.0.1:0".to_string(),
         workers,
         replicas: DEFAULT_REPLICAS,
-        tenant_rate,
-        tenant_burst,
     };
     Gateway::start(cfg, Arc::new(TestFanout)).expect("start gateway")
 }
 
 #[test]
 fn the_gateway_forwards_singletons_and_merges_fanned_out_sweeps() {
-    let a = worker(Vec::new());
-    let b = worker(Vec::new());
+    let a = worker();
+    let b = worker();
     let (a_addr, b_addr) = (a.local_addr().to_string(), b.local_addr().to_string());
-    let gw = gateway(vec![a_addr.clone(), b_addr], 0, 8);
+    let gw = gateway(vec![a_addr.clone(), b_addr]);
     let mut client = connect(&gw.local_addr().to_string());
 
     // A singleton is forwarded whole and completes with the worker's
@@ -305,57 +214,11 @@ fn the_gateway_forwards_singletons_and_merges_fanned_out_sweeps() {
 }
 
 #[test]
-fn tenant_buckets_throttle_independently() {
-    let a = worker(Vec::new());
-    let a_addr = a.local_addr().to_string();
-    // 1 token/s with burst 1: the second submission inside the same
-    // second bounces, but only for the same tenant.
-    let gw = gateway(vec![a_addr.clone()], 1, 1);
-    let mut client = connect(&gw.local_addr().to_string());
-
-    let first = accept(
-        client
-            .submit_as(&spec("throttle-exp", "", 1), "alice")
-            .expect("submit"),
-    );
-    match client
-        .submit_as(&spec("throttle-exp", "", 2), "alice")
-        .expect("submit")
-    {
-        SubmitReply::Overloaded { depth, cap } => {
-            assert_eq!((depth, cap), (0, 1), "bucket rides the overloaded path");
-        }
-        other => panic!("expected throttling, got {other:?}"),
-    }
-    let second = accept(
-        client
-            .submit_as(&spec("throttle-exp", "", 3), "bob")
-            .expect("submit"),
-    );
-    for id in [first, second] {
-        assert_eq!(
-            client.wait_result(&id).expect("result").state,
-            JobState::Done
-        );
-    }
-    assert_eq!(metric(&mut client, "throttled"), 1);
-
-    client.shutdown().expect("shutdown gateway");
-    gw.join();
-    connect(&a_addr).shutdown().expect("shutdown worker");
-    a.join();
-}
-
-#[test]
 fn the_gateway_reroutes_around_a_dead_worker() {
-    let a = worker(Vec::new());
+    let a = worker();
     let a_addr = a.local_addr().to_string();
-    // A port that answered once and will never answer again: the
-    // classic dead node.
-    let dead_addr = {
-        let l = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-        l.local_addr().expect("addr").to_string()
-    };
+    // The classic dead node.
+    let dead_addr = unused_addr();
     // Pick a seed whose digest the ring assigns to the dead node, so
     // the re-route path is exercised deterministically rather than by
     // luck of the hash.
@@ -365,7 +228,7 @@ fn the_gateway_reroutes_around_a_dead_worker() {
         .find(|s| ring.owner(&s.digest()) == dead_addr)
         .expect("some seed must hash to the dead node");
 
-    let gw = gateway(vec![a_addr.clone(), dead_addr], 0, 8);
+    let gw = gateway(vec![a_addr.clone(), dead_addr]);
     let mut client = connect(&gw.local_addr().to_string());
     let started = Instant::now();
     let id = accept(client.submit(&doomed).expect("submit"));
@@ -380,6 +243,87 @@ fn the_gateway_reroutes_around_a_dead_worker() {
     let snap = client.metrics().expect("metrics");
     let obj = snap.as_object("metrics").unwrap();
     assert_eq!(obj.get("down_workers", "metrics").unwrap().as_u64(), Ok(1));
+
+    client.shutdown().expect("shutdown gateway");
+    gw.join();
+    connect(&a_addr).shutdown().expect("shutdown worker");
+    a.join();
+}
+
+#[test]
+fn a_failed_gateway_record_is_retried_once_a_worker_answers() {
+    // The gateway's only worker is not up yet: the first submission
+    // fails with every worker refusing it.
+    let worker_addr = unused_addr();
+    let gw = gateway(vec![worker_addr.clone()]);
+    let mut client = connect(&gw.local_addr().to_string());
+    let s = spec("late-worker", "", 5);
+    let id = accept(client.submit(&s).expect("submit"));
+    let res = client.wait_result(&id).expect("result");
+    assert_eq!(res.state, JobState::Failed);
+    assert!(
+        res.error
+            .as_deref()
+            .unwrap_or("")
+            .contains("every worker refused"),
+        "{:?}",
+        res.error
+    );
+
+    // Once the worker is up, resubmitting the same spec must start a
+    // fresh attempt instead of replaying the failed record.
+    let w = worker_at(&worker_addr);
+    match client.submit(&s).expect("resubmit") {
+        SubmitReply::Accepted {
+            id: id2,
+            state,
+            cached,
+        } => {
+            assert_eq!(id2, id);
+            assert_eq!(state, JobState::Queued, "the failed record was replayed");
+            assert!(!cached);
+        }
+        other => panic!("expected acceptance, got {other:?}"),
+    }
+    let res = client.wait_result(&id).expect("result");
+    assert_eq!(res.state, JobState::Done, "{:?}", res.error);
+    assert_eq!(
+        res.payload.as_deref(),
+        Some("{\"echo\":\"late-worker\",\"workload\":\"\",\"seed\":5}")
+    );
+
+    client.shutdown().expect("shutdown gateway");
+    gw.join();
+    connect(&worker_addr).shutdown().expect("shutdown worker");
+    w.join();
+}
+
+#[test]
+fn a_deeply_nested_line_gets_an_error_and_the_gateway_keeps_serving() {
+    let a = worker();
+    let a_addr = a.local_addr().to_string();
+    let gw = gateway(vec![a_addr.clone()]);
+    let gw_addr = gw.local_addr().to_string();
+
+    // 1 MB of `[` on one line: the parser must refuse it at its depth
+    // limit instead of recursing off the connection thread's stack.
+    let mut raw = std::net::TcpStream::connect(&gw_addr).expect("connect");
+    raw.write_all(&[b'['; 1 << 20]).expect("write");
+    raw.write_all(b"\n").expect("write");
+    let mut reply = String::new();
+    BufReader::new(&raw).read_line(&mut reply).expect("read");
+    assert!(reply.contains("\"type\":\"error\""), "{reply}");
+
+    let mut client = connect(&gw_addr);
+    let id = accept(
+        client
+            .submit(&spec("after-nesting", "", 1))
+            .expect("submit"),
+    );
+    assert_eq!(
+        client.wait_result(&id).expect("result").state,
+        JobState::Done
+    );
 
     client.shutdown().expect("shutdown gateway");
     gw.join();
@@ -419,7 +363,6 @@ fn replaying_subjob_records_for_a_finished_sweep_is_idempotent() {
         },
         cache_dir: None,
         journal_dir: Some(dir.clone()),
-        peers: Vec::new(),
     };
     let server = Server::start(cfg, Arc::new(TestExec)).expect("start server");
     let mut client = connect(&server.local_addr().to_string());

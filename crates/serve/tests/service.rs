@@ -1,11 +1,13 @@
 //! End-to-end service tests over a real TCP socket with a synthetic
 //! executor: cache round trips, admission control, cancellation,
-//! timeouts, panic isolation, progress streaming, graceful drain.
+//! timeouts, panic isolation, progress streaming, graceful drain,
+//! hostile request lines.
 
 use mosaic_serve::{
     Client, Executor, FaultyExecutor, JobSpec, JobState, RetryPolicy, SchedConfig, Server,
     ServerConfig, SubmitReply,
 };
+use std::io::{BufRead, BufReader, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -60,7 +62,6 @@ fn start(queue_cap: usize, workers: usize, timeout_ms: u64) -> Server {
         },
         cache_dir: None,
         journal_dir: None,
-        peers: Vec::new(),
     };
     Server::start(cfg, Arc::new(TestExec)).expect("start server")
 }
@@ -309,7 +310,6 @@ fn injected_host_panics_recover_through_the_retry_policy() {
         },
         cache_dir: None,
         journal_dir: None,
-        peers: Vec::new(),
     };
     let faulty = FaultyExecutor::new(Arc::new(TestExec), 2, Duration::from_millis(10));
     let server = Server::start(cfg, Arc::new(faulty)).expect("start server");
@@ -428,7 +428,6 @@ fn auto_fidelity_answers_calibrated_jobs_fast_and_escalates_the_rest() {
         },
         cache_dir: None,
         journal_dir: None,
-        peers: Vec::new(),
     };
     let server = Server::start(cfg, Arc::new(TestExec)).expect("start server");
     let mut client = connect(&server);
@@ -518,7 +517,6 @@ fn journal_replay_readmits_killed_jobs_and_marks_clean_drains() {
         },
         cache_dir: None,
         journal_dir: Some(dir.clone()),
-        peers: Vec::new(),
     };
     let server = Server::start(cfg.clone(), Arc::new(TestExec)).expect("start server");
     let mut client = connect(&server);
@@ -553,6 +551,42 @@ fn auto_fidelity_without_a_calibration_table_is_rejected() {
     // Explicit fidelities still flow through untouched.
     s.fidelity = "cycle".to_string();
     let SubmitReply::Accepted { id, .. } = client.submit(&s).expect("submit") else {
+        panic!("expected acceptance");
+    };
+    assert_eq!(
+        client.wait_result(&id).expect("result").state,
+        JobState::Done
+    );
+    client.shutdown().expect("shutdown");
+    server.join();
+}
+
+#[test]
+fn a_deeply_nested_line_gets_an_error_and_the_daemon_keeps_serving() {
+    let server = start(8, 1, 60_000);
+    // 1 MB of `[` on one line: the parser must refuse it at its depth
+    // limit instead of recursing off the connection thread's stack
+    // (which aborts the whole process).
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    raw.write_all(&[b'['; 1 << 20]).expect("write");
+    raw.write_all(b"\n").expect("write");
+    let mut reader = BufReader::new(raw.try_clone().expect("clone"));
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("read");
+    assert!(reply.contains("\"type\":\"error\""), "{reply}");
+    assert!(reply.contains("nesting"), "{reply}");
+
+    // The same connection still answers...
+    raw.write_all(b"{\"type\":\"metrics\"}\n").expect("write");
+    reply.clear();
+    reader.read_line(&mut reply).expect("read");
+    assert!(reply.contains("\"type\":\"metrics\""), "{reply}");
+    // ...and so does the daemon, for real work.
+    let mut client = connect(&server);
+    let SubmitReply::Accepted { id, .. } = client
+        .submit(&spec("after-nesting", "", 0))
+        .expect("submit")
+    else {
         panic!("expected acceptance");
     };
     assert_eq!(
