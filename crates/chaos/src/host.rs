@@ -46,7 +46,10 @@ impl HostFaultPlan {
                 .parse()
                 .map_err(|_| format!("host fault {key} wants an integer, got {value:?}"))?;
             match key {
-                "panics" => plan.panic_attempts = n as u32,
+                "panics" => {
+                    plan.panic_attempts = u32::try_from(n)
+                        .map_err(|_| format!("host fault panics={n} is out of range"))?
+                }
                 "slow" => plan.slow_ms = n,
                 "kill" => plan.kill_after_ms = n,
                 "node_kill" => plan.node_kill_ms = n,
@@ -150,5 +153,12 @@ mod tests {
         assert!(HostFaultPlan::parse("wat=1").is_err());
         assert!(HostFaultPlan::parse("panics=lots").is_err());
         assert!(HostFaultPlan::parse("panics").is_err());
+        assert!(HostFaultPlan::parse("panics=4294967296").is_err());
+        assert_eq!(
+            HostFaultPlan::parse("panics=4294967295")
+                .unwrap()
+                .panic_attempts,
+            u32::MAX
+        );
     }
 }

@@ -1,4 +1,5 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![warn(clippy::float_arithmetic)]
 //! # mosaic-chaos
 //!
 //! Deterministic, seeded fault injection for the Mosaic stack.

@@ -164,13 +164,8 @@ impl FaultPlan {
                 .split_once('=')
                 .ok_or_else(|| format!("fault spec token {token:?} is not key=value"))?;
             match key {
-                "seed" => plan.seed = parse_u64(value, "seed")?,
-                "horizon" => {
-                    plan.horizon = parse_u64(value, "horizon")?;
-                    if plan.horizon == 0 {
-                        return Err("fault spec: horizon must be nonzero".to_string());
-                    }
-                }
+                "seed" => plan.seed = parse_int(value, "seed")?,
+                "horizon" => plan.horizon = parse_int(value, "horizon")?,
                 "links" => plan.links = parse_burst(value)?,
                 "freeze" => plan.freeze = parse_burst(value)?,
                 "banks" => plan.banks = parse_spike(value)?,
@@ -184,7 +179,42 @@ impl FaultPlan {
                 }
             }
         }
-        Ok(plan)
+        plan.canonical()
+    }
+
+    /// Check that [`FaultPlan::materialize`] can place every window —
+    /// a nonzero horizon, and no window end past `u64::MAX` — and drop
+    /// the length of any family with no windows, which the spec string
+    /// does not carry.
+    fn canonical(mut self) -> Result<FaultPlan, String> {
+        if self.horizon == 0 {
+            return Err("fault spec: horizon must be nonzero".to_string());
+        }
+        for burst in [&mut self.links, &mut self.freeze] {
+            if burst.count == 0 {
+                *burst = FaultBurst::default();
+            }
+        }
+        for spike in [&mut self.banks, &mut self.dram] {
+            if spike.count == 0 {
+                *spike = SpikeBurst::default();
+            }
+        }
+        for (family, len) in [
+            ("links", self.links.len),
+            ("banks", self.banks.len),
+            ("dram", self.dram.len),
+            ("freeze", self.freeze.len),
+        ] {
+            if self.horizon.checked_add(len).is_none() {
+                return Err(format!(
+                    "fault spec: {family} window len {len} overflows a cycle \
+                     after horizon {}",
+                    self.horizon
+                ));
+            }
+        }
+        Ok(self)
     }
 
     /// Emit the canonical spec string; [`FaultPlan::parse`] of the
@@ -297,14 +327,14 @@ impl FaultPlan {
         let burst = |name: &str| -> Result<FaultBurst, String> {
             let b = obj.get(name, "fault plan")?.as_object(name)?;
             Ok(FaultBurst {
-                count: b.get("count", name)?.as_u64()? as u32,
+                count: narrow(b.get("count", name)?.as_u64()?, "burst count")?,
                 len: b.get("len", name)?.as_u64()?,
             })
         };
         let spike = |name: &str| -> Result<SpikeBurst, String> {
             let b = obj.get(name, "fault plan")?.as_object(name)?;
             Ok(SpikeBurst {
-                count: b.get("count", name)?.as_u64()? as u32,
+                count: narrow(b.get("count", name)?.as_u64()?, "burst count")?,
                 len: b.get("len", name)?.as_u64()?,
                 extra: b.get("extra", name)?.as_u64()?,
             })
@@ -317,14 +347,14 @@ impl FaultPlan {
                     word: fo.get("word", "flip")?.as_u64()?,
                 },
                 "spm" => FlipTarget::Spm {
-                    core: fo.get("core", "flip")?.as_u64()? as u32,
-                    word: fo.get("word", "flip")?.as_u64()? as u32,
+                    core: narrow(fo.get("core", "flip")?.as_u64()?, "flip core")?,
+                    word: narrow(fo.get("word", "flip")?.as_u64()?, "flip word")?,
                 },
                 other => return Err(format!("flip region {other:?} (dram|spm)")),
             };
             flips.push(BitFlip {
                 target,
-                bit: fo.get("bit", "flip")?.as_u64()? as u8,
+                bit: narrow(fo.get("bit", "flip")?.as_u64()?, "flip bit")?,
                 cycle: if fo.get("at_end", "flip")?.as_bool()? {
                     None
                 } else {
@@ -332,7 +362,7 @@ impl FaultPlan {
                 },
             });
         }
-        Ok(FaultPlan {
+        FaultPlan {
             seed: obj.get("seed", "fault plan")?.as_u64()?,
             horizon: obj.get("horizon", "fault plan")?.as_u64()?,
             links: burst("links")?,
@@ -340,7 +370,8 @@ impl FaultPlan {
             dram: spike("dram")?,
             freeze: burst("freeze")?,
             flips,
-        })
+        }
+        .canonical()
     }
 
     /// Materialize against a concrete machine geometry: every window
@@ -415,9 +446,17 @@ impl FaultPlan {
     }
 }
 
-fn parse_u64(s: &str, what: &str) -> Result<u64, String> {
-    s.parse()
-        .map_err(|_| format!("fault spec: {what} wants an integer, got {s:?}"))
+/// `n` as a `T`, or an error if it does not fit: a count or an index
+/// is never silently truncated.
+fn narrow<T: TryFrom<u64>>(n: u64, what: &str) -> Result<T, String> {
+    T::try_from(n).map_err(|_| format!("fault spec: {what} {n} is out of range"))
+}
+
+fn parse_int<T: TryFrom<u64>>(s: &str, what: &str) -> Result<T, String> {
+    let n: u64 = s
+        .parse()
+        .map_err(|_| format!("fault spec: {what} wants an integer, got {s:?}"))?;
+    narrow(n, what)
 }
 
 /// `COUNTxLEN`, e.g. `4x400`.
@@ -426,8 +465,8 @@ fn parse_burst(s: &str) -> Result<FaultBurst, String> {
         .split_once('x')
         .ok_or_else(|| format!("fault spec: burst {s:?} is not COUNTxLEN"))?;
     Ok(FaultBurst {
-        count: parse_u64(count, "burst count")? as u32,
-        len: parse_u64(len, "burst len")?,
+        count: parse_int(count, "burst count")?,
+        len: parse_int(len, "burst len")?,
     })
 }
 
@@ -440,7 +479,7 @@ fn parse_spike(s: &str) -> Result<SpikeBurst, String> {
     Ok(SpikeBurst {
         count: burst.count,
         len: burst.len,
-        extra: parse_u64(extra, "spike extra")?,
+        extra: parse_int(extra, "spike extra")?,
     })
 }
 
@@ -452,23 +491,23 @@ fn parse_flip(s: &str) -> Result<BitFlip, String> {
     let cycle = if at == "end" {
         None
     } else {
-        Some(parse_u64(at, "flip cycle")?)
+        Some(parse_int(at, "flip cycle")?)
     };
     let fields: Vec<&str> = head.split(':').collect();
     match fields.as_slice() {
         ["dram", word, bit] => Ok(BitFlip {
             target: FlipTarget::Dram {
-                word: parse_u64(word, "flip word")?,
+                word: parse_int(word, "flip word")?,
             },
-            bit: parse_u64(bit, "flip bit")? as u8,
+            bit: parse_int(bit, "flip bit")?,
             cycle,
         }),
         ["spm", core, word, bit] => Ok(BitFlip {
             target: FlipTarget::Spm {
-                core: parse_u64(core, "flip core")? as u32,
-                word: parse_u64(word, "flip word")? as u32,
+                core: parse_int(core, "flip core")?,
+                word: parse_int(word, "flip word")?,
             },
-            bit: parse_u64(bit, "flip bit")? as u8,
+            bit: parse_int(bit, "flip bit")?,
             cycle,
         }),
         _ => Err(format!(
@@ -557,6 +596,43 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn out_of_range_values_are_rejected_not_truncated() {
+        for spec in [
+            "seed=1,horizon=100,links=4294967297x18446744073709551615",
+            "links=4294967296x1",
+            "banks=1x1+1,dram=4294967296x1+1",
+            "flip=dram:0:256@end",
+            "flip=spm:4294967296:0:0@end",
+            "flip=spm:0:4294967296:0@end",
+            "links=1x18446744073709551615",
+            "horizon=2,freeze=1x18446744073709551614",
+        ] {
+            assert!(FaultPlan::parse(spec).is_err(), "{spec}");
+        }
+        let text = FaultPlan::parse("links=6x1").unwrap().to_json().write();
+        let wide = Json::parse(&text.replace(r#""count":6"#, r#""count":4294967296"#)).unwrap();
+        assert!(FaultPlan::from_json(&wide).is_err());
+    }
+
+    #[test]
+    fn boundary_values_still_parse() {
+        let plan = FaultPlan::parse(
+            "horizon=1,links=4294967295x18446744073709551614,\
+             flip=spm:4294967295:4294967295:255@18446744073709551615",
+        )
+        .unwrap();
+        assert_eq!(plan.links.count, u32::MAX);
+        assert_eq!(plan.flips[0].bit, 255);
+        // A family with no windows has no length to keep.
+        assert_eq!(
+            FaultPlan::parse("links=0x400,banks=0x1+2").unwrap(),
+            FaultPlan::default()
+        );
+        let flip = FaultPlan::parse("flip=dram:3:255@end").unwrap();
+        assert_eq!(flip.materialize(&geom()).flips[0].bit, 31);
     }
 
     #[test]

@@ -1,4 +1,5 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![warn(clippy::float_arithmetic)]
 //! # mosaic-runtime
 //!
 //! A dynamic task parallel programming framework — a Cilk/TBB-like

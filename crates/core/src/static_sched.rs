@@ -11,6 +11,7 @@
 use crate::ctx::{EnvHandle, TaskCtx};
 use crate::layout::misc;
 use mosaic_mem::AmoOp;
+use mosaic_sim::{Cycle, Phase};
 use std::rc::Rc;
 
 /// A loop body shared by every core executing the pattern.
@@ -54,6 +55,14 @@ fn run_chunk(ctx: &mut TaskCtx<'_>, lo: u32, hi: u32, env: EnvHandle, body: &Loo
         body(ctx, i);
     }
     ctx.st.in_static_kernel = was_nested;
+}
+
+/// A low-power wait of `cycles`: no instructions retire, and the
+/// profiler counts the cycles as idle.
+fn idle_wait(ctx: &mut TaskCtx<'_>, cycles: Cycle) {
+    let prev = ctx.api.phase_begin(Phase::Idle);
+    ctx.api.charge(0, cycles);
+    ctx.api.phase_restore(prev);
 }
 
 /// Statically schedule `body` over `[lo, hi)`. Must be reached on
@@ -109,7 +118,7 @@ pub(crate) fn static_for(ctx: &mut TaskCtx<'_>, lo: u32, hi: u32, env: EnvHandle
     // accounting where static idle cores are quiet.
     let barrier = ctx.sh.layout.barrier_addr();
     while ctx.api.load(barrier) < p - 1 {
-        ctx.api.charge(0, 48);
+        idle_wait(ctx, 48);
     }
     ctx.api.store(barrier, 0);
     // Invariant: the barrier reset must be globally visible before the
@@ -132,7 +141,7 @@ pub(crate) fn static_worker_loop(ctx: &mut TaskCtx<'_>) {
     loop {
         // Low-power mailbox polling: the paper's static runtime leaves
         // idle cores nearly silent in the dynamic instruction counts.
-        ctx.api.charge(0, 2);
+        idle_wait(ctx, 2);
         if ctx.api.load(done) != 0 {
             return;
         }
@@ -154,7 +163,7 @@ pub(crate) fn static_worker_loop(ctx: &mut TaskCtx<'_>) {
             ctx.api.amo_release(barrier, AmoOp::Add, 1);
             expected = cmd + 1;
         } else {
-            ctx.api.charge(0, 62); // poll backoff (low-power wait)
+            idle_wait(ctx, 62); // poll backoff
         }
     }
 }

@@ -87,6 +87,10 @@ impl RunReport {
     /// core spent issuing instructions or waiting on its own memory
     /// accesses (the remainder is scheduling backoff / low-power
     /// waiting). Instructions are counted at the modeled 1 IPC.
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "order: one division per core, no accumulation; a derived report metric, not a golden number"
+    )]
     pub fn utilization(&self) -> Vec<f64> {
         let total = self.cycles.max(1) as f64;
         self.counters
@@ -96,9 +100,12 @@ impl RunReport {
     }
 
     /// Machine-wide mean utilization (see [`RunReport::utilization`]).
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "order: sums the per-core Vec in core-id order; a derived report metric, not a golden number"
+    )]
     pub fn mean_utilization(&self) -> f64 {
         let u = self.utilization();
-        // detlint: allow(D004) -- derived report metric summed in fixed Vec order; not a golden number
         u.iter().sum::<f64>() / u.len().max(1) as f64
     }
 

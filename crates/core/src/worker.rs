@@ -305,13 +305,14 @@ impl TaskCtx<'_> {
                 stolen,
             });
         }
-        // Invariant: write the completion result, then release-
-        // decrement the parent's counter — the parent's `wait()` spins
-        // on the counter alone, so the result (and every store the
-        // task made) must be ordered before the decrement lands.
         let parent_rc = self.api.load(rec_addr.offset_words(rec::PARENT_RC));
         self.api.store(rec_addr.offset_words(rec::RESULT), 1);
         if parent_rc != 0 {
+            // Invariant: write the completion result, then release-
+            // decrement the parent's counter — the parent's `wait()`
+            // spins on the counter alone, so the result (and every
+            // store the task made) must be ordered before the
+            // decrement lands.
             self.api.amo_release(Addr(parent_rc as u64), AmoOp::Sub, 1);
         }
     }

@@ -145,3 +145,20 @@ fn static_runs_on_both_stack_placements() {
         assert_eq!(out.load(Ordering::Relaxed), 4950, "{placement:?}");
     }
 }
+
+#[test]
+fn static_waits_profile_as_idle() {
+    // Workers poll their mailboxes before the command lands and core 0
+    // spins at the barrier while the heavy last chunk finishes: both
+    // are waits, not compute.
+    let mut machine = MachineConfig::small(4, 2);
+    machine.profile = true;
+    let report = Mosaic::new(machine, static_cfg()).run(move |ctx| {
+        ctx.parallel_for(0, 64, 8, 2, move |ctx, i| {
+            ctx.compute(4, if i >= 56 { 400 } else { 4 });
+        });
+    });
+    let p = report.profile.as_ref().expect("profiler was enabled");
+    assert_eq!(p.accounting_error(), None);
+    assert!(p.bucket_total(mosaic_sim::Bucket::Idle) > 0);
+}

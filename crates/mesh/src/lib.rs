@@ -1,4 +1,5 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![warn(clippy::float_arithmetic)]
 //! # mosaic-mesh
 //!
 //! A 2-D mesh on-chip network (OCN) model for the Mosaic manycore

@@ -1,4 +1,5 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![warn(clippy::float_arithmetic)]
 //! # mosaic-model
 //!
 //! A deterministic **analytic performance model** of the Mosaic
@@ -33,8 +34,9 @@
 //! host. The contention fixed point is solved by integer bisection —
 //! no floats, no iteration-count sensitivity, no platform-dependent
 //! rounding. This keeps the crate inside the repo's determinism rules
-//! for golden-affecting code (`detlint` D004) and makes the emitted
-//! `calibration.json` byte-reproducible.
+//! for golden-affecting code with no `clippy::float_arithmetic`
+//! expectation at all, and makes the emitted `calibration.json`
+//! byte-reproducible.
 
 pub mod calibrate;
 pub mod demand;

@@ -1,4 +1,5 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![warn(clippy::float_arithmetic)]
 //! # mosaic-prof
 //!
 //! Cycle-attribution profiler for the Mosaic simulator. When
@@ -77,7 +78,8 @@ pub enum Bucket {
     FenceAmo = 6,
     /// Saving/restoring stack frames that overflowed to DRAM.
     StackOverflow = 7,
-    /// Nothing to do: failed-steal backoff waits and fault-injected
+    /// Nothing to do: failed-steal backoff waits, the static
+    /// scheduler's barrier spin and mailbox polls, and fault-injected
     /// freeze windows.
     Idle = 8,
 }

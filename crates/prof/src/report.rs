@@ -75,6 +75,10 @@ impl MachineProfile {
 
     /// Render the machine-wide bucket table: cycles and share of total
     /// attributed cycles, one bucket per line.
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "order: one display percentage per bucket, no accumulation"
+    )]
     pub fn render_totals(&self) -> String {
         let totals = self.totals();
         let all: u64 = totals.iter().sum::<u64>().max(1);
@@ -97,6 +101,10 @@ impl MachineProfile {
     /// normalized to the hottest core (1.00). Core `c` sits at column
     /// `c % cols`, row `c / cols` — the same layout the paper's Fig. 5
     /// uses, with core 0 top-left.
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "order: one display ratio per core, no accumulation"
+    )]
     pub fn render_heatmap(values: &[u64], cols: u16, rows: u16) -> String {
         let max = values.iter().copied().max().unwrap_or(0).max(1) as f64;
         let mut s = String::new();

@@ -178,7 +178,6 @@ impl Machine {
     /// queue drains).
     pub(crate) fn sanitizer_fence(&mut self, core: CoreId, cycle: Cycle) {
         if let Some(s) = &mut self.sanitizer {
-            // detlint: allow(D006) -- sanitizer bookkeeping hook, not a memory ordering site
             s.fence(core, cycle);
         }
     }

@@ -19,6 +19,10 @@ pub fn mix64(mut z: u64) -> u64 {
 }
 
 /// A deterministic f32 in `[0, 1)` derived from a seed and index.
+#[expect(
+    clippy::float_arithmetic,
+    reason = "order: one division of two exactly representable integers, no accumulation"
+)]
 pub fn hash_f32(seed: u64, i: u64) -> f32 {
     (mix64(seed ^ mix64(i)) >> 40) as f32 / (1u64 << 24) as f32
 }

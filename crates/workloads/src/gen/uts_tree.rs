@@ -59,6 +59,10 @@ impl UtsParams {
     }
 
     /// Number of children of `node` at `depth`.
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "order: per-node arithmetic on the fixed `m` and hashed trials, no accumulation"
+    )]
     pub fn num_children(&self, node: u64, depth: u32) -> u32 {
         if depth == 0 {
             return self.root_children;

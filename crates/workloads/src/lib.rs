@@ -1,4 +1,5 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![warn(clippy::float_arithmetic)]
 //! # mosaic-workloads
 //!
 //! The nine evaluation workloads of the ASPLOS '23 paper (Table 1),

@@ -33,6 +33,10 @@ pub struct MatMul {
 
 impl MatMul {
     /// Deterministic input matrices.
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "order: one subtraction per element, no accumulation"
+    )]
     pub fn inputs(&self) -> (Vec<f32>, Vec<f32>) {
         let n = self.n as usize;
         let a = (0..n * n)
@@ -46,6 +50,10 @@ impl MatMul {
 
     /// Host reference with the same blocked accumulation order as the
     /// kernel (bitwise-reproducible f32).
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "order: mirrors the kernel's blocked kb, i, j, k accumulation, so the results compare bitwise"
+    )]
     pub fn reference(&self, a: &[f32], b: &[f32]) -> Vec<f32> {
         let n = self.n as usize;
         let t = TILE as usize;
@@ -83,6 +91,10 @@ impl Benchmark for MatMul {
         Category::StaticBalanced
     }
 
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "order: each task accumulates its own output tile in fixed kb, k order; no partial crosses tasks"
+    )]
     fn run(&self, machine: MachineConfig, mut runtime: RuntimeConfig) -> RunOutcome {
         assert!(
             self.n.is_multiple_of(TILE),
