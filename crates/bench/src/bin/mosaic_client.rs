@@ -11,7 +11,7 @@
 //! result payload (the experiment's golden-format JSON) to stdout.
 
 use mosaic_bench::{GoldenMode, Options};
-use mosaic_serve::{Client, JobState, Request, RetryPolicy, SubmitReply};
+use mosaic_serve::{Client, JobSpec, JobState, Request, RetryPolicy, SubmitReply};
 use mosaic_workloads::Scale;
 
 fn usage() -> ! {
@@ -28,6 +28,36 @@ fn usage() -> ! {
          shutdown"
     );
     std::process::exit(2);
+}
+
+/// `submit EXPERIMENT [HARNESS FLAGS] [--wait] [--watch]` as (spec,
+/// wait, watch). Harness flags are parsed the way the harnesses parse
+/// them (shape 0x0 = the experiment's own).
+fn submission(mut args: Vec<String>) -> (JobSpec, bool, bool) {
+    if args.is_empty() {
+        usage();
+    }
+    let experiment = args.remove(0);
+    let mut wait = false;
+    let mut watch = false;
+    let mut harness_flags = Vec::new();
+    for a in args {
+        match a.as_str() {
+            "--wait" => wait = true,
+            "--watch" => watch = true,
+            _ => harness_flags.push(a),
+        }
+    }
+    let opts = Options::parse_from(Scale::Small, 0, 0, harness_flags);
+    if opts.golden != GoldenMode::Run {
+        // The payload is printed, not compared: reproduce_all
+        // --via-server is the client that gates on goldens.
+        usage();
+    }
+    for flag in opts.host_only_flags() {
+        eprintln!("note: {flag} is local-only; the wire JobSpec does not carry it");
+    }
+    (opts.job_spec(&experiment), wait, watch)
 }
 
 fn main() {
@@ -55,6 +85,9 @@ fn main() {
         usage();
     }
     let command = args.remove(0);
+    // A submission's flags are checked before connecting, so a bad flag
+    // is reported as itself whether or not a daemon is up.
+    let submit = (command == "submit").then(|| submission(std::mem::take(&mut args)));
     // Bounded connect retries: tolerates a daemon that is still
     // binding (or being restarted by a supervisor) without hanging —
     // and never longer than --connect-timeout-ms in total.
@@ -70,32 +103,7 @@ fn main() {
 
     match command.as_str() {
         "submit" => {
-            if args.is_empty() {
-                usage();
-            }
-            let experiment = args.remove(0);
-            let mut wait = false;
-            let mut watch = false;
-            // Everything else is a harness flag, parsed the way the
-            // harnesses parse it (shape 0x0 = the experiment's own).
-            let mut harness_flags = Vec::new();
-            for a in args {
-                match a.as_str() {
-                    "--wait" => wait = true,
-                    "--watch" => watch = true,
-                    _ => harness_flags.push(a),
-                }
-            }
-            let opts = Options::parse_from(Scale::Small, 0, 0, harness_flags);
-            if opts.golden != GoldenMode::Run {
-                // The payload is printed, not compared: reproduce_all
-                // --via-server is the client that gates on goldens.
-                usage();
-            }
-            for flag in opts.host_only_flags() {
-                eprintln!("note: {flag} is local-only; the wire JobSpec does not carry it");
-            }
-            let spec = opts.job_spec(&experiment);
+            let (spec, wait, watch) = submit.expect("parsed before connecting");
             let reply = client.submit(&spec).unwrap_or_else(|e| fail(e));
             match reply {
                 SubmitReply::Accepted { id, state, cached } => {
@@ -165,18 +173,8 @@ fn main() {
         }
         "metrics" => {
             let v = client.metrics().unwrap_or_else(|e| fail(e));
-            // Human summary of the fast-mode split on stderr; the full
-            // snapshot (including latency_by_fidelity percentiles)
-            // stays on stdout for pipelines.
+            // The full snapshot goes to stdout for pipelines.
             if let Ok(obj) = v.as_object("metrics") {
-                let count = |name: &str| -> u64 {
-                    obj.opt(name).and_then(|f| f.as_u64().ok()).unwrap_or(0)
-                };
-                eprintln!(
-                    "fast mode: {} analytic, {} escalated to cycle",
-                    count("fast_jobs"),
-                    count("escalations")
-                );
                 // Keys this client predates get a sorted "other"
                 // section instead of being silently dropped — a newer
                 // daemon's counters (a gateway's `forwards`,
@@ -193,14 +191,11 @@ fn main() {
                     "retries",
                     "worker_deaths",
                     "replayed_jobs",
-                    "fast_jobs",
-                    "escalations",
                     "cache_hits",
                     "cache_misses",
                     "queue_depth",
                     "busy_workers",
                     "latency_ms",
-                    "latency_by_fidelity",
                     "profiled_jobs",
                     "profile",
                 ];

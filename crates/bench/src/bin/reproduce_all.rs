@@ -128,9 +128,6 @@ fn via_server(addr: &str, flags: &[String]) {
     let mut submitted: Vec<(&str, String)> = Vec::new();
     for bin in CATALOG.iter().map(|e| e.name) {
         let spec = opts.job_spec(bin);
-        // An `auto` submission to a daemon without a calibration table
-        // comes back as an `error` response — collected as a per-
-        // experiment failure below, like any other rejection.
         match client.submit(&spec) {
             Ok(SubmitReply::Accepted { id, state, cached }) => {
                 eprintln!(

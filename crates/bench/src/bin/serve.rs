@@ -18,7 +18,6 @@
 use mosaic_bench::cli::CALIBRATION_PATH;
 use mosaic_bench::service::BinExecutor;
 use mosaic_chaos::HostFaultPlan;
-use mosaic_model::CalibrationTable;
 use mosaic_serve::{Executor, FaultyExecutor, SchedConfig, Server, ServerConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -30,7 +29,6 @@ fn main() {
     let mut child_jobs: Option<usize> = None;
     let mut chaos_host = HostFaultPlan::default();
     let mut calibration: Option<PathBuf> = None;
-    let mut escalate_bound_ppm: Option<u64> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         let mut value = |flag: &str| {
@@ -81,13 +79,6 @@ fn main() {
                     .unwrap_or_else(|e| panic!("bad --chaos-host spec {spec:?}: {e}"));
             }
             "--calibration" => calibration = Some(PathBuf::from(value("--calibration"))),
-            "--escalate-bound-ppm" => {
-                escalate_bound_ppm = Some(
-                    value("--escalate-bound-ppm")
-                        .parse()
-                        .expect("--escalate-bound-ppm must be an integer"),
-                );
-            }
             "--help" | "-h" => {
                 eprintln!(
                     "mosaic serve daemon\n\
@@ -106,11 +97,8 @@ fn main() {
                      (testing the isolation/retry/crash-recovery machinery;\n                                \
                      node_kill aborts the whole daemon N ms after boot;\n                                \
                      see mosaic-chaos)\n         \
-                     --calibration PATH     calibration table backing auto-fidelity submissions\n                                \
-                     (default results/model/calibration.json when present;\n                                \
-                     without a table, auto submissions are rejected)\n         \
-                     --escalate-bound-ppm N widest calibrated error band still answered\n                                \
-                     analytically (default: the table's own bound)"
+                     --calibration PATH     calibration table forwarded to analytic-fidelity children\n                                \
+                     (default results/model/calibration.json when present)"
                 );
                 std::process::exit(0);
             }
@@ -132,37 +120,19 @@ fn main() {
         ..cfg.sched
     };
 
-    // Load the calibration table backing `auto` fidelity: an explicit
-    // --calibration PATH must parse; the default path is best-effort
-    // (a daemon in a checkout that never ran `calibrate` still serves
-    // cycle-accurate jobs — it just rejects `auto`).
-    let table_path = calibration
-        .clone()
-        .or_else(|| Some(PathBuf::from(CALIBRATION_PATH)).filter(|p| p.exists()));
-    if let Some(path) = &table_path {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("read --calibration {}: {e}", path.display()));
-        let table = CalibrationTable::parse(&text)
-            .unwrap_or_else(|e| panic!("parse --calibration {}: {e}", path.display()));
-        cfg.sched.escalate_bound_ppm = escalate_bound_ppm.unwrap_or(table.bound_ppm);
-        eprintln!(
-            "serve: calibration loaded from {} ({} families, escalation bound {}ppm)",
-            path.display(),
-            table.families.len(),
-            cfg.sched.escalate_bound_ppm
-        );
-        cfg.sched.calibration = Some(Arc::new(table));
-    } else {
-        eprintln!("serve: no calibration table; auto-fidelity submissions will be rejected");
-    }
-
     let mut executor =
         BinExecutor::beside_current_exe(child_jobs).expect("locate harness binaries");
-    // Analytic children must read the exact table the escalation
-    // decisions came from, wherever the daemon was started — forward
-    // it absolutized rather than letting each child re-resolve the
-    // committed default against its own working directory.
-    executor.calibration = table_path.map(|p| std::fs::canonicalize(&p).unwrap_or(p));
+    // The daemon never reads the table; it forwards an absolute path so
+    // analytic children find it wherever the daemon was started. An
+    // explicit --calibration must exist; the committed default is
+    // forwarded only when present.
+    executor.calibration = match calibration {
+        Some(p) => Some(
+            std::fs::canonicalize(&p)
+                .unwrap_or_else(|e| panic!("--calibration {}: {e}", p.display())),
+        ),
+        None => std::fs::canonicalize(CALIBRATION_PATH).ok(),
+    };
     eprintln!(
         "serve: {} workers x {} child jobs (1 host thread/sim, {} host cores), queue cap {}, timeout {:?}, {} attempts/job",
         workers, child_jobs, host, cfg.sched.queue_cap,

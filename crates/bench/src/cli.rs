@@ -4,15 +4,14 @@
 
 use crate::golden::{self, GoldenFile};
 use mosaic_chaos::FaultPlan;
-use mosaic_model::CalibrationTable;
+use mosaic_model::{CalibrationTable, Fidelity};
 use mosaic_serve::JobSpec;
-use mosaic_sim::{AnalyticBackend, AutoBackend, Backend, CycleBackend, Fidelity, MachineConfig};
+use mosaic_sim::MachineConfig;
 use mosaic_workloads::Scale;
 use std::sync::Arc;
 
 /// Where the committed calibration artifact lives (written by the
-/// `calibrate` harness, consumed by `--fidelity analytic|auto` and the
-/// serve daemon).
+/// `calibrate` harness, consumed by `--fidelity analytic`).
 pub const CALIBRATION_PATH: &str = "results/model/calibration.json";
 
 /// What to do with golden (committed reference) numbers this run.
@@ -65,13 +64,13 @@ pub struct Options {
     /// Directory to write per-run profile JSON into (`--prof-out DIR`);
     /// implies `--profile`. `None` = don't write profile files.
     pub prof_out: Option<std::path::PathBuf>,
-    /// Which backend answers runs (`--fidelity cycle|analytic|auto`):
-    /// the cycle-accurate engine (default), the calibrated analytic
-    /// model, or per-family escalation. Only experiments registered as
-    /// `analytic` (see [`crate::experiment`]) support non-cycle
-    /// fidelities; the driver refuses the flag for the rest.
+    /// Which tier answers the cells (`--fidelity cycle|analytic`): the
+    /// cycle-accurate engine (default) or the calibrated analytic
+    /// model. Only experiments registered as `analytic` (see
+    /// [`crate::experiment`]) support `analytic`; the driver refuses it
+    /// for the rest.
     pub fidelity: Fidelity,
-    /// Calibration table for the analytic backend
+    /// Calibration table for `--fidelity analytic`
     /// (`--calibration PATH`); `None` = the committed
     /// [`CALIBRATION_PATH`].
     pub calibration: Option<std::path::PathBuf>,
@@ -249,10 +248,9 @@ impl Options {
                          --sanitize                 run the memory-model sanitizer (exit 1 on findings)\n         \
                          --profile                  attach the cycle-attribution profiler (zero simulated cost)\n         \
                          --prof-out DIR             write per-run profile JSON under DIR (implies --profile)\n         \
-                         --fidelity cycle|analytic|auto\n                                    \
-                         backend: cycle-accurate engine (default), calibrated\n                                    \
-                         analytic model, or per-family escalation\n         \
-                         --calibration PATH         calibration table for analytic/auto\n                                    \
+                         --fidelity cycle|analytic  cycle-accurate engine (default) or the\n                                    \
+                         calibrated analytic model (table1/fig09_speedup)\n         \
+                         --calibration PATH         calibration table for --fidelity analytic\n                                    \
                          (default results/model/calibration.json)\n         \
                          --checkpoint-every N       write a machine checkpoint every N simulated cycles\n                                    \
                          (0 = never; results byte-identical either way)\n         \
@@ -285,7 +283,6 @@ impl Options {
         m.sanitize = self.sanitize;
         m.faults = self.faults.clone();
         m.profile = self.profile;
-        m.fidelity = self.fidelity;
         m.checkpoint_every = self.checkpoint_every;
         m.checkpoint_dir = self.checkpoint_dir.clone();
         m.resume_from = self.resume_from.clone();
@@ -332,45 +329,33 @@ impl Options {
             .collect()
     }
 
-    /// Load the calibration table for analytic/auto fidelities from
-    /// `--calibration` (default [`CALIBRATION_PATH`]).
-    pub fn calibration_table(&self) -> Result<CalibrationTable, String> {
+    /// The calibration table `--fidelity analytic` answers from
+    /// (`--calibration`, default [`CALIBRATION_PATH`]); `None` under the
+    /// cycle engine.
+    ///
+    /// # Panics
+    ///
+    /// Panics when analytic fidelity was requested but the table is
+    /// missing or unreadable.
+    pub fn analytic_table(&self) -> Option<Arc<CalibrationTable>> {
+        if self.fidelity.is_cycle() {
+            return None;
+        }
         let path = self
             .calibration
             .clone()
             .unwrap_or_else(|| std::path::PathBuf::from(CALIBRATION_PATH));
-        let text = std::fs::read_to_string(&path).map_err(|e| {
-            format!(
-                "cannot read calibration table {}: {e} (run the calibrate harness \
-                 with --write-golden first, or use --fidelity cycle)",
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            panic!(
+                "--fidelity {}: cannot read calibration table {}: {e} (run the calibrate \
+                 harness with --write-golden first, or use --fidelity cycle)",
+                self.fidelity,
                 path.display()
             )
-        })?;
-        CalibrationTable::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
-    }
-
-    /// The backend answering this run's cells, per `--fidelity`. Auto
-    /// escalates per family past the calibration table's own
-    /// acceptance bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics when analytic/auto fidelity was requested but the
-    /// calibration table is missing or unreadable.
-    pub fn backend(&self) -> Arc<dyn Backend + Send> {
-        match self.fidelity {
-            Fidelity::Cycle => Arc::new(CycleBackend),
-            Fidelity::Analytic | Fidelity::Auto => {
-                let table = self
-                    .calibration_table()
-                    .unwrap_or_else(|e| panic!("--fidelity {}: {e}", self.fidelity));
-                let bound = table.bound_ppm;
-                match self.fidelity {
-                    Fidelity::Analytic => Arc::new(AnalyticBackend::new(table)),
-                    _ => Arc::new(AutoBackend::new(table, bound)),
-                }
-            }
-        }
+        });
+        let table = CalibrationTable::parse(&text)
+            .unwrap_or_else(|e| panic!("--fidelity {}: {}: {e}", self.fidelity, path.display()));
+        Some(Arc::new(table))
     }
 
     /// Core count.
@@ -558,8 +543,6 @@ mod tests {
             "--sanitize",
             "--faults",
             "seed=7,horizon=1000,freeze=2x100",
-            "--fidelity",
-            "analytic",
         ];
         let opts = Options::parse_from(Scale::Tiny, 0, 0, argv.map(String::from));
         let spec = opts.job_spec("table1");
@@ -570,7 +553,6 @@ mod tests {
             seed,
             sanitize,
             faults,
-            fidelity,
             // Fixed by the experiment's machine preset
             // (`MachineConfig::small`), which the digested
             // experiment/config/scale fields select; only ablation_ruche
@@ -616,7 +598,6 @@ mod tests {
             (spec.cols, spec.rows, spec.sanitize)
         );
         assert_eq!(faults.as_ref().map(FaultPlan::to_spec), Some(spec.faults));
-        assert_eq!(fidelity.to_string(), spec.fidelity);
         // A spec's seed 0 selects the preset seed; the daemon refuses
         // any other, so the two cannot disagree.
         assert_eq!(

@@ -47,7 +47,7 @@ pub struct Info {
     pub cols: u16,
     /// Default `--rows`.
     pub rows: u16,
-    /// Whether `--fidelity analytic|auto` is supported: the cells are
+    /// Whether `--fidelity analytic` is supported: the cells are
     /// calibration families the analytic model covers.
     pub analytic: bool,
     /// Whether `--workload NAME` is supported: the cells sweep the

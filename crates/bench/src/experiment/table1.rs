@@ -15,7 +15,7 @@ use std::fmt::Write as _;
 pub(super) fn sweep_cells(opts: &Options) -> Vec<Cell> {
     sweep::table1_cells(
         sweep::table1_benches(opts.scale, &opts.workload),
-        opts.backend(),
+        opts.analytic_table(),
         opts.scale.name(),
     )
 }

@@ -12,6 +12,7 @@
 
 use crate::cli::spec_argv;
 use crate::experiment;
+use mosaic_model::Fidelity;
 use mosaic_serve::{Executor, JobSpec};
 use mosaic_workloads::Scale;
 use std::collections::VecDeque;
@@ -30,7 +31,7 @@ use std::time::{Duration, Instant};
 /// a 19–21 ms child against a 20 ms step made its tail latency read
 /// 25 or 41 ms. The children it times (`trace_run` 4x2 tiny, 4 ms; 8x4
 /// small, 19–21 ms pinned) must stay clear of a step. ROADMAP item
-/// 2(b) replaces the poll with a blocking wait.
+/// 9(b) replaces the poll with a blocking wait.
 const CHILD_POLL: Duration = Duration::from_millis(15);
 
 /// Executor that runs experiment harness binaries as child processes.
@@ -41,11 +42,11 @@ pub struct BinExecutor {
     /// `--jobs` handed to each child, budgeted so
     /// `workers × child_jobs ≤ host cores`.
     pub child_jobs: usize,
-    /// Calibration table forwarded to analytic children
-    /// (`--calibration`). `None` leaves the child resolving the
-    /// committed default relative to its own working directory —
-    /// fine in a repo checkout, wrong for a daemon started elsewhere
-    /// with an explicit `--calibration`.
+    /// Calibration table path forwarded to analytic children
+    /// (`--calibration`); the daemon never reads it. `None` leaves the
+    /// child resolving the committed default relative to its own
+    /// working directory — fine in a repo checkout, wrong for a daemon
+    /// started elsewhere with an explicit `--calibration`.
     pub calibration: Option<PathBuf>,
 }
 
@@ -97,24 +98,13 @@ impl BinExecutor {
             mosaic_chaos::FaultPlan::parse(&spec.faults)
                 .map_err(|e| format!("bad faults spec {:?}: {e}", spec.faults))?;
         }
-        match spec.fidelity.as_str() {
-            "" | "cycle" => {}
-            "analytic" => {
-                if !exp.analytic {
-                    return Err(format!(
-                        "experiment {:?} is cycle-accurate only (analytic fidelity \
-                         covers: {})",
-                        spec.experiment,
-                        experiment::names(|e| e.analytic, ", ")
-                    ));
-                }
-            }
-            "auto" => {
-                // The scheduler resolves `auto` before the digest is
-                // taken; one reaching the executor is a wiring bug.
-                return Err("fidelity \"auto\" must be resolved by the scheduler".to_string());
-            }
-            other => return Err(format!("unknown fidelity {other:?} (cycle|analytic|auto)")),
+        if !Fidelity::parse(&spec.fidelity)?.is_cycle() && !exp.analytic {
+            return Err(format!(
+                "experiment {:?} is cycle-accurate only (analytic fidelity \
+                 covers: {})",
+                spec.experiment,
+                experiment::names(|e| e.analytic, ", ")
+            ));
         }
         Ok(())
     }
@@ -139,9 +129,8 @@ impl Executor for BinExecutor {
         let mut cmd = Command::new(self.exe_dir.join(&spec.experiment));
         cmd.args(spec_argv(spec));
         if let (Some(table), "analytic") = (&self.calibration, spec.fidelity.as_str()) {
-            // Hand the child the same table the daemon's escalation
-            // decisions read; without this it would fall back to
-            // the committed default relative to its own cwd.
+            // Without this the child would fall back to the committed
+            // default relative to its own cwd.
             cmd.arg("--calibration").arg(table);
         }
         cmd.args(["--jobs", &self.child_jobs.to_string()]);
@@ -311,5 +300,17 @@ mod tests {
         let mut bad = ok.clone();
         bad.faults = "not a plan".into();
         assert!(BinExecutor::validate(&bad).is_err());
+
+        // Only the two fidelities exist; the retired `auto` is an
+        // unknown value like any other.
+        let mut analytic = ok.clone();
+        analytic.fidelity = "analytic".into();
+        assert!(BinExecutor::validate(&analytic).is_ok());
+        let mut bad = ok.clone();
+        bad.fidelity = "auto".into();
+        assert_eq!(
+            BinExecutor::validate(&bad).unwrap_err(),
+            "unknown fidelity \"auto\" (cycle|analytic)"
+        );
     }
 }

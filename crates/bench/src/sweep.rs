@@ -22,8 +22,9 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use crate::sanitize::SanCell;
+use mosaic_model::CalibrationTable;
 use mosaic_runtime::{RunReport, RuntimeConfig};
-use mosaic_sim::{Backend, BackendJob, CycleOutcome, FamilyKey, MachineConfig, MachineProfile};
+use mosaic_sim::{machine_params, MachineConfig, MachineProfile};
 use mosaic_workloads::{Benchmark, Scale};
 
 /// What running one cell produced. The first five fields are what the
@@ -263,50 +264,19 @@ where
     cell_time
 }
 
-/// One (benchmark, config) cell of the Table-1 sweep, presented to the
-/// backend seam: its calibration family plus the cycle-accurate way to
-/// run it.
-struct SweepCell<'a> {
-    bench: &'a dyn Benchmark,
-    label: &'static str,
-    runtime: &'a RuntimeConfig,
-    scale: &'a str,
-}
-
-impl BackendJob for SweepCell<'_> {
-    fn family(&self) -> FamilyKey {
-        FamilyKey {
-            workload: self.bench.name(),
-            config: self.label.to_string(),
-            scale: self.scale.to_string(),
-        }
-    }
-
-    fn execute(&self, machine: &MachineConfig) -> CycleOutcome {
-        let out = self.bench.run(machine.clone(), self.runtime.clone());
-        CycleOutcome {
-            cycles: out.report.cycles,
-            instructions: out.report.instructions(),
-            verified: out.verified,
-            sanitizer: out.report.sanitizer,
-            profile: out.report.profile,
-        }
-    }
-}
-
 /// The cells of a Table-1-style sweep: every benchmark across the six
 /// runtime configurations, workload-major (static configs are skipped
-/// for workloads without a static baseline). Each cell is answered by
-/// `backend` — the cycle engine, the calibrated analytic model, or
-/// per-family auto escalation; `scale` names the calibration families
-/// the cells belong to (ignored by the cycle backend). Each cell logs
-/// the standard progress line.
+/// for workloads without a static baseline). `analytic: None` runs each
+/// cell on the cycle engine; `Some(table)` answers it instead from the
+/// calibrated analytic model ([`CalibrationTable::answer`] for its
+/// family at `scale`), executing nothing. Each cell logs the standard
+/// progress line either way.
 ///
-/// A cell panics when the backend refuses it (e.g. `--fidelity
-/// analytic` for a family the calibration table does not cover).
+/// An analytic cell panics when the table refuses its family (not
+/// calibrated, or out of bound).
 pub fn table1_cells(
     benches: Vec<Box<dyn Benchmark>>,
-    backend: Arc<dyn Backend + Send>,
+    analytic: Option<Arc<CalibrationTable>>,
     scale: &'static str,
 ) -> Vec<Cell> {
     let mut cells = Vec::new();
@@ -317,30 +287,36 @@ pub fn table1_cells(
                 continue;
             }
             let name = bench.name();
-            let (bench, backend) = (bench.clone(), backend.clone());
+            let (bench, analytic) = (bench.clone(), analytic.clone());
             cells.push(Cell::new(name.clone(), label, move |machine| {
-                let cell = SweepCell {
-                    bench: bench.as_ref(),
-                    label,
-                    runtime: &runtime,
-                    scale,
+                let out = match &analytic {
+                    None => {
+                        let run = bench.run(machine, runtime.clone());
+                        Outcome::of(&run.report, run.verified)
+                    }
+                    Some(table) => {
+                        let (cycles, instructions) = table
+                            .answer(&machine_params(&machine), &name, label, scale)
+                            .unwrap_or_else(|e| panic!("{e}"));
+                        // Nothing executed, so there is no payload to
+                        // falsify: the calibration bound is the answer's
+                        // correctness statement.
+                        Outcome {
+                            cycles,
+                            instructions,
+                            verified: true,
+                            ..Outcome::default()
+                        }
+                    }
                 };
-                let rep = backend
-                    .run_cell(&machine, &cell)
-                    .unwrap_or_else(|e| panic!("{}: {e}", cell.family()));
                 Outcome {
-                    cycles: rep.cycles,
-                    instructions: rep.instructions,
-                    verified: rep.verified,
-                    sanitizer: SanCell::from_report(rep.sanitizer.as_ref()),
-                    profile: rep.profile,
                     log: format!(
                         "  {name:<18} {label:<22} {:>10} cycles  {:>10} instrs  {}\n",
-                        rep.cycles,
-                        rep.instructions,
-                        if rep.verified { "ok" } else { "FAILED-VERIFY" }
+                        out.cycles,
+                        out.instructions,
+                        if out.verified { "ok" } else { "FAILED-VERIFY" }
                     ),
-                    ..Outcome::default()
+                    ..out
                 }
             }));
         }

@@ -1,22 +1,21 @@
-//! The dual-fidelity seam's two contracts, pinned from the harness
+//! The two fidelities of the Table-1 sweep, pinned from the harness
 //! side:
 //!
-//! 1. `CycleBackend` is a transparent pass-through — the committed
-//!    golden numbers reproduce *byte-for-byte* through the seam, so
-//!    threading a `Backend` through the harnesses changed nothing
-//!    about the cycle-accurate truth.
-//! 2. `AnalyticBackend` is a pure function of (machine, calibration):
-//!    deterministic across calls, and monotone non-increasing in core
-//!    count for static-loop demands (`span_hop == 0` — the property
-//!    `mosaic-model`'s module docs promise the backend pins down).
+//! 1. `table1_cells` without a calibration table is the cycle engine,
+//!    untouched — the committed golden numbers reproduce
+//!    *byte-for-byte*.
+//! 2. With a table, every cell is `CalibrationTable::answer` for its
+//!    family and nothing runs; the answer is a pure function of
+//!    (machine, calibration): deterministic across calls, and monotone
+//!    non-increasing in core count for static-loop demands
+//!    (`span_hop == 0` — the property `mosaic-model`'s module docs
+//!    promise).
 
 use mosaic_bench::{sweep, GoldenFile};
-use mosaic_model::{CalFamily, CalibrationTable, WorkloadDemand, PPM};
-use mosaic_sim::backend::{
-    AnalyticBackend, Backend, BackendJob, CycleBackend, CycleOutcome, FamilyKey,
-};
-use mosaic_sim::MachineConfig;
-use mosaic_workloads::Scale;
+use mosaic_model::{CalFamily, CalibrationTable, MachineParams, WorkloadDemand, PPM};
+use mosaic_runtime::RuntimeConfig;
+use mosaic_sim::{machine_params, MachineConfig};
+use mosaic_workloads::{Benchmark, Category, RunOutcome, Scale};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -31,7 +30,7 @@ fn committed_table1_tiny() -> String {
 }
 
 #[test]
-fn cycle_backend_reproduces_committed_goldens() {
+fn table1_cells_reproduce_committed_goldens() {
     let committed_text = committed_table1_tiny();
     let committed = GoldenFile::parse(&committed_text).expect("committed golden parses");
     // Sweep-pool budget: one simulation is one host thread.
@@ -39,11 +38,7 @@ fn cycle_backend_reproduces_committed_goldens() {
         .map(|n| n.get())
         .unwrap_or(1);
     let machine = MachineConfig::small(8, 4);
-    let cells = sweep::table1_cells(
-        sweep::table1_benches(Scale::Tiny, ""),
-        Arc::new(CycleBackend),
-        "tiny",
-    );
+    let cells = sweep::table1_cells(sweep::table1_benches(Scale::Tiny, ""), None, "tiny");
     let (results, _) = sweep::run(&cells, jobs, |_| machine.clone(), |_| {});
     let mut fresh = GoldenFile::new("table1", "tiny", 8, 4);
     fresh.push_results(&results);
@@ -63,35 +58,36 @@ fn cycle_backend_reproduces_committed_goldens() {
 
 // ---------------------------------------------------------------- //
 
-/// A job the analytic backend must answer *without* executing.
-struct NeverExecute;
+/// A benchmark the analytic tier must answer *without* running.
+struct NeverRun;
 
-impl BackendJob for NeverExecute {
-    fn family(&self) -> FamilyKey {
-        FamilyKey {
-            workload: "Synthetic".into(),
-            config: "ws/spm-stack/spm-q".into(),
-            scale: "tiny".into(),
-        }
+impl Benchmark for NeverRun {
+    fn name(&self) -> String {
+        "Synthetic".into()
     }
-    fn execute(&self, _machine: &MachineConfig) -> CycleOutcome {
-        panic!("the analytic backend must never reach the cycle engine");
+    fn category(&self) -> Category {
+        Category::StaticBalanced
+    }
+    fn run(&self, _machine: MachineConfig, _runtime: RuntimeConfig) -> RunOutcome {
+        panic!("the analytic tier must never reach the cycle engine");
     }
 }
 
-/// Wrap a synthetic demand in a perfectly calibrated single-family
-/// table covering [`NeverExecute`]'s family.
+/// A perfectly calibrated table covering `Synthetic` under every
+/// Table-1 config with the same demand.
 fn table_for(demand: WorkloadDemand) -> CalibrationTable {
     let mut t = CalibrationTable::new(100_000);
-    t.families.push(CalFamily {
-        workload: "Synthetic".into(),
-        config: "ws/spm-stack/spm-q".into(),
-        scale: "tiny".into(),
-        demand,
-        points: Vec::new(),
-        correction_ppm: PPM,
-        max_err_ppm: 0,
-    });
+    for (config, _) in RuntimeConfig::table1_sweep() {
+        t.families.push(CalFamily {
+            workload: "Synthetic".into(),
+            config: config.into(),
+            scale: "tiny".into(),
+            demand: demand.clone(),
+            points: Vec::new(),
+            correction_ppm: PPM,
+            max_err_ppm: 0,
+        });
+    }
     t
 }
 
@@ -127,6 +123,31 @@ fn static_loop_demand(
     }
 }
 
+#[test]
+fn analytic_cells_are_the_tables_answers_and_never_run() {
+    let table = Arc::new(table_for(static_loop_demand(
+        50_000,
+        (1_000, 2_000, 3_000),
+        4_000,
+        5_000,
+        600,
+    )));
+    let machine = MachineConfig::small(4, 2);
+    let cells = sweep::table1_cells(vec![Box::new(NeverRun)], Some(table.clone()), "tiny");
+    let (results, _) = sweep::run(&cells, 1, |_| machine.clone(), |_| {});
+    assert_eq!(results.len(), RuntimeConfig::table1_sweep().len());
+    for r in &results {
+        let answer = table
+            .answer(&machine_params(&machine), "Synthetic", &r.config, "tiny")
+            .unwrap();
+        assert_eq!((r.out.cycles, r.out.instructions), answer);
+        assert!(r.out.verified, "analytic answers always verify");
+        assert!(r.out.profile.is_none());
+        assert!(r.out.log.contains(" cycles "), "{}", r.out.log);
+        assert!(r.out.log.trim_end().ends_with("ok"), "{}", r.out.log);
+    }
+}
+
 proptest! {
     // Each case runs the model across four mesh shapes; keep the
     // shapes small because deriving machine parameters allocates the
@@ -142,24 +163,25 @@ proptest! {
         span in 0u64..5_000,
     ) {
         let demand = static_loop_demand(compute, stalls, llc_accesses, link_flits, span);
-        let backend = AnalyticBackend::new(table_for(demand));
+        let table = table_for(demand);
+        let answer = |params: &MachineParams| table.answer(params, "Synthetic", "ws/spm-stack/spm-q", "tiny");
         let mut previous: Option<u64> = None;
         for (cols, rows) in [(2u16, 2u16), (4, 2), (4, 4), (8, 4)] {
-            let machine = MachineConfig::small(cols, rows);
-            let a = backend.run_cell(&machine, &NeverExecute).unwrap();
-            let b = backend.run_cell(&machine, &NeverExecute).unwrap();
-            prop_assert_eq!(a.cycles, b.cycles, "nondeterministic at {}x{}", cols, rows);
-            prop_assert_eq!(a.instructions, b.instructions);
-            prop_assert_eq!(a.estimate.clone(), b.estimate.clone());
-            prop_assert!(a.verified, "analytic answers always verify");
+            let params = machine_params(&MachineConfig::small(cols, rows));
+            let (cycles, instructions) = answer(&params).unwrap();
+            prop_assert_eq!(
+                answer(&params).unwrap(),
+                (cycles, instructions),
+                "nondeterministic at {}x{}", cols, rows
+            );
             if let Some(prev) = previous {
                 prop_assert!(
-                    a.cycles <= prev,
+                    cycles <= prev,
                     "static-loop estimate grew with cores at {}x{}: {} > {}",
-                    cols, rows, a.cycles, prev
+                    cols, rows, cycles, prev
                 );
             }
-            previous = Some(a.cycles);
+            previous = Some(cycles);
         }
     }
 }

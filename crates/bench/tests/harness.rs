@@ -4,9 +4,8 @@
 use mosaic_bench::sweep::{self, CellResult, SweepTiming};
 use mosaic_bench::{GoldenFile, Table};
 use mosaic_runtime::RuntimeConfig;
-use mosaic_sim::{CycleBackend, MachineConfig};
+use mosaic_sim::MachineConfig;
 use mosaic_workloads::{fib::Fib, matmul::MatMul, Benchmark};
-use std::sync::Arc;
 
 fn fib() -> Vec<Box<dyn Benchmark>> {
     vec![Box::new(Fib { n: 8 })]
@@ -19,7 +18,7 @@ fn matmul() -> Vec<Box<dyn Benchmark>> {
 /// The Table-1 sweep of `benches` on a 2x2 machine, cycle-accurately.
 fn run_sweep(benches: Vec<Box<dyn Benchmark>>, jobs: usize) -> (Vec<CellResult>, SweepTiming) {
     let machine = MachineConfig::small(2, 2);
-    let cells = sweep::table1_cells(benches, Arc::new(CycleBackend), "tiny");
+    let cells = sweep::table1_cells(benches, None, "tiny");
     sweep::run(&cells, jobs, |_| machine.clone(), |_| {})
 }
 
@@ -43,10 +42,10 @@ fn sweep_runs_all_configs_and_skips_missing_baselines() {
 }
 
 #[test]
-fn profile_rides_the_backend_seam_into_every_cell() {
+fn profile_rides_into_every_table1_cell() {
     let mut machine = MachineConfig::small(2, 2);
     machine.profile = true;
-    let cells = sweep::table1_cells(fib(), Arc::new(CycleBackend), "tiny");
+    let cells = sweep::table1_cells(fib(), None, "tiny");
     let (results, _) = sweep::run(&cells, 1, |_| machine.clone(), |_| {});
     for r in &results {
         let p = r.out.profile.as_ref().expect("profiler was enabled");

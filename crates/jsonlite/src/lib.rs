@@ -362,6 +362,11 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                         let hex = b
                             .get(*pos + 1..*pos + 5)
                             .ok_or("truncated \\u escape".to_string())?;
+                        // `from_str_radix` alone would also take a sign
+                        // (`\u+0e9`).
+                        if !hex.iter().all(u8::is_ascii_hexdigit) {
+                            return Err("bad \\u escape".to_string());
+                        }
                         let code = u32::from_str_radix(
                             std::str::from_utf8(hex).map_err(|e| e.to_string())?,
                             16,

@@ -4,7 +4,7 @@
 //! The analytic formulas are approximations; what makes them usable
 //! is knowing *how wrong* they are. The `calibrate` harness in
 //! `mosaic-bench` runs every (workload, config) family of the sweep
-//! grid through **both** backends across a set of mesh shapes, fits
+//! grid through **both** fidelities across a set of mesh shapes, fits
 //! one multiplicative correction per family (the minimax measured /
 //! estimated ratio), and records the worst residual relative error
 //! after correction. The result — this table, serialized as
@@ -13,14 +13,12 @@
 //! `model-smoke` CI job, which hard-fails when any family's residual
 //! exceeds [`CalibrationTable::bound_ppm`].
 //!
-//! Consumers gate on it two ways:
-//! * `AnalyticBackend` (in `mosaic-sim`) refuses families the table
-//!   does not cover, and applies the correction to ones it does;
-//! * the serve scheduler's `auto` fidelity answers analytically only
-//!   when the *experiment-level* bound ([`ExperimentBound`]) is
-//!   within threshold, escalating to cycle-accurate otherwise.
+//! [`CalibrationTable::answer`] is the one consumer: `--fidelity
+//! analytic` asks it for each sweep cell, and it refuses families the
+//! table does not cover or whose residual is out of bound rather than
+//! guessing.
 
-use crate::{rel_err_ppm, scale_ppm, WorkloadDemand, PPM};
+use crate::{rel_err_ppm, scale_ppm, AnalyticModel, MachineParams, WorkloadDemand, PPM};
 use jsonlite::Json;
 
 /// One calibration grid point: both backends' answers for a family at
@@ -151,8 +149,8 @@ impl CalFamily {
 }
 
 /// Experiment-level error bound: the worst family residual among the
-/// families an experiment's cells draw from. This is what the serve
-/// scheduler's `auto` fidelity consults.
+/// families an experiment's cells draw from (recorded in the committed
+/// table for readers; nothing gates on it).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExperimentBound {
     /// Experiment (harness) name, e.g. `table1`.
@@ -250,21 +248,38 @@ impl CalibrationTable {
             .find(|f| f.workload == workload && f.config == config && f.scale == scale)
     }
 
-    /// The calibrated error bound for an experiment at a scale;
-    /// `None` when the grid never covered it.
-    pub fn experiment_err_ppm(&self, experiment: &str, scale: &str) -> Option<u64> {
-        self.experiments
-            .iter()
-            .find(|e| e.experiment == experiment && e.scale == scale)
-            .map(|e| e.max_err_ppm)
-    }
-
-    /// Whether `auto` fidelity may answer `experiment` at `scale`
-    /// analytically under `threshold_ppm`: calibrated, and the
-    /// confidence band is no wider than the threshold.
-    pub fn within_bound(&self, experiment: &str, scale: &str, threshold_ppm: u64) -> bool {
-        self.experiment_err_ppm(experiment, scale)
-            .is_some_and(|err| err <= threshold_ppm)
+    /// The analytic answer for one sweep cell on a machine: corrected
+    /// elapsed cycles and the family's measured instruction count
+    /// (instruction counts are input-derived, not timing-derived).
+    /// Refuses families the table does not cover and families whose
+    /// residual is past the acceptance bound — the caller gets an
+    /// error, never a guess.
+    pub fn answer(
+        &self,
+        params: &MachineParams,
+        workload: &str,
+        config: &str,
+        scale: &str,
+    ) -> Result<(u64, u64), String> {
+        let key = format!("{workload} / {config} @ {scale}");
+        let family = self.family(workload, config, scale).ok_or_else(|| {
+            format!(
+                "no calibration for family {key}; run the calibrate harness \
+                 (or use --fidelity cycle)"
+            )
+        })?;
+        if family.max_err_ppm > self.bound_ppm {
+            return Err(format!(
+                "calibration for family {key} is out of bound \
+                 ({}ppm > {}ppm); the analytic answer would be untrustworthy",
+                family.max_err_ppm, self.bound_ppm
+            ));
+        }
+        let estimate = AnalyticModel::new(params.clone()).estimate(&family.demand);
+        Ok((
+            family.corrected(estimate.cycles),
+            family.demand.instructions,
+        ))
     }
 
     /// Families whose residual exceeds the table's acceptance bound —
@@ -430,18 +445,23 @@ mod tests {
     }
 
     #[test]
-    fn experiment_bounds_gate_auto_mode() {
+    fn bind_experiment_records_the_worst_family_residual() {
         let t = table();
         // One-point fit: the correction absorbs the error up to PPM
         // floor rounding (~0.1%).
-        let err = t.experiment_err_ppm("table1", "tiny").unwrap();
-        assert!(err <= 2_000, "residual {err}ppm");
-        assert!(t.within_bound("table1", "tiny", 100_000));
-        assert!(!t.within_bound("table1", "small", 100_000), "wrong scale");
-        assert!(
-            !t.within_bound("fig11_scaling", "tiny", 100_000),
-            "never calibrated"
+        let [bound] = t.experiments.as_slice() else {
+            panic!("one bound: {:?}", t.experiments);
+        };
+        assert_eq!(
+            (bound.experiment.as_str(), bound.scale.as_str()),
+            ("table1", "tiny")
         );
+        assert!(
+            bound.max_err_ppm <= 2_000,
+            "residual {}ppm",
+            bound.max_err_ppm
+        );
+        assert_eq!(bound.max_err_ppm, t.families[0].max_err_ppm);
         assert!(t.family("Fib", "ws/spm-stack/spm-q", "tiny").is_some());
         assert!(t.family("Fib", "ws/spm-stack/spm-q", "small").is_none());
     }

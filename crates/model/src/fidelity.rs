@@ -1,7 +1,6 @@
-//! The fidelity selector shared by every layer of the stack: machine
-//! config, bench CLI, job specs, and the serve scheduler.
+//! The `--fidelity` harness flag: which tier answers a sweep's cells.
 
-/// Which backend answers a simulation request.
+/// Which tier answers a simulation request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Fidelity {
     /// The cycle-accurate discrete-event engine (the default; the only
@@ -11,11 +10,6 @@ pub enum Fidelity {
     /// The analytic queueing/throughput model: microseconds instead of
     /// seconds, valid only where calibration says so.
     Analytic,
-    /// Resolve per request: answer from the analytic model when the
-    /// experiment family's calibrated error bound is tight enough,
-    /// escalate to cycle-accurate otherwise. Must be resolved to one
-    /// of the concrete fidelities before a job digest is taken.
-    Auto,
 }
 
 impl Fidelity {
@@ -24,7 +18,6 @@ impl Fidelity {
         match self {
             Fidelity::Cycle => "cycle",
             Fidelity::Analytic => "analytic",
-            Fidelity::Auto => "auto",
         }
     }
 
@@ -35,8 +28,7 @@ impl Fidelity {
         Ok(match s {
             "" | "cycle" => Fidelity::Cycle,
             "analytic" => Fidelity::Analytic,
-            "auto" => Fidelity::Auto,
-            other => return Err(format!("unknown fidelity {other:?} (cycle|analytic|auto)")),
+            other => return Err(format!("unknown fidelity {other:?} (cycle|analytic)")),
         })
     }
 
@@ -59,11 +51,13 @@ mod tests {
 
     #[test]
     fn names_round_trip() {
-        for f in [Fidelity::Cycle, Fidelity::Analytic, Fidelity::Auto] {
+        for f in [Fidelity::Cycle, Fidelity::Analytic] {
             assert_eq!(Fidelity::parse(f.as_str()), Ok(f));
             assert_eq!(format!("{f}"), f.as_str());
         }
         assert!(Fidelity::parse("quantum").is_err());
+        let err = Fidelity::parse("auto").unwrap_err();
+        assert!(err.contains("cycle|analytic"), "{err}");
     }
 
     #[test]
@@ -71,6 +65,6 @@ mod tests {
         assert_eq!(Fidelity::parse(""), Ok(Fidelity::Cycle));
         assert_eq!(Fidelity::default(), Fidelity::Cycle);
         assert!(Fidelity::Cycle.is_cycle());
-        assert!(!Fidelity::Auto.is_cycle());
+        assert!(!Fidelity::Analytic.is_cycle());
     }
 }

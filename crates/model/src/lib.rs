@@ -3,8 +3,8 @@
 //! # mosaic-model
 //!
 //! A deterministic **analytic performance model** of the Mosaic
-//! manycore: the fast half of the dual-fidelity backend (see
-//! `mosaic_sim::backend`). Where the cycle-accurate engine simulates
+//! manycore, behind the harness flag `--fidelity analytic` of the
+//! Table-1 sweeps. Where the cycle-accurate engine simulates
 //! every flit, bank conflict, and steal probe, this crate answers the
 //! same "how many cycles would this run take?" question from closed
 //! formulas in microseconds:
@@ -20,12 +20,12 @@
 //!   `steal_search`/`queue_lock` buckets.
 //!
 //! The model is *calibrated*, not trusted: the `calibrate` harness in
-//! `mosaic-bench` runs both backends over a sweep grid, fits one
+//! `mosaic-bench` runs both fidelities over a sweep grid, fits one
 //! correction factor per workload family ([`CalibrationTable`]), and
-//! records the residual relative error. Consumers (the serve
-//! scheduler's `auto` fidelity, the `--fidelity analytic` bench path)
-//! only answer from the model when that residual is inside the
-//! configured bound.
+//! records the residual relative error. A sweep cell gets its analytic
+//! answer from one call, [`CalibrationTable::answer`], which refuses
+//! families the table does not cover or whose residual is past the
+//! table's bound.
 //!
 //! ## Determinism
 //!

@@ -48,11 +48,8 @@ pub struct JobSpec {
     /// produces byte-identical results at every cadence (asserted by
     /// `digest_ignores_checkpoint_every`).
     pub checkpoint_every: u64,
-    /// Backend fidelity: `""`/`"cycle"` (cycle-accurate default),
-    /// `"analytic"` (the calibrated model), or `"auto"` (the scheduler
-    /// resolves it against its calibration table before the digest is
-    /// taken, so `auto` itself never reaches the cache). Part of the
-    /// digest: an analytic answer is a different computation from a
+    /// Fidelity: `""`/`"cycle"` (cycle-accurate default) or
+    /// `"analytic"` (the calibrated model). Part of the digest: an analytic answer is a different computation from a
     /// cycle-accurate one and must never share a cache entry with it.
     pub fidelity: String,
 }

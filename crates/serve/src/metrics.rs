@@ -33,16 +33,8 @@ pub struct Metrics {
     pub worker_deaths: AtomicU64,
     /// Jobs re-admitted from the crash journal at startup.
     pub replayed_jobs: AtomicU64,
-    /// `auto` submissions the calibration table let the analytic
-    /// backend answer (fast mode).
-    pub fast_jobs: AtomicU64,
-    /// `auto` submissions escalated to the cycle-accurate backend
-    /// because the experiment was uncalibrated or its confidence band
-    /// was wider than the threshold.
-    pub escalations: AtomicU64,
-    /// Wall-clock latency of each terminal job, in milliseconds,
-    /// keyed by the job's (resolved) fidelity label.
-    latencies_ms: Mutex<BTreeMap<&'static str, Vec<u64>>>,
+    /// Wall-clock latency of each terminal job, in milliseconds.
+    latencies_ms: Mutex<Vec<u64>>,
     /// Completed jobs whose payload carried profiler counters.
     pub profiled_jobs: AtomicU64,
     /// Running totals of profiler counters across completed jobs,
@@ -58,20 +50,9 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// Record one terminal job's queue-to-terminal wall-clock time
-    /// under its fidelity (`""` is the cycle-accurate default; any
-    /// unrecognized label lands in the `cycle` bucket too, since that
-    /// is the backend an executor would have fallen back to).
-    pub fn observe_latency(&self, fidelity: &str, d: Duration) {
-        let bucket = if fidelity == "analytic" {
-            "analytic"
-        } else {
-            "cycle"
-        };
-        lock(&self.latencies_ms)
-            .entry(bucket)
-            .or_default()
-            .push(d.as_millis() as u64);
+    /// Record one terminal job's queue-to-terminal wall-clock time.
+    pub fn observe_latency(&self, d: Duration) {
+        lock(&self.latencies_ms).push(d.as_millis() as u64);
     }
 
     /// Fold a completed job's profiler counters into the running
@@ -124,12 +105,7 @@ impl Metrics {
         cache_hits: u64,
         cache_misses: u64,
     ) -> Json {
-        let by_fidelity = lock(&self.latencies_ms).clone();
-        let all: Vec<u64> = by_fidelity.values().flatten().copied().collect();
-        let mut fidelity_obj = Json::obj();
-        for (label, lat) in &by_fidelity {
-            fidelity_obj = fidelity_obj.field(label, latency_histogram(lat.clone()));
-        }
+        let latencies = lock(&self.latencies_ms).clone();
         let profile = lock(&self.profile_totals).clone();
         let mut profile_obj = Json::obj();
         for (name, total) in &profile {
@@ -146,14 +122,11 @@ impl Metrics {
             .field("retries", self.retries.load(Ordering::Relaxed))
             .field("worker_deaths", self.worker_deaths.load(Ordering::Relaxed))
             .field("replayed_jobs", self.replayed_jobs.load(Ordering::Relaxed))
-            .field("fast_jobs", self.fast_jobs.load(Ordering::Relaxed))
-            .field("escalations", self.escalations.load(Ordering::Relaxed))
             .field("cache_hits", cache_hits)
             .field("cache_misses", cache_misses)
             .field("queue_depth", queue_depth as u64)
             .field("busy_workers", busy_workers as u64)
-            .field("latency_ms", latency_histogram(all))
-            .field("latency_by_fidelity", fidelity_obj.build())
+            .field("latency_ms", latency_histogram(latencies))
             .field("profiled_jobs", self.profiled_jobs.load(Ordering::Relaxed))
             .field("profile", profile_obj.build())
             .build()
@@ -191,7 +164,7 @@ mod tests {
         m.accepted.fetch_add(3, Ordering::Relaxed);
         m.completed.fetch_add(2, Ordering::Relaxed);
         for ms in [10u64, 20, 100] {
-            m.observe_latency("cycle", Duration::from_millis(ms));
+            m.observe_latency(Duration::from_millis(ms));
         }
         m.retries.fetch_add(4, Ordering::Relaxed);
         m.worker_deaths.fetch_add(1, Ordering::Relaxed);
@@ -211,39 +184,6 @@ mod tests {
         assert_eq!(lat.get("p50", "lat").unwrap().as_u64(), Ok(20));
         assert_eq!(lat.get("p99", "lat").unwrap().as_u64(), Ok(100));
         assert_eq!(lat.get("max", "lat").unwrap().as_u64(), Ok(100));
-    }
-
-    #[test]
-    fn latencies_split_by_fidelity() {
-        let m = Metrics::new();
-        m.fast_jobs.fetch_add(2, Ordering::Relaxed);
-        m.escalations.fetch_add(1, Ordering::Relaxed);
-        m.observe_latency("analytic", Duration::from_millis(2));
-        m.observe_latency("analytic", Duration::from_millis(4));
-        // The empty label is the cycle-accurate default.
-        m.observe_latency("", Duration::from_millis(900));
-        let snap = m.snapshot(0, 0, 0, 0);
-        let obj = snap.as_object("snap").unwrap();
-        assert_eq!(obj.get("fast_jobs", "snap").unwrap().as_u64(), Ok(2));
-        assert_eq!(obj.get("escalations", "snap").unwrap().as_u64(), Ok(1));
-        let by = obj
-            .get("latency_by_fidelity", "snap")
-            .unwrap()
-            .as_object("by")
-            .unwrap();
-        let fast = by.get("analytic", "by").unwrap().as_object("fast").unwrap();
-        assert_eq!(fast.get("count", "fast").unwrap().as_u64(), Ok(2));
-        assert_eq!(fast.get("max", "fast").unwrap().as_u64(), Ok(4));
-        let slow = by.get("cycle", "by").unwrap().as_object("slow").unwrap();
-        assert_eq!(slow.get("count", "slow").unwrap().as_u64(), Ok(1));
-        assert_eq!(slow.get("p50", "slow").unwrap().as_u64(), Ok(900));
-        // The flat histogram still covers every job.
-        let lat = obj
-            .get("latency_ms", "snap")
-            .unwrap()
-            .as_object("lat")
-            .unwrap();
-        assert_eq!(lat.get("count", "lat").unwrap().as_u64(), Ok(3));
     }
 
     #[test]

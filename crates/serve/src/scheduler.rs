@@ -13,7 +13,6 @@ use crate::cache::ResultCache;
 use crate::job::{JobSpec, JobState};
 use crate::metrics::Metrics;
 use crate::sync::{lock, wait};
-use mosaic_model::CalibrationTable;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -60,15 +59,6 @@ pub struct SchedConfig {
     /// Bounded retry policy for failed attempts (executor errors,
     /// panics, worker deaths). The default performs no retries.
     pub retry: RetryPolicy,
-    /// Calibration table backing `auto`-fidelity resolution. `None`
-    /// (the default) rejects `auto` submissions outright — a daemon
-    /// that never ran `calibrate` has no basis for trusting the
-    /// analytic model.
-    pub calibration: Option<Arc<CalibrationTable>>,
-    /// Widest calibrated confidence band (relative error, ppm) the
-    /// scheduler still answers analytically; `auto` jobs over it are
-    /// escalated to the cycle-accurate backend.
-    pub escalate_bound_ppm: u64,
     /// Crash-safety journal ([`crate::journal`]). `None` (the default)
     /// journals nothing; the server opens one, replays it, and passes
     /// the handle in so every lifecycle transition is durably logged.
@@ -82,8 +72,6 @@ impl Default for SchedConfig {
             workers: 1,
             job_timeout: Duration::from_secs(600),
             retry: RetryPolicy::default(),
-            calibration: None,
-            escalate_bound_ppm: 100_000,
             journal: None,
         }
     }
@@ -268,10 +256,6 @@ pub enum Submit {
     },
     /// Rejected because the server is draining for shutdown.
     Draining,
-    /// Rejected because the spec asked for something this daemon
-    /// cannot serve (e.g. `auto` fidelity without a calibration
-    /// table). The message goes back verbatim as an `error` response.
-    Unsupported(String),
 }
 
 struct SchedInner {
@@ -335,39 +319,9 @@ impl Scheduler {
         sched
     }
 
-    /// Resolve `auto` fidelity against the calibration table: answer
-    /// analytically when the experiment's calibrated confidence band
-    /// is inside the escalation bound, escalate to cycle-accurate
-    /// otherwise. Runs *before* the digest is taken, so a resolved
-    /// `auto` submission shares its cache entry with an explicit one.
-    fn resolve_fidelity(&self, spec: &mut JobSpec) -> Result<(), String> {
-        if spec.fidelity != "auto" {
-            return Ok(());
-        }
-        let Some(table) = &self.cfg.calibration else {
-            return Err(
-                "fidelity \"auto\" needs a calibration table; this daemon was started \
-                 without one (run the calibrate harness, then pass --calibration)"
-                    .to_string(),
-            );
-        };
-        if table.within_bound(&spec.experiment, &spec.scale, self.cfg.escalate_bound_ppm) {
-            spec.fidelity = "analytic".to_string();
-            self.metrics.fast_jobs.fetch_add(1, Ordering::Relaxed);
-        } else {
-            spec.fidelity = "cycle".to_string();
-            self.metrics.escalations.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(())
-    }
-
-    /// Submit a spec: `auto`-fidelity resolution, cache lookup,
-    /// duplicate coalescing, admission control, then enqueue.
-    pub fn submit(&self, mut spec: JobSpec) -> Submit {
-        if let Err(e) = self.resolve_fidelity(&mut spec) {
-            self.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-            return Submit::Unsupported(e);
-        }
+    /// Submit a spec: cache lookup, duplicate coalescing, admission
+    /// control, then enqueue.
+    pub fn submit(&self, spec: JobSpec) -> Submit {
         let id = spec.digest();
         let mut g = lock(&self.inner);
         if g.draining {
@@ -521,8 +475,7 @@ impl Scheduler {
                     // Counters first, terminal state last: waiters wake
                     // on the state change and may read metrics at once.
                     self.metrics.timed_out.fetch_add(1, Ordering::Relaxed);
-                    self.metrics
-                        .observe_latency(&job.spec.fidelity, job.enqueued_at.elapsed());
+                    self.metrics.observe_latency(job.enqueued_at.elapsed());
                     // Terminal with no payload: journal it as a failed
                     // completion so a restart never re-burns the budget.
                     if let Some(j) = &self.cfg.journal {
@@ -542,8 +495,7 @@ impl Scheduler {
             };
             if job.is_cancelled() {
                 self.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
-                self.metrics
-                    .observe_latency(&job.spec.fidelity, job.enqueued_at.elapsed());
+                self.metrics.observe_latency(job.enqueued_at.elapsed());
                 if let Some(j) = &self.cfg.journal {
                     j.record_cancelled(&job.id);
                 }
@@ -560,8 +512,7 @@ impl Scheduler {
                         j.record_completed(&job.id, true);
                     }
                     self.metrics.completed.fetch_add(1, Ordering::Relaxed);
-                    self.metrics
-                        .observe_latency(&job.spec.fidelity, job.enqueued_at.elapsed());
+                    self.metrics.observe_latency(job.enqueued_at.elapsed());
                     job.set_state(|v| {
                         v.state = JobState::Done;
                         v.payload = Some(payload);
@@ -588,8 +539,7 @@ impl Scheduler {
             }
         }
         self.metrics.failed.fetch_add(1, Ordering::Relaxed);
-        self.metrics
-            .observe_latency(&job.spec.fidelity, job.enqueued_at.elapsed());
+        self.metrics.observe_latency(job.enqueued_at.elapsed());
         if let Some(j) = &self.cfg.journal {
             j.record_completed(&job.id, false);
         }

@@ -203,7 +203,6 @@ fn handle_conn(stream: TcpStream, sched: &Arc<Scheduler>) -> std::io::Result<()>
                     }
                     Submit::Overloaded { depth, cap } => protocol::resp_overloaded(depth, cap),
                     Submit::Draining => protocol::resp_draining(),
-                    Submit::Unsupported(reason) => protocol::resp_error(&reason),
                 };
                 send(&mut out, &resp)?;
             }

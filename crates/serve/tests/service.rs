@@ -43,10 +43,9 @@ impl Executor for TestExec {
         }
         progress(2, 2, "finished");
         Ok(format!(
-            "{{\"echo\":{},\"seed\":{},\"fidelity\":{}}}",
+            "{{\"echo\":{},\"seed\":{}}}",
             jsonlite::escape(&spec.experiment),
-            spec.seed,
-            jsonlite::escape(&spec.fidelity)
+            spec.seed
         ))
     }
 }
@@ -397,92 +396,6 @@ fn duplicate_in_flight_submissions_coalesce() {
     server.join();
 }
 
-/// A synthetic calibration table: `fast-exp` is tightly calibrated at
-/// tiny scale, `wobbly-exp` is calibrated but far outside the
-/// escalation bound, and anything else is uncovered.
-fn synthetic_calibration() -> mosaic_model::CalibrationTable {
-    let mut table = mosaic_model::CalibrationTable::new(100_000);
-    table.experiments.push(mosaic_model::ExperimentBound {
-        experiment: "fast-exp".to_string(),
-        scale: "tiny".to_string(),
-        max_err_ppm: 20_000,
-    });
-    table.experiments.push(mosaic_model::ExperimentBound {
-        experiment: "wobbly-exp".to_string(),
-        scale: "tiny".to_string(),
-        max_err_ppm: 500_000,
-    });
-    table
-}
-
-#[test]
-fn auto_fidelity_answers_calibrated_jobs_fast_and_escalates_the_rest() {
-    let cfg = ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        sched: SchedConfig {
-            queue_cap: 8,
-            workers: 2,
-            calibration: Some(Arc::new(synthetic_calibration())),
-            escalate_bound_ppm: 100_000,
-            ..SchedConfig::default()
-        },
-        cache_dir: None,
-        journal_dir: None,
-    };
-    let server = Server::start(cfg, Arc::new(TestExec)).expect("start server");
-    let mut client = connect(&server);
-
-    let submit_auto = |client: &mut Client, experiment: &str| -> String {
-        let mut s = spec(experiment, "", 0);
-        s.fidelity = "auto".to_string();
-        let SubmitReply::Accepted { id, .. } = client.submit(&s).expect("submit") else {
-            panic!("expected acceptance");
-        };
-        let res = client.wait_result(&id).expect("result");
-        assert_eq!(res.state, JobState::Done);
-        res.payload.expect("payload")
-    };
-
-    // Calibrated inside the bound: answered by the analytic backend.
-    let fast = submit_auto(&mut client, "fast-exp");
-    assert!(fast.contains("\"fidelity\":\"analytic\""), "{fast}");
-    // Calibrated but outside the bound: escalated to cycle-accurate.
-    let wobbly = submit_auto(&mut client, "wobbly-exp");
-    assert!(wobbly.contains("\"fidelity\":\"cycle\""), "{wobbly}");
-    // Never calibrated at all: also escalated.
-    let unknown = submit_auto(&mut client, "uncovered-exp");
-    assert!(unknown.contains("\"fidelity\":\"cycle\""), "{unknown}");
-
-    assert_eq!(metric(&mut client, "fast_jobs"), 1);
-    assert_eq!(metric(&mut client, "escalations"), 2);
-
-    // Resolution happens before the digest, so an auto submission that
-    // resolved analytic shares its cache entry with an explicit one.
-    let mut explicit = spec("fast-exp", "", 0);
-    explicit.fidelity = "analytic".to_string();
-    let reply = client.submit(&explicit).expect("resubmit");
-    let SubmitReply::Accepted { cached, .. } = reply else {
-        panic!("expected acceptance, got {reply:?}");
-    };
-    assert!(cached, "resolved auto and explicit analytic must coalesce");
-
-    // The per-fidelity latency split saw both backends.
-    let snap = client.metrics().expect("metrics");
-    let obj = snap.as_object("metrics").unwrap();
-    let by = obj
-        .get("latency_by_fidelity", "metrics")
-        .unwrap()
-        .as_object("by")
-        .unwrap();
-    for (label, count) in [("analytic", 1), ("cycle", 2)] {
-        let bucket = by.get(label, "by").unwrap().as_object("bucket").unwrap();
-        assert_eq!(bucket.get("count", "bucket").unwrap().as_u64(), Ok(count));
-    }
-
-    client.shutdown().expect("shutdown");
-    server.join();
-}
-
 #[test]
 fn journal_replay_readmits_killed_jobs_and_marks_clean_drains() {
     // Fabricate a crashed daemon's journal: one job admitted and
@@ -537,28 +450,6 @@ fn journal_replay_readmits_killed_jobs_and_marks_clean_drains() {
     server2.request_shutdown();
     server2.join();
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn auto_fidelity_without_a_calibration_table_is_rejected() {
-    // The default SchedConfig carries no calibration table.
-    let server = start(8, 1, 60_000);
-    let mut client = connect(&server);
-    let mut s = spec("fast-exp", "", 0);
-    s.fidelity = "auto".to_string();
-    let err = client.submit(&s).expect_err("auto must be rejected");
-    assert!(err.contains("calibration"), "{err}");
-    // Explicit fidelities still flow through untouched.
-    s.fidelity = "cycle".to_string();
-    let SubmitReply::Accepted { id, .. } = client.submit(&s).expect("submit") else {
-        panic!("expected acceptance");
-    };
-    assert_eq!(
-        client.wait_result(&id).expect("result").state,
-        JobState::Done
-    );
-    client.shutdown().expect("shutdown");
-    server.join();
 }
 
 #[test]

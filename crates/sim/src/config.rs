@@ -4,7 +4,6 @@ use crate::Cycle;
 use mosaic_chaos::FaultPlan;
 use mosaic_mem::{DramConfig, LlcConfig};
 use mosaic_mesh::MeshConfig;
-use mosaic_model::Fidelity;
 
 /// Everything needed to instantiate a [`Machine`](crate::Machine).
 #[derive(Debug, Clone)]
@@ -51,13 +50,6 @@ pub struct MachineConfig {
     /// plan with bit flips corrupts state on purpose and is expected
     /// to be caught by divergence checking.
     pub faults: Option<FaultPlan>,
-    /// Which backend answers runs of this machine: the cycle-accurate
-    /// engine (`Cycle`, the default — byte-identical goldens), the
-    /// calibrated analytic model (`Analytic`), or per-family
-    /// escalation (`Auto`). Selection only — the `Machine` itself
-    /// always simulates cycle-accurately; harnesses route through
-    /// [`Backend`](crate::backend::Backend) based on this field.
-    pub fidelity: Fidelity,
     /// Checkpoint cadence in simulated cycles: the engine serializes
     /// the machine at the first event boundary at or past every
     /// multiple (see `crate::checkpoint`). `0` (the default) disables
@@ -129,7 +121,6 @@ impl MachineConfig {
             sanitize: false,
             profile: false,
             faults: None,
-            fidelity: Fidelity::Cycle,
             checkpoint_every: 0,
             checkpoint_dir: None,
             resume_from: None,
@@ -194,12 +185,6 @@ mod tests {
         assert_eq!(c.checkpoint_every, 0);
         assert!(c.checkpoint_dir.is_none());
         assert!(c.resume_from.is_none());
-    }
-
-    #[test]
-    fn cycle_fidelity_is_the_default() {
-        assert_eq!(MachineConfig::small(4, 2).fidelity, Fidelity::Cycle);
-        assert_eq!(MachineConfig::default().fidelity, Fidelity::Cycle);
     }
 
     #[test]

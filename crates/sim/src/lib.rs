@@ -71,10 +71,7 @@ pub mod counters;
 pub mod engine;
 pub mod machine;
 
-pub use backend::{
-    demand_from_profile, machine_params, AnalyticBackend, AutoBackend, Backend, BackendJob,
-    BackendReport, CycleBackend, CycleOutcome, FamilyKey,
-};
+pub use backend::{demand_from_profile, machine_params};
 pub use calendar::CalendarQueue;
 pub use checkpoint::{CheckpointHeader, CHECKPOINT_VERSION};
 pub use config::MachineConfig;
@@ -82,7 +79,6 @@ pub use counters::{CoreCounters, MachineCounters};
 pub use engine::{CoreApi, Engine, Report, SimError};
 pub use machine::Machine;
 pub use mosaic_chaos::FaultPlan;
-pub use mosaic_model::Fidelity;
 
 pub use mosaic_mem::{Addr, AmoOp, Region};
 pub use mosaic_prof::{Bucket, MachineProfile, MemClass, Phase, ProfSink, BUCKET_COUNT};
