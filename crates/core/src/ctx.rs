@@ -93,8 +93,13 @@ pub struct WorkerState {
     pub stats: WorkerStats,
     /// Static-scheduler kernel generation (core 0: issued count).
     pub static_gen: u32,
-    /// Round-robin victim cursor.
+    /// Round-robin victim cursor (also the `Nearest` position).
     pub rr_victim: u32,
+    /// Other cores in mesh-distance order from this one (filled by the
+    /// first `Nearest` victim choice).
+    pub nearest: Vec<u32>,
+    /// This core's work-dealing hunger advert is raised.
+    pub hungry: bool,
     /// Consecutive failed steal attempts (drives backoff).
     pub steal_fail_streak: u32,
     /// `true` while running inside a statically scheduled kernel
@@ -131,6 +136,8 @@ impl<'a> TaskCtx<'a> {
             stats: WorkerStats::default(),
             static_gen: 0,
             rr_victim: core as u32,
+            nearest: Vec::new(),
+            hungry: false,
             steal_fail_streak: 0,
             in_static_kernel: false,
         };

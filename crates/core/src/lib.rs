@@ -22,6 +22,10 @@
 //! - the work-stealing protocol ([`TaskCtx::spawn`] / [`TaskCtx::wait`],
 //!   per-core lock-protected deques, random victim selection,
 //!   release-semantics ready counters) — paper §3;
+//! - one scheduling loop for every dynamic policy: work-stealing's
+//!   victim and steal-amount ablations and the work-*dealing*
+//!   comparison differ only in [`policy`] (where a spawned task is
+//!   published, what a core with an empty queue does);
 //! - the three SPM optimizations — §4: SPM-allocated stacks with
 //!   hardware (or 2-instruction software, "Fib-S") overflow to DRAM,
 //!   SPM-allocated task queues at a fixed offset, and read-only data
@@ -63,10 +67,10 @@
 pub mod config;
 pub mod costs;
 pub mod ctx;
-pub mod dealing;
 pub mod layout;
 pub mod lock;
 pub mod patterns;
+pub mod policy;
 pub mod queue;
 pub mod runtime;
 pub mod stack;

@@ -88,12 +88,10 @@ impl TaskCtx<'_> {
         // duplicated environments, and spawned task records.
         self.call(move |ctx| {
             let env = ctx.make_env(env_words);
-            match ctx.scheduler() {
-                SchedulerKind::Static => static_sched::static_for(ctx, lo, hi, env, body),
-                SchedulerKind::WorkStealing | SchedulerKind::WorkDealing => {
-                    let grain = grain.max(1);
-                    ctx.pf_split(lo, hi, grain, env, body);
-                }
+            if ctx.scheduler() == SchedulerKind::Static {
+                static_sched::static_for(ctx, lo, hi, env, body);
+            } else {
+                ctx.pf_split(lo, hi, grain.max(1), env, body);
             }
         });
     }
@@ -192,40 +190,35 @@ impl TaskCtx<'_> {
         R: Clone + 'static,
     {
         let env = self.make_env(env_words);
-        match self.scheduler() {
-            SchedulerKind::WorkStealing | SchedulerKind::WorkDealing => {
-                let grain = grain.max(1);
-                self.pr_split(lo, hi, grain, env, ident, map, combine)
-            }
-            SchedulerKind::Static => {
-                // Per-core partials folded through the generic static
-                // kernel, combined on core 0 after the barrier.
-                let partials: Rc<Vec<RefCell<R>>> = Rc::new(
-                    (0..self.cores())
-                        .map(|_| RefCell::new(ident.clone()))
-                        .collect(),
-                );
-                let p2 = partials.clone();
-                let m2 = map.clone();
-                let c2 = combine.clone();
-                let body: LoopBody = Rc::new(move |ctx, i| {
-                    let v = m2(ctx, i);
-                    let cell = &p2[ctx.core_id()];
-                    let old = cell.borrow().clone();
-                    // Local accumulate: one ALU op class of work.
-                    ctx.compute(2, 2);
-                    *cell.borrow_mut() = c2(old, v);
-                });
-                static_sched::static_for(self, lo, hi, env, body);
-                let mut acc = ident;
-                for cell in partials.iter() {
-                    // Core 0 gathers one partial per core.
-                    self.compute(2, 2);
-                    acc = combine(acc, cell.borrow().clone());
-                }
-                acc
-            }
+        if self.scheduler() != SchedulerKind::Static {
+            return self.pr_split(lo, hi, grain.max(1), env, ident, map, combine);
         }
+        // Per-core partials folded through the generic static
+        // kernel, combined on core 0 after the barrier.
+        let partials: Rc<Vec<RefCell<R>>> = Rc::new(
+            (0..self.cores())
+                .map(|_| RefCell::new(ident.clone()))
+                .collect(),
+        );
+        let p2 = partials.clone();
+        let m2 = map.clone();
+        let c2 = combine.clone();
+        let body: LoopBody = Rc::new(move |ctx, i| {
+            let v = m2(ctx, i);
+            let cell = &p2[ctx.core_id()];
+            let old = cell.borrow().clone();
+            // Local accumulate: one ALU op class of work.
+            ctx.compute(2, 2);
+            *cell.borrow_mut() = c2(old, v);
+        });
+        static_sched::static_for(self, lo, hi, env, body);
+        let mut acc = ident;
+        for cell in partials.iter() {
+            // Core 0 gathers one partial per core.
+            self.compute(2, 2);
+            acc = combine(acc, cell.borrow().clone());
+        }
+        acc
     }
 
     /// Recursive splitting for work-stealing `parallel_reduce`.

@@ -203,11 +203,10 @@ impl Mosaic {
                 let mut ctx = TaskCtx::new(api, &sh, core);
                 match main {
                     Some(main) => ctx.run_main(main),
-                    None => match scheduler {
-                        SchedulerKind::WorkStealing => ctx.scheduling_loop(None),
-                        SchedulerKind::WorkDealing => ctx.dealing_loop(None),
-                        SchedulerKind::Static => static_sched::static_worker_loop(&mut ctx),
-                    },
+                    None if scheduler == SchedulerKind::Static => {
+                        static_sched::static_worker_loop(&mut ctx)
+                    }
+                    None => ctx.scheduling_loop(None),
                 }
                 ctx.finish();
             })

@@ -1,5 +1,8 @@
 //! The work-stealing protocol: spawn, wait, the scheduling loop, and
 //! task execution. This is the Rust rendering of the paper's Figure 4.
+//! Every dynamic scheduler runs this one protocol; where a policy
+//! differs (publishing a spawned task, a core's empty queue) it asks
+//! [`crate::policy`].
 //!
 //! The key structural property is that `wait()` enters the scheduling
 //! loop *on the same call stack*, so a waiting parent executes other
@@ -9,75 +12,17 @@
 //! the [`Layout`](crate::layout::Layout), which is how the SPM
 //! optimizations change performance without changing this protocol.
 
-use crate::config::{Placement, SchedulerKind, StealAmount, VictimPolicy};
 use crate::ctx::TaskCtx;
 use crate::layout::misc;
 use crate::task::{rec, TaskBody, REC_WORDS};
 use crate::{lock, queue};
 use mosaic_mem::{Addr, AmoOp};
-use mosaic_sim::Phase;
-use rand::Rng;
 
 impl TaskCtx<'_> {
     /// The executing core's queue block address (no memory traffic:
     /// the owner knows where its queue is).
-    fn own_queue(&self) -> Addr {
+    pub(crate) fn own_queue(&self) -> Addr {
         self.sh.layout.queue_block(&self.sh.map, self.st.core)
-    }
-
-    /// Resolve a victim's queue block address. With an SPM queue this
-    /// is pure address arithmetic (`get_remote_ptr`, Fig. 4b); with a
-    /// DRAM queue the thief must first load `tq[vid]` from the DRAM
-    /// directory (Fig. 4a) — a real timed access.
-    fn resolve_victim_queue(&mut self, victim: u32) -> Addr {
-        match self.sh.layout.queue_placement() {
-            Placement::Spm => {
-                self.api.charge(3, 3); // base + offset arithmetic
-                self.sh.layout.queue_block(&self.sh.map, victim)
-            }
-            Placement::Dram => {
-                let ptr = self.api.load(self.sh.layout.queue_dir_entry(victim));
-                Addr(ptr as u64)
-            }
-        }
-    }
-
-    /// Pick a victim other than ourselves.
-    fn choose_victim(&mut self) -> u32 {
-        let cores = self.sh.cores as u32;
-        debug_assert!(cores > 1);
-        let costs = self.sh.costs;
-        self.api.charge(costs.victim_select, costs.victim_select);
-        match self.sh.config.victim {
-            VictimPolicy::Random => loop {
-                let v = self.st.rng.random_range(0..cores);
-                if v != self.st.core {
-                    return v;
-                }
-            },
-            VictimPolicy::RoundRobin => {
-                self.st.rr_victim = (self.st.rr_victim + 1) % cores;
-                if self.st.rr_victim == self.st.core {
-                    self.st.rr_victim = (self.st.rr_victim + 1) % cores;
-                }
-                self.st.rr_victim
-            }
-            VictimPolicy::Nearest => {
-                // Walk cores in Manhattan-distance order from us,
-                // advancing one position per attempt (so repeated
-                // failures expand the search ring).
-                let cols = self.sh.mesh_cols as u32;
-                let me = self.st.core;
-                let (mx, my) = (me % cols, me / cols);
-                let mut order: Vec<u32> = (0..cores).filter(|&c| c != me).collect();
-                order.sort_by_key(|&c| {
-                    let (cx, cy) = (c % cols, c / cols);
-                    (cx.abs_diff(mx) + cy.abs_diff(my), c)
-                });
-                self.st.rr_victim = (self.st.rr_victim + 1) % (cores - 1);
-                order[self.st.rr_victim as usize]
-            }
-        }
     }
 
     /// Create a child task record on the current stack and register its
@@ -106,23 +51,9 @@ impl TaskCtx<'_> {
             parent_rc.raw() as u32,
         );
         self.api.store(rec_addr.offset_words(rec::RESULT), 0);
-        if self.sh.config.scheduler == SchedulerKind::WorkDealing {
-            self.spawn_dealing(rec_addr, Box::new(f));
-            return;
-        }
         self.sh.registry.insert(rec_addr.raw(), Box::new(f));
         self.st.stats.spawns += 1;
-
-        let q = self.own_queue();
-        let lk = queue::lock_addr(q);
-        self.st.stats.lock_retries += lock::acquire(self.api, lk, &costs);
-        let ok = queue::enqueue(self.api, q, rec_addr.raw() as u32, &costs);
-        if ok {
-            let depth = queue::len(self.api, q);
-            self.st.stats.max_queue_depth = self.st.stats.max_queue_depth.max(depth);
-        }
-        lock::release(self.api, lk);
-        if !ok {
+        if !self.publish(rec_addr) {
             // Queue full: run the child inline (fully-strict order is
             // preserved; this bounds queue memory).
             self.st.stats.inline_executions += 1;
@@ -135,16 +66,13 @@ impl TaskCtx<'_> {
     /// task's `ready_count` reaches zero.
     pub fn wait(&mut self) {
         let rc = *self.st.cur_rec.last().expect("wait called outside a task");
-        if self.sh.config.scheduler == SchedulerKind::WorkDealing {
-            self.dealing_loop(Some(rc));
-        } else {
-            self.scheduling_loop(Some(rc));
-        }
+        self.scheduling_loop(Some(rc));
     }
 
     /// The scheduling loop (Fig. 4): with `wait_rc` set, run until that
     /// counter drains (a waiting parent); with `None`, run until the
-    /// shutdown flag rises (an idle worker).
+    /// shutdown flag rises (an idle worker). Local work runs first; an
+    /// empty queue is the policy's to handle (`on_empty`).
     pub(crate) fn scheduling_loop(&mut self, wait_rc: Option<Addr>) {
         let costs = self.sh.costs;
         let own_q = self.own_queue();
@@ -153,17 +81,12 @@ impl TaskCtx<'_> {
         loop {
             self.api
                 .charge(costs.sched_loop_overhead, costs.sched_loop_overhead);
-            match wait_rc {
-                Some(rc) => {
-                    if self.api.load(rc) == 0 {
-                        return;
-                    }
-                }
-                None => {
-                    if self.api.load(done) != 0 {
-                        return;
-                    }
-                }
+            let joined = match wait_rc {
+                Some(rc) => self.api.load(rc) == 0,
+                None => self.api.load(done) != 0,
+            };
+            if joined {
+                break;
             }
             // LIFO pop from our own queue (unlocked emptiness peek
             // first, so a waiting parent doesn't bounce its own lock).
@@ -175,109 +98,15 @@ impl TaskCtx<'_> {
             } else {
                 None
             };
-            if let Some(t) = task {
-                self.execute_record(Addr(t as u64));
-                continue;
-            }
-            // Empty: become a thief. Peek the victim's head/tail
-            // without the lock first — thieves must not serialize a
-            // busy victim's own queue operations just to discover an
-            // empty queue.
-            if self.sh.cores > 1 {
-                // Victim selection, remote queue resolution, the
-                // unlocked peek, and the transfer itself are all the
-                // paper's steal-search overhead.
-                let sprev = self.api.phase_begin(Phase::StealSearch);
-                let victim = self.choose_victim();
-                let vq = self.resolve_victim_queue(victim);
-                let vlk = queue::lock_addr(vq);
-                let stolen = if queue::len(self.api, vq) > 0 {
-                    self.st.stats.lock_retries += lock::acquire(self.api, vlk, &costs);
-                    let t = match self.sh.config.steal_amount {
-                        StealAmount::One => queue::steal(self.api, vq, &costs),
-                        StealAmount::Half => {
-                            let avail = queue::len(self.api, vq);
-                            let take = avail.div_ceil(2);
-                            let mut got = queue::steal_up_to(self.api, vq, take, &costs);
-                            let first = if got.is_empty() {
-                                None
-                            } else {
-                                Some(got.remove(0))
-                            };
-                            if !got.is_empty() {
-                                // Re-home the surplus on our own queue
-                                // after releasing the victim's lock.
-                                lock::release(self.api, vlk);
-                                self.st.stats.lock_retries +=
-                                    lock::acquire(self.api, own_lk, &costs);
-                                for t in got {
-                                    if !queue::enqueue(self.api, own_q, t, &costs) {
-                                        // Our queue is full: hand it
-                                        // straight back to execution
-                                        // (real task work, not search).
-                                        lock::release(self.api, own_lk);
-                                        self.api.phase_restore(sprev);
-                                        self.execute_record(Addr(t as u64));
-                                        let _ = self.api.phase_begin(Phase::StealSearch);
-                                        self.st.stats.lock_retries +=
-                                            lock::acquire(self.api, own_lk, &costs);
-                                    }
-                                }
-                                lock::release(self.api, own_lk);
-                                // Victim lock already released.
-                                match first {
-                                    Some(t) => {
-                                        self.st.stats.steals += 1;
-                                        self.st.steal_fail_streak = 0;
-                                        self.api.phase_restore(sprev);
-                                        self.execute_record(Addr(t as u64));
-                                        continue;
-                                    }
-                                    None => unreachable!("got was nonempty"),
-                                }
-                            }
-                            first
-                        }
-                    };
-                    lock::release(self.api, vlk);
-                    t
-                } else {
-                    None
-                };
-                self.api.phase_restore(sprev);
-                match stolen {
-                    Some(t) => {
-                        self.st.stats.steals += 1;
-                        self.st.steal_fail_streak = 0;
-                        self.trace_event(crate::trace::TraceEvent::Steal {
-                            thief: self.st.core,
-                            victim,
-                            at: self.api.now(),
-                        });
-                        self.execute_record_traced(Addr(t as u64), true);
-                    }
-                    None => {
-                        self.st.stats.failed_steals += 1;
-                        let iprev = self.api.phase_begin(Phase::Idle);
-                        if wait_rc.is_some() {
-                            // A waiting parent must notice its join
-                            // promptly; keep the retry tight.
-                            self.api.charge(2, 8);
-                        } else {
-                            // Idle workers back off exponentially so
-                            // they don't congest the network and the
-                            // victims' queues.
-                            let shift = self.st.steal_fail_streak.min(3);
-                            self.st.steal_fail_streak += 1;
-                            self.api.charge(2, 32u64 << shift);
-                        }
-                        self.api.phase_restore(iprev);
-                    }
+            match task {
+                Some(t) => {
+                    self.clear_hunger();
+                    self.execute_record(Addr(t as u64));
                 }
-            } else {
-                self.api.charge(1, 32);
+                None => self.on_empty(wait_rc),
             }
         }
+        self.clear_hunger();
     }
 
     /// Execute the task whose record is at `rec_addr`: model the

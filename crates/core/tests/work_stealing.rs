@@ -340,3 +340,34 @@ fn task_bodies_may_capture_thread_local_host_state() {
     let expect: Vec<u32> = [1, 2].into_iter().chain(100..116).chain(200..216).collect();
     assert_eq!(seen, expect);
 }
+
+#[test]
+fn steal_half_surplus_steals_are_traced() {
+    use mosaic_runtime::{StealAmount, TraceEvent};
+    let cfg = RuntimeConfig {
+        steal_amount: StealAmount::Half,
+        trace: true,
+        ..RuntimeConfig::work_stealing()
+    };
+    let sys = Mosaic::new(MachineConfig::small(4, 2), cfg);
+    let report = sys.run(move |ctx| {
+        for _ in 0..64 {
+            ctx.spawn(|ctx| ctx.compute(20, 300));
+        }
+        ctx.wait();
+    });
+    let steals = report.totals().steals;
+    let steal_events = report
+        .trace
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::Steal { .. }))
+        .count() as u64;
+    let stolen_tasks = report
+        .trace
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::Task { stolen: true, .. }))
+        .count() as u64;
+    assert!(steals > 0, "the fan-out should be stolen from");
+    assert_eq!(steal_events, steals, "every steal emits a Steal event");
+    assert_eq!(stolen_tasks, steals, "every steal runs its task as stolen");
+}
