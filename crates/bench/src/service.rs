@@ -9,6 +9,24 @@
 //! cancel flag kills the child (which is how per-job timeouts reclaim
 //! host threads), and a nonzero exit (verification failure, sanitizer
 //! finding, golden drift) fails the job with the stderr tail attached.
+//!
+//! ## Why a child process and not `Experiment::run` in the daemon
+//!
+//! Running the spec in-process would save a spawn per job, and is
+//! declined for three reasons:
+//!
+//! - **Memory.** The engine's memory would live in the daemon. The
+//!   benchmark's `serve_cold` daemon peaks at ≈3.2 MiB RSS; the cycle
+//!   workloads, which run the engine in their own process, peak at
+//!   5.2–7.4 MiB (2-vCPU x86-64 VM).
+//! - **Crash isolation.** A simulated core that overflows its
+//!   coroutine stack hits a guard page and dies with SIGSEGV
+//!   (`mosaic_sim::coro`); no unwind catches that. In a child it fails
+//!   one job; in-process it would kill the daemon and every job on it.
+//! - **Reclaim.** Cancellation and timeouts take a job back by killing
+//!   its child. A simulation running on a daemon thread cannot be
+//!   stopped from outside; the scheduler could only abandon the
+//!   thread, still burning its core.
 
 use crate::cli::spec_argv;
 use crate::experiment;

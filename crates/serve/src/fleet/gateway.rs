@@ -1,9 +1,9 @@
-//! The fleet front tier.
+//! The fleet front tier: a forwarding [`Executor`].
 //!
-//! A [`Gateway`] binds the same NDJSON protocol as a worker daemon and
-//! presents the whole fleet as one: clients submit to it, poll it, and
-//! read results from it exactly as they would a single daemon. Behind
-//! the accept loop it does three jobs:
+//! A gateway is an ordinary [`Server`](crate::server::Server) — the
+//! same accept loop, protocol dispatcher, job table, admission control
+//! and drain as a worker daemon — whose executor runs nothing itself.
+//! [`FleetExecutor::run`] does three jobs instead:
 //!
 //! - **Shard routing.** A singleton submission is forwarded to the
 //!   node owning its digest on the consistent-hash
@@ -17,26 +17,26 @@
 //!   matter which nodes executed which cells.
 //! - **Failure re-routing.** A node that stops answering is marked
 //!   down and its jobs are resubmitted along the ring-walk fallback
-//!   order ([`HashRing::route`](crate::fleet::ring::HashRing::route)).
-//!   Workers journal every admitted subjob, so a restarted worker
-//!   independently re-converges on the same payloads; the gateway's
-//!   re-route just refuses to wait for the restart.
+//!   order ([`HashRing::route`]). Workers journal every admitted
+//!   subjob, so a restarted worker independently re-converges on the
+//!   same payloads; the gateway's re-route just refuses to wait for
+//!   the restart.
 //!
-//! Resubmitting a spec the gateway already knows coalesces onto its
-//! record while that record is in flight or `Done`; a failed, timed
-//! out or cancelled record is replaced by a fresh attempt, as the
-//! worker scheduler does.
+//! Coalescing, the gateway-level result cache, queue-cap admission
+//! and cancellation are the server's scheduler's: a resubmitted spec
+//! joins its in-flight or `Done` record, and a failed, timed out or
+//! cancelled one is replaced by a fresh attempt. The executor cannot
+//! return a worker's `timeout` or `cancelled` state as its own, so a
+//! subjob ending that way fails the gateway job, its error naming the
+//! worker's state.
 
-use crate::client::Client;
+use crate::client::{Client, SubmitReply};
 use crate::fleet::ring::{HashRing, DEFAULT_REPLICAS};
 use crate::job::{JobSpec, JobState};
-use crate::protocol::{self, Request};
-use crate::scheduler::{JobRecord, RetryPolicy};
+use crate::scheduler::{Executor, RetryPolicy};
 use crate::sync::lock;
 use jsonlite::Json;
-use std::collections::{BTreeSet, HashMap};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -70,136 +70,54 @@ pub trait Fanout: Send + Sync {
     fn merge(&self, spec: &JobSpec, parts: &[(String, String)]) -> Result<String, String>;
 }
 
-/// The trivial fanout: never splits anything.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoFanout;
-
-impl Fanout for NoFanout {
-    fn split(&self, _spec: &JobSpec) -> Option<Vec<SubJob>> {
-        None
-    }
-    fn merge(&self, _spec: &JobSpec, _parts: &[(String, String)]) -> Result<String, String> {
-        Err("NoFanout cannot merge".to_string())
-    }
-}
-
-/// Gateway configuration.
-#[derive(Debug, Clone)]
-pub struct GatewayConfig {
-    /// Bind address (port 0 = ephemeral).
-    pub addr: String,
-    /// Worker daemon addresses (the ring members). At least one.
-    pub workers: Vec<String>,
-    /// Virtual points per worker on the hash ring.
-    pub replicas: usize,
-}
-
-impl Default for GatewayConfig {
-    fn default() -> Self {
-        GatewayConfig {
-            addr: "127.0.0.1:9119".to_string(),
-            workers: Vec::new(),
-            replicas: DEFAULT_REPLICAS,
-        }
-    }
-}
-
-/// Gateway-side counters, exported through the same `metrics` verb as
-/// a worker's (clients print unknown keys in their "other" section).
-#[derive(Debug, Default)]
-pub struct FleetMetrics {
+/// Gateway-side counters, appended to the scheduler's snapshot by the
+/// `metrics` verb.
+#[derive(Default)]
+struct FleetMetrics {
     /// Singleton submissions forwarded to a worker, plus one per
     /// fanned-out subjob submission.
-    pub forwards: AtomicU64,
+    forwards: AtomicU64,
     /// Sweeps split into subjobs.
-    pub fanouts: AtomicU64,
+    fanouts: AtomicU64,
     /// Subjobs produced by fan-out.
-    pub subjobs: AtomicU64,
+    subjobs: AtomicU64,
     /// Jobs resubmitted along the fallback route after a node loss.
-    pub reroutes: AtomicU64,
+    reroutes: AtomicU64,
     /// Forwarded submissions a worker answered from its cache.
-    pub remote_cache_hits: AtomicU64,
-    /// Gateway jobs that reached `Done`.
-    pub completed: AtomicU64,
-    /// Gateway jobs that reached `Failed`.
-    pub failed: AtomicU64,
+    remote_cache_hits: AtomicU64,
 }
 
-struct Shared {
+/// The gateway's executor: forwards each job to its ring owner, fans
+/// sweeps out, and re-routes around workers that stop answering.
+pub struct FleetExecutor {
     ring: HashRing,
     fanout: Arc<dyn Fanout>,
-    jobs: Mutex<HashMap<String, Arc<JobRecord>>>,
-    metrics: FleetMetrics,
     down: Mutex<BTreeSet<String>>,
-    draining: AtomicBool,
-    /// In-flight forward/fan-out coordinator threads; drain completes
-    /// at zero (the accept loop polls it on its idle tick).
-    active: Mutex<usize>,
+    metrics: FleetMetrics,
 }
 
-/// A running gateway: accept loop plus per-job coordinator threads.
-pub struct Gateway {
-    shared: Arc<Shared>,
-    local_addr: SocketAddr,
-    accept: Mutex<Option<std::thread::JoinHandle<()>>>,
+/// Why a worker did not take, or did not finish, a submission.
+enum Miss {
+    /// The worker rejected the submission (overloaded/draining/error
+    /// response) — try the next node, don't mark this one down.
+    Rejected(String),
+    /// The worker stopped answering — mark it down and re-route.
+    Lost(String),
 }
 
-impl Gateway {
-    /// Bind and start accepting. `fanout` decides which specs are
-    /// sweeps and how their parts merge.
-    pub fn start(cfg: GatewayConfig, fanout: Arc<dyn Fanout>) -> std::io::Result<Gateway> {
-        let ring = HashRing::new(&cfg.workers, cfg.replicas)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-        let shared = Arc::new(Shared {
-            ring,
+impl FleetExecutor {
+    /// An executor over the ring of `workers` (at least one);
+    /// `fanout` decides which specs are sweeps and how their parts
+    /// merge.
+    pub fn new(workers: &[String], fanout: Arc<dyn Fanout>) -> Result<FleetExecutor, String> {
+        Ok(FleetExecutor {
+            ring: HashRing::new(workers, DEFAULT_REPLICAS)?,
             fanout,
-            jobs: Mutex::new(HashMap::new()),
-            metrics: FleetMetrics::default(),
             down: Mutex::new(BTreeSet::new()),
-            draining: AtomicBool::new(false),
-            active: Mutex::new(0),
-        });
-        let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
-        let accept_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("gateway-accept".to_string())
-            .spawn(move || accept_loop(listener, accept_shared))
-            .expect("spawn gateway accept thread");
-        Ok(Gateway {
-            shared,
-            local_addr,
-            accept: Mutex::new(Some(handle)),
+            metrics: FleetMetrics::default(),
         })
     }
 
-    /// The bound address.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// The gateway-side counters.
-    pub fn metrics(&self) -> &FleetMetrics {
-        &self.shared.metrics
-    }
-
-    /// Request a drain without a client connection.
-    pub fn request_shutdown(&self) {
-        self.shared.draining.store(true, Ordering::Relaxed);
-    }
-
-    /// Block until the gateway drains: the accept thread only exits
-    /// once a shutdown was requested *and* every in-flight forward or
-    /// fan-out coordinator resolved.
-    pub fn join(&self) {
-        if let Some(h) = lock(&self.accept).take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Shared {
     /// Route for `digest`: the ring walk with down nodes demoted to
     /// the tail (still tried as a last resort — a node marked down in
     /// error, or restarted since, can then still serve).
@@ -224,403 +142,174 @@ impl Shared {
         }
     }
 
-    fn snapshot(&self) -> Json {
-        let m = &self.metrics;
-        let jobs = lock(&self.jobs).len() as u64;
-        let down = lock(&self.down).len() as u64;
-        Json::obj()
-            .field("type", "metrics")
-            .field("role", "gateway")
-            .field("workers", self.ring.nodes().len() as u64)
-            .field("down_workers", down)
-            .field("jobs", jobs)
-            .field("active", *lock(&self.active) as u64)
-            .field("forwards", m.forwards.load(Ordering::Relaxed))
-            .field("fanouts", m.fanouts.load(Ordering::Relaxed))
-            .field("subjobs", m.subjobs.load(Ordering::Relaxed))
-            .field("reroutes", m.reroutes.load(Ordering::Relaxed))
-            .field(
-                "remote_cache_hits",
-                m.remote_cache_hits.load(Ordering::Relaxed),
-            )
-            .field("completed", m.completed.load(Ordering::Relaxed))
-            .field("failed", m.failed.load(Ordering::Relaxed))
-            .build()
-    }
-}
-
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let shared = Arc::clone(&shared);
-                let _ = std::thread::Builder::new()
-                    .name("gateway-conn".to_string())
-                    .spawn(move || {
-                        let _ = handle_conn(stream, &shared);
-                    });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if shared.draining.load(Ordering::Relaxed) && *lock(&shared.active) == 0 {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
-        }
-    }
-}
-
-fn send(stream: &mut TcpStream, v: &Json) -> std::io::Result<()> {
-    let mut line = v.write();
-    line.push('\n');
-    stream.write_all(line.as_bytes())
-}
-
-fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
-    let reader = BufReader::new(stream.try_clone()?);
-    let mut out = stream;
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let req = match Request::parse(&line) {
-            Ok(r) => r,
-            Err(e) => {
-                send(&mut out, &protocol::resp_error(&e))?;
-                continue;
-            }
-        };
-        match req {
-            Request::Submit { spec } => send(&mut out, &submit(shared, spec))?,
-            Request::Status { id } => {
-                let resp = match lock(&shared.jobs).get(&id) {
-                    Some(job) => protocol::resp_status(&id, &job.view()),
-                    None => protocol::resp_error(&format!("unknown job {id:?}")),
-                };
-                send(&mut out, &resp)?;
-            }
-            Request::Result { id, wait } => {
-                let job = lock(&shared.jobs).get(&id).cloned();
-                let resp = match job {
-                    Some(job) => {
-                        let view = if wait {
-                            job.wait_terminal()
-                        } else {
-                            job.view()
-                        };
-                        if view.state.is_terminal() {
-                            protocol::resp_result(&id, &view)
-                        } else {
-                            protocol::resp_pending(&id, &view)
-                        }
-                    }
-                    None => protocol::resp_error(&format!("unknown job {id:?}")),
-                };
-                send(&mut out, &resp)?;
-            }
-            Request::Watch { id } => {
-                let job = lock(&shared.jobs).get(&id).cloned();
-                match job {
-                    Some(job) => {
-                        let mut seen = 0usize;
-                        loop {
-                            let (events, view) = job.wait_events(seen);
-                            for msg in &events {
-                                send(
-                                    &mut out,
-                                    &protocol::resp_progress(&id, view.done, view.total, msg),
-                                )?;
-                            }
-                            seen += events.len();
-                            if view.state.is_terminal() {
-                                send(&mut out, &protocol::resp_status(&id, &view))?;
-                                break;
-                            }
-                        }
-                    }
-                    None => send(
-                        &mut out,
-                        &protocol::resp_error(&format!("unknown job {id:?}")),
-                    )?,
-                }
-            }
-            Request::Cancel { id } => {
-                // Best-effort: the flag stops a sweep at its next
-                // subjob boundary; an already-forwarded singleton runs
-                // to completion on its worker.
-                let resp = match lock(&shared.jobs).get(&id) {
-                    Some(job) => {
-                        job.request_cancel();
-                        protocol::resp_cancel(&id, job.view().state)
-                    }
-                    None => protocol::resp_error(&format!("unknown job {id:?}")),
-                };
-                send(&mut out, &resp)?;
-            }
-            Request::Metrics => send(&mut out, &shared.snapshot())?,
-            Request::Shutdown => {
-                shared.draining.store(true, Ordering::Relaxed);
-                send(&mut out, &protocol::resp_shutdown())?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Dispatch one submission; returns the response line.
-fn submit(shared: &Arc<Shared>, spec: JobSpec) -> Json {
-    if shared.draining.load(Ordering::Relaxed) {
-        return protocol::resp_draining();
-    }
-    let id = spec.digest();
-    let record = {
-        let mut jobs = lock(&shared.jobs);
-        if let Some(existing) = jobs.get(&id) {
-            let state = existing.view().state;
-            // Coalesce onto in-flight work and replay a completed
-            // record as a (gateway-level) cache hit. Any other terminal
-            // state is replaced below: the workers may have recovered.
-            if state == JobState::Done || !state.is_terminal() {
-                return protocol::resp_accepted(&id, state, state == JobState::Done);
-            }
-        }
-        let record = JobRecord::new(spec.clone(), JobState::Queued);
-        jobs.insert(id.clone(), Arc::clone(&record));
-        record
-    };
-    {
-        let mut g = lock(&shared.active);
-        *g += 1;
-    }
-    let coordinator = Arc::clone(shared);
-    let split = shared.fanout.split(&spec);
-    let _ = std::thread::Builder::new()
-        .name(format!("gateway-job-{id}"))
-        .spawn(move || {
-            match split {
-                Some(subs) => run_sweep(&coordinator, &record, subs),
-                None => run_forward(&coordinator, &record),
-            }
-            let mut g = lock(&coordinator.active);
-            *g -= 1;
-        });
-    protocol::resp_accepted(&id, JobState::Queued, false)
-}
-
-/// How one attempt to run a spec on one worker ended.
-enum NodeOutcome {
-    /// Terminal on the worker (mirrors the job's state there).
-    Terminal(JobState, Option<String>, Option<String>),
-    /// The worker rejected the submission (overloaded/draining/error
-    /// response) — try the next node, don't mark this one down.
-    Rejected(String),
-    /// The worker stopped answering — mark it down and re-route.
-    NodeLost(String),
-}
-
-/// Submit `spec` on `node` and wait for its terminal outcome.
-fn run_on_node(shared: &Shared, spec: &JobSpec, node: &str) -> NodeOutcome {
-    let mut c = match Client::connect_with_deadline(
-        node,
-        &RetryPolicy::with_attempts(3),
-        Duration::from_secs(5),
-    ) {
-        Ok(c) => c,
-        Err(e) => return NodeOutcome::NodeLost(format!("connect {node}: {e}")),
-    };
-    let remote_id = match c.submit(spec) {
-        Ok(crate::client::SubmitReply::Accepted { id, cached, .. }) => {
-            if cached {
-                shared
-                    .metrics
-                    .remote_cache_hits
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            id
-        }
-        Ok(crate::client::SubmitReply::Overloaded { depth, cap }) => {
-            return NodeOutcome::Rejected(format!("{node} overloaded ({depth}/{cap})"));
-        }
-        Ok(crate::client::SubmitReply::Draining) => {
-            return NodeOutcome::Rejected(format!("{node} draining"));
-        }
-        Err(e) => return NodeOutcome::Rejected(format!("{node} refused: {e}")),
-    };
-    shared.mark_up(node);
-    match c.wait_result(&remote_id) {
-        Ok(res) => NodeOutcome::Terminal(res.state, res.payload, res.error),
-        // The connection died mid-wait: that is a node loss, not a job
-        // outcome — the spec is re-routed to a survivor.
-        Err(e) => NodeOutcome::NodeLost(format!("{node} lost mid-run: {e}")),
-    }
-}
-
-/// Run `spec` somewhere along `route`, re-routing around dead nodes;
-/// `Ok` is the payload.
-fn run_routed(
-    shared: &Shared,
-    record: &Arc<JobRecord>,
-    spec: &JobSpec,
-    label: &str,
-) -> Result<String, (JobState, String)> {
-    let mut last_err = "no reachable worker".to_string();
-    for (i, node) in shared.route(&spec.digest()).iter().enumerate() {
-        if i > 0 {
-            shared.metrics.reroutes.fetch_add(1, Ordering::Relaxed);
-            let view = record.view();
-            record.push_event(
-                view.done,
-                view.total,
-                &format!("re-routing {label} to {node} ({last_err})"),
-            );
-        }
-        match run_on_node(shared, spec, node) {
-            NodeOutcome::Terminal(JobState::Done, payload, _) => {
-                return Ok(payload.unwrap_or_default());
-            }
-            NodeOutcome::Terminal(state, _, error) => {
-                return Err((
-                    state,
-                    error.unwrap_or_else(|| format!("{label} ended {}", state.as_str())),
-                ));
-            }
-            NodeOutcome::Rejected(e) => last_err = e,
-            NodeOutcome::NodeLost(e) => {
-                shared.mark_down(node);
-                last_err = e;
-            }
-        }
-    }
-    Err((
-        JobState::Failed,
-        format!("every worker refused {label}: {last_err}"),
-    ))
-}
-
-/// Publish a terminal state on a gateway job record.
-fn finish(shared: &Shared, record: &Arc<JobRecord>, outcome: Result<String, (JobState, String)>) {
-    match outcome {
-        Ok(payload) => {
-            shared.metrics.completed.fetch_add(1, Ordering::Relaxed);
-            record.set_state(|v| {
-                v.state = JobState::Done;
-                v.payload = Some(payload);
-            });
-        }
-        Err((state, error)) => {
-            shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
-            record.set_state(|v| {
-                v.state = state;
-                v.error = Some(error);
-            });
-        }
-    }
-}
-
-/// Coordinator for a singleton job: forward along the route.
-fn run_forward(shared: &Arc<Shared>, record: &Arc<JobRecord>) {
-    shared.metrics.forwards.fetch_add(1, Ordering::Relaxed);
-    record.set_state(|v| v.state = JobState::Running);
-    let outcome = run_routed(shared, record, &record.spec, &record.spec.experiment);
-    finish(shared, record, outcome);
-}
-
-/// Coordinator for a fanned-out sweep: fire every subjob at its owner
-/// up front, then collect and merge in canonical order.
-fn run_sweep(shared: &Arc<Shared>, record: &Arc<JobRecord>, subs: Vec<SubJob>) {
-    shared.metrics.fanouts.fetch_add(1, Ordering::Relaxed);
-    record.set_state(|v| v.state = JobState::Running);
-    let total = subs.len() as u64;
-    record.push_event(0, total, &format!("fan-out into {} subjobs", subs.len()));
-
-    // Fire phase: land every subjob on its owner so the workers chew
-    // in parallel. A submission that cannot land anywhere fails the
-    // sweep immediately.
-    for sub in &subs {
-        shared.metrics.subjobs.fetch_add(1, Ordering::Relaxed);
-        shared.metrics.forwards.fetch_add(1, Ordering::Relaxed);
-        if let Err(e) = fire_sub(shared, &sub.spec) {
-            finish(
-                shared,
-                record,
-                Err((JobState::Failed, format!("subjob {}: {e}", sub.label))),
-            );
-            return;
-        }
-    }
-
-    // Collect phase: wait in canonical split order; a node loss
-    // re-routes that subjob along its ring walk (where the fire-phase
-    // submission's journal/cache on a restarted node makes the retry
-    // cheap).
-    let mut parts: Vec<(String, String)> = Vec::with_capacity(subs.len());
-    for (i, sub) in subs.iter().enumerate() {
-        if record.is_cancelled() {
-            record.set_state(|v| v.state = JobState::Cancelled);
-            return;
-        }
-        match run_routed(shared, record, &sub.spec, &sub.label) {
-            Ok(payload) => {
-                record.push_event(i as u64 + 1, total, &format!("{} merged", sub.label));
-                parts.push((sub.label.clone(), payload));
-            }
-            Err((state, error)) => {
-                finish(
-                    shared,
-                    record,
-                    Err((state, format!("subjob {}: {error}", sub.label))),
-                );
-                return;
-            }
-        }
-    }
-    let merged = shared
-        .fanout
-        .merge(&record.spec, &parts)
-        .map_err(|e| (JobState::Failed, format!("merge failed: {e}")));
-    finish(shared, record, merged);
-}
-
-/// Land one subjob on the first node along its route that accepts it
-/// (without waiting for the result).
-fn fire_sub(shared: &Shared, spec: &JobSpec) -> Result<(), String> {
-    let mut last_err = "no reachable worker".to_string();
-    for node in shared.route(&spec.digest()) {
-        let mut c = match Client::connect_with_deadline(
-            &node,
+    /// Submit `spec` on `node`; on acceptance, returns the open
+    /// connection and the worker's job id.
+    fn land(&self, spec: &JobSpec, node: &str) -> Result<(Client, String), Miss> {
+        let mut c = Client::connect_with_deadline(
+            node,
             &RetryPolicy::with_attempts(3),
             Duration::from_secs(5),
-        ) {
-            Ok(c) => c,
-            Err(e) => {
-                shared.mark_down(&node);
-                last_err = format!("connect {node}: {e}");
-                continue;
-            }
-        };
-        match c.submit(spec) {
-            Ok(crate::client::SubmitReply::Accepted { cached, .. }) => {
+        )
+        .map_err(|e| Miss::Lost(format!("connect {node}: {e}")))?;
+        let remote_id = match c.submit(spec) {
+            Ok(SubmitReply::Accepted { id, cached, .. }) => {
                 if cached {
-                    shared
-                        .metrics
+                    self.metrics
                         .remote_cache_hits
                         .fetch_add(1, Ordering::Relaxed);
                 }
-                shared.mark_up(&node);
-                return Ok(());
+                id
             }
-            Ok(crate::client::SubmitReply::Overloaded { depth, cap }) => {
-                last_err = format!("{node} overloaded ({depth}/{cap})");
+            Ok(SubmitReply::Overloaded { depth, cap }) => {
+                return Err(Miss::Rejected(format!("{node} overloaded ({depth}/{cap})")));
             }
-            Ok(crate::client::SubmitReply::Draining) => {
-                last_err = format!("{node} draining");
-            }
-            Err(e) => {
-                last_err = format!("{node} refused: {e}");
+            Ok(SubmitReply::Draining) => return Err(Miss::Rejected(format!("{node} draining"))),
+            Err(e) => return Err(Miss::Rejected(format!("{node} refused: {e}"))),
+        };
+        self.mark_up(node);
+        Ok((c, remote_id))
+    }
+
+    /// Record a miss on `node`; returns its message.
+    fn missed(&self, node: &str, miss: Miss) -> String {
+        match miss {
+            Miss::Rejected(e) => e,
+            Miss::Lost(e) => {
+                self.mark_down(node);
+                e
             }
         }
     }
-    Err(last_err)
+
+    /// Run `spec` somewhere along its route, re-routing around dead
+    /// nodes (each re-route is announced through `say`); `Ok` is the
+    /// payload.
+    fn run_routed(
+        &self,
+        spec: &JobSpec,
+        label: &str,
+        say: &dyn Fn(&str),
+    ) -> Result<String, String> {
+        let mut last_err = "no reachable worker".to_string();
+        for (i, node) in self.route(&spec.digest()).iter().enumerate() {
+            if i > 0 {
+                self.metrics.reroutes.fetch_add(1, Ordering::Relaxed);
+                say(&format!("re-routing {label} to {node} ({last_err})"));
+            }
+            let outcome = self.land(spec, node).and_then(|(mut c, remote_id)| {
+                // The connection dying mid-wait is a node loss, not a
+                // job outcome — the spec is re-routed to a survivor.
+                c.wait_result(&remote_id)
+                    .map_err(|e| Miss::Lost(format!("{node} lost mid-run: {e}")))
+            });
+            match outcome {
+                Ok(res) if res.state == JobState::Done => {
+                    return Ok(res.payload.unwrap_or_default())
+                }
+                Ok(res) => {
+                    let why = res.error.map(|e| format!(": {e}")).unwrap_or_default();
+                    return Err(format!(
+                        "{label} ended {} on {node}{why}",
+                        res.state.as_str()
+                    ));
+                }
+                Err(miss) => last_err = self.missed(node, miss),
+            }
+        }
+        Err(format!("every worker refused {label}: {last_err}"))
+    }
+
+    /// A fanned-out sweep: fire every subjob at its owner up front,
+    /// then collect and merge in canonical order.
+    fn run_sweep(
+        &self,
+        spec: &JobSpec,
+        subs: Vec<SubJob>,
+        progress: &dyn Fn(u64, u64, &str),
+        cancelled: &AtomicBool,
+    ) -> Result<String, String> {
+        self.metrics.fanouts.fetch_add(1, Ordering::Relaxed);
+        let total = subs.len() as u64;
+        progress(0, total, &format!("fan-out into {} subjobs", subs.len()));
+
+        // Fire phase: land every subjob on its owner so the workers
+        // chew in parallel. A submission that cannot land anywhere
+        // fails the sweep immediately.
+        for sub in &subs {
+            self.metrics.subjobs.fetch_add(1, Ordering::Relaxed);
+            self.metrics.forwards.fetch_add(1, Ordering::Relaxed);
+            self.fire_sub(&sub.spec)
+                .map_err(|e| format!("subjob {}: {e}", sub.label))?;
+        }
+
+        // Collect phase: wait in canonical split order; a node loss
+        // re-routes that subjob along its ring walk (where the
+        // fire-phase submission's journal/cache on a restarted node
+        // makes the retry cheap). Cancellation takes effect at the
+        // next subjob boundary.
+        let mut parts: Vec<(String, String)> = Vec::with_capacity(subs.len());
+        for (i, sub) in subs.iter().enumerate() {
+            if cancelled.load(Ordering::Relaxed) {
+                return Err("cancelled".to_string());
+            }
+            let done = i as u64;
+            let payload = self
+                .run_routed(&sub.spec, &sub.label, &|msg| progress(done, total, msg))
+                .map_err(|e| format!("subjob {}: {e}", sub.label))?;
+            progress(done + 1, total, &format!("{} merged", sub.label));
+            parts.push((sub.label.clone(), payload));
+        }
+        self.fanout
+            .merge(spec, &parts)
+            .map_err(|e| format!("merge failed: {e}"))
+    }
+
+    /// Land one subjob on the first node along its route that accepts
+    /// it (without waiting for the result).
+    fn fire_sub(&self, spec: &JobSpec) -> Result<(), String> {
+        let mut last_err = "no reachable worker".to_string();
+        for node in self.route(&spec.digest()) {
+            match self.land(spec, &node) {
+                Ok(_) => return Ok(()),
+                Err(miss) => last_err = self.missed(&node, miss),
+            }
+        }
+        Err(last_err)
+    }
+}
+
+impl Executor for FleetExecutor {
+    /// Forward a singleton along its route, or fan a sweep out. A
+    /// forwarded singleton runs to completion on its worker even when
+    /// cancelled; the scheduler then records it `cancelled`.
+    fn run(
+        &self,
+        spec: &JobSpec,
+        progress: &dyn Fn(u64, u64, &str),
+        cancelled: &AtomicBool,
+    ) -> Result<String, String> {
+        match self.fanout.split(spec) {
+            Some(subs) => self.run_sweep(spec, subs, progress, cancelled),
+            None => {
+                self.metrics.forwards.fetch_add(1, Ordering::Relaxed);
+                self.run_routed(spec, &spec.experiment, &|msg| progress(0, 0, msg))
+            }
+        }
+    }
+
+    fn metrics(&self) -> Vec<(String, Json)> {
+        let field = |name: &str, v: u64| (name.to_string(), Json::from(v));
+        let m = &self.metrics;
+        let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        vec![
+            ("role".to_string(), Json::from("gateway")),
+            field("workers", self.ring.nodes().len() as u64),
+            field("down_workers", lock(&self.down).len() as u64),
+            field("forwards", count(&m.forwards)),
+            field("fanouts", count(&m.fanouts)),
+            field("subjobs", count(&m.subjobs)),
+            field("reroutes", count(&m.reroutes)),
+            field("remote_cache_hits", count(&m.remote_cache_hits)),
+        ]
+    }
 }

@@ -26,9 +26,10 @@
 //!   over `std::net::TcpListener` (the environment is offline; no
 //!   hyper/tokio): `submit` / `status` / `result` / `watch` /
 //!   `cancel` / `metrics` / `shutdown`.
-//! - [`fleet`] — the multi-daemon tier: a consistent-hash
-//!   [`Gateway`] front that forwards jobs to their owning worker,
-//!   fans sweeps out per workload, and re-routes around dead workers.
+//! - [`fleet`] — the multi-daemon tier: a gateway is a [`Server`]
+//!   whose [`FleetExecutor`] forwards jobs to their owning worker on
+//!   a consistent-hash ring, fans sweeps out per workload, and
+//!   re-routes around dead workers.
 //!
 //! The crate is executor-agnostic: callers inject an [`Executor`]
 //! mapping a spec to a JSON payload. `mosaic-bench` provides the real
@@ -50,7 +51,7 @@ mod sync;
 
 pub use cache::ResultCache;
 pub use client::{Client, ResultReply, SubmitReply};
-pub use fleet::gateway::{Fanout, Gateway, GatewayConfig, NoFanout, SubJob};
+pub use fleet::gateway::{Fanout, FleetExecutor, SubJob};
 pub use fleet::ring::HashRing;
 pub use inject::FaultyExecutor;
 pub use job::{JobSpec, JobState};

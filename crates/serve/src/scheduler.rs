@@ -13,6 +13,7 @@ use crate::cache::ResultCache;
 use crate::job::{JobSpec, JobState};
 use crate::metrics::Metrics;
 use crate::sync::{lock, wait};
+use jsonlite::Json;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -37,6 +38,13 @@ pub trait Executor: Send + Sync + 'static {
         progress: &dyn Fn(u64, u64, &str),
         cancelled: &AtomicBool,
     ) -> Result<String, String>;
+
+    /// Extra fields the `metrics` verb appends to the scheduler's
+    /// snapshot (none by default; the fleet gateway reports its
+    /// routing counters here).
+    fn metrics(&self) -> Vec<(String, Json)> {
+        Vec::new()
+    }
 }
 
 /// Scheduler tuning knobs.
@@ -54,7 +62,8 @@ pub struct SchedConfig {
     /// Per-*attempt* wall-clock timeout; expiry marks the job
     /// `timeout`, flags it cancelled, and abandons its thread. A
     /// timeout is terminal — it is never retried (the next attempt
-    /// would very likely burn the same budget again).
+    /// would very likely burn the same budget again). `Duration::MAX`
+    /// never times out (the fleet gateway's setting).
     pub job_timeout: Duration,
     /// Bounded retry policy for failed attempts (executor errors,
     /// panics, worker deaths). The default performs no retries.
@@ -162,9 +171,7 @@ pub struct JobRecord {
 }
 
 impl JobRecord {
-    /// Crate-visible so the fleet gateway can host records for jobs it
-    /// forwards (it shares this type with the local scheduler).
-    pub(crate) fn new(spec: JobSpec, state: JobState) -> Arc<JobRecord> {
+    fn new(spec: JobSpec, state: JobState) -> Arc<JobRecord> {
         let id = spec.digest();
         Arc::new(JobRecord {
             spec,
@@ -200,13 +207,13 @@ impl JobRecord {
         self.cancelled.store(true, Ordering::Relaxed);
     }
 
-    pub(crate) fn set_state(&self, f: impl FnOnce(&mut JobView)) {
+    fn set_state(&self, f: impl FnOnce(&mut JobView)) {
         let mut g = lock(&self.inner);
         f(&mut g.view);
         self.cv.notify_all();
     }
 
-    pub(crate) fn push_event(&self, done: u64, total: u64, message: &str) {
+    fn push_event(&self, done: u64, total: u64, message: &str) {
         let mut g = lock(&self.inner);
         g.view.done = done;
         g.view.total = total;
@@ -396,6 +403,19 @@ impl Scheduler {
     pub fn load(&self) -> (usize, usize) {
         let g = lock(&self.inner);
         (g.queue.len(), g.busy)
+    }
+
+    /// The `metrics` verb's answer: lifecycle counters, load and cache
+    /// counters, then the executor's own fields.
+    pub fn snapshot(&self) -> Json {
+        let (depth, busy) = self.load();
+        let mut snap = self
+            .metrics
+            .snapshot(depth, busy, self.cache.hits(), self.cache.misses());
+        if let Json::Object(fields) = &mut snap {
+            fields.extend(self.executor.metrics());
+        }
+        snap
     }
 
     /// Whether a requested drain has fully completed: nothing queued,

@@ -7,6 +7,7 @@
 //! scheduler into draining mode; the accept loop exits once every
 //! queued and running job has finished, and `Server::join` returns.
 
+use crate::job::JobState;
 use crate::protocol::{self, Request};
 use crate::scheduler::{Executor, SchedConfig, Scheduler, Submit};
 use crate::sync::lock;
@@ -198,7 +199,12 @@ fn handle_conn(stream: TcpStream, sched: &Arc<Scheduler>) -> std::io::Result<()>
             Request::Submit { spec } => {
                 let resp = match sched.submit(spec) {
                     Submit::Cached(job) => protocol::resp_accepted(&job.id, job.view().state, true),
-                    Submit::Enqueued(job) | Submit::InFlight(job) => {
+                    // Admitted means queued, whether or not a worker has
+                    // already picked the job up.
+                    Submit::Enqueued(job) => {
+                        protocol::resp_accepted(&job.id, JobState::Queued, false)
+                    }
+                    Submit::InFlight(job) => {
                         protocol::resp_accepted(&job.id, job.view().state, false)
                     }
                     Submit::Overloaded { depth, cap } => protocol::resp_overloaded(depth, cap),
@@ -263,14 +269,7 @@ fn handle_conn(stream: TcpStream, sched: &Arc<Scheduler>) -> std::io::Result<()>
                 };
                 send(&mut out, &resp)?;
             }
-            Request::Metrics => {
-                let (depth, busy) = sched.load();
-                let snap =
-                    sched
-                        .metrics
-                        .snapshot(depth, busy, sched.cache.hits(), sched.cache.misses());
-                send(&mut out, &snap)?;
-            }
+            Request::Metrics => send(&mut out, &sched.snapshot())?,
             Request::Shutdown => {
                 sched.begin_drain();
                 send(&mut out, &protocol::resp_shutdown())?;

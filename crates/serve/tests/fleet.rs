@@ -5,8 +5,8 @@
 
 use mosaic_serve::fleet::ring::DEFAULT_REPLICAS;
 use mosaic_serve::{
-    Client, Executor, Fanout, Gateway, GatewayConfig, HashRing, JobSpec, JobState, SchedConfig,
-    Server, ServerConfig, SubJob, SubmitReply,
+    Client, Executor, Fanout, FleetExecutor, HashRing, JobSpec, JobState, SchedConfig, Server,
+    ServerConfig, SubJob, SubmitReply,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::sync::atomic::AtomicBool;
@@ -124,13 +124,25 @@ impl Fanout for TestFanout {
     }
 }
 
-fn gateway(workers: Vec<String>) -> Gateway {
-    let cfg = GatewayConfig {
+/// A gateway `Server` with `coordinators` workers and queue slots.
+fn gateway_with(workers: Vec<String>, coordinators: usize) -> Server {
+    let executor = FleetExecutor::new(&workers, Arc::new(TestFanout)).expect("ring");
+    let cfg = ServerConfig {
         addr: "127.0.0.1:0".to_string(),
-        workers,
-        replicas: DEFAULT_REPLICAS,
+        sched: SchedConfig {
+            queue_cap: coordinators,
+            workers: coordinators,
+            job_timeout: Duration::MAX,
+            ..SchedConfig::default()
+        },
+        cache_dir: None,
+        journal_dir: None,
     };
-    Gateway::start(cfg, Arc::new(TestFanout)).expect("start gateway")
+    Server::start(cfg, Arc::new(executor)).expect("start gateway")
+}
+
+fn gateway(workers: Vec<String>) -> Server {
+    gateway_with(workers, 64)
 }
 
 #[test]
@@ -204,6 +216,19 @@ fn the_gateway_forwards_singletons_and_merges_fanned_out_sweeps() {
         "gateway"
     );
     assert_eq!(obj.get("workers", "metrics").unwrap().as_u64(), Ok(2));
+    // The scheduler's counters sit next to the fleet's, each key once:
+    // solo, sweep and warm were admitted; the resubmitted sweep was a
+    // gateway cache hit.
+    assert_eq!(obj.get("accepted", "metrics").unwrap().as_u64(), Ok(3));
+    assert_eq!(obj.get("completed", "metrics").unwrap().as_u64(), Ok(3));
+    assert_eq!(obj.get("cache_hits", "metrics").unwrap().as_u64(), Ok(1));
+    let keys: Vec<&str> = obj.keys().collect();
+    let unique: std::collections::BTreeSet<&str> = keys.iter().copied().collect();
+    assert_eq!(
+        keys.len(),
+        unique.len(),
+        "duplicate metrics key in {keys:?}"
+    );
 
     client.shutdown().expect("shutdown gateway");
     gw.join();
@@ -211,6 +236,61 @@ fn the_gateway_forwards_singletons_and_merges_fanned_out_sweeps() {
         connect(addr).shutdown().expect("shutdown worker");
         w.join();
     }
+}
+
+#[test]
+fn the_gateway_admits_up_to_its_queue_cap_and_cancels_queued_jobs_at_once() {
+    let w = worker();
+    let w_addr = w.local_addr().to_string();
+    let gw = gateway_with(vec![w_addr.clone()], 1);
+    let mut client = connect(&gw.local_addr().to_string());
+
+    // The first job occupies the gateway's only coordinator...
+    let running = spec("admit", "sleep:1500", 1);
+    let running_id = accept(client.submit(&running).expect("submit"));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while client.status(&running_id).expect("status").0 != JobState::Running {
+        assert!(Instant::now() < deadline, "the first job never started");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // ...the second fills its one queue slot, and the third is turned
+    // away.
+    let queued_id = accept(
+        client
+            .submit(&spec("admit", "sleep:1500", 2))
+            .expect("submit"),
+    );
+    match client
+        .submit(&spec("admit", "sleep:1500", 3))
+        .expect("submit")
+    {
+        SubmitReply::Overloaded { depth, cap } => assert_eq!((depth, cap), (1, 1)),
+        other => panic!("expected overloaded, got {other:?}"),
+    }
+    assert_eq!(metric(&mut client, "rejected"), 1);
+
+    // A queued gateway job cancels at once (the reply is already
+    // terminal); the running one is untouched.
+    assert_eq!(
+        client.cancel(&queued_id).expect("cancel"),
+        JobState::Cancelled
+    );
+    assert_eq!(
+        client.status(&queued_id).expect("status").0,
+        JobState::Cancelled
+    );
+    let res = client.wait_result(&running_id).expect("result");
+    assert_eq!(res.state, JobState::Done, "{:?}", res.error);
+    assert_eq!(
+        metric(&mut client, "forwards"),
+        1,
+        "the queued job never left"
+    );
+
+    client.shutdown().expect("shutdown gateway");
+    gw.join();
+    connect(&w_addr).shutdown().expect("shutdown worker");
+    w.join();
 }
 
 #[test]
