@@ -74,21 +74,6 @@ pub struct Options {
     /// (`--calibration PATH`); `None` = the committed
     /// [`CALIBRATION_PATH`].
     pub calibration: Option<std::path::PathBuf>,
-    /// Checkpoint cadence in simulated cycles (`--checkpoint-every N`);
-    /// 0 = no checkpoints. Purely a durability knob: results are
-    /// byte-identical at every cadence.
-    pub checkpoint_every: u64,
-    /// Directory for checkpoint images (`--checkpoint-dir PATH`);
-    /// `None` = `results/checkpoints/`.
-    pub checkpoint_dir: Option<std::path::PathBuf>,
-    /// Resume-verify against a checkpoint image (`--resume-from PATH`):
-    /// the run re-executes deterministically from cycle 0 and
-    /// hard-fails unless its state at the checkpoint's event boundary
-    /// is byte-identical to the image. Applies to *every* cell a
-    /// harness runs, so use it with single-run harnesses (trace_run)
-    /// or a sweep filtered down to the cell that wrote the image —
-    /// other cells correctly fail the verification.
-    pub resume_from: Option<std::path::PathBuf>,
     /// Restrict a sweep to one workload by exact name (`--workload
     /// NAME`); empty = run the full table. Only experiments registered
     /// with `workload_filter` honor it — the fleet gateway uses it to
@@ -145,9 +130,6 @@ impl Options {
             prof_out: None,
             fidelity: Fidelity::Cycle,
             calibration: None,
-            checkpoint_every: 0,
-            checkpoint_dir: None,
-            resume_from: None,
             workload: String::new(),
         };
         let mut args = args.into_iter();
@@ -206,27 +188,6 @@ impl Options {
                             .into(),
                     );
                 }
-                "--checkpoint-every" => {
-                    opts.checkpoint_every = args
-                        .next()
-                        .expect("--checkpoint-every needs a value")
-                        .parse()
-                        .expect("--checkpoint-every must be an integer (cycles)");
-                }
-                "--checkpoint-dir" => {
-                    opts.checkpoint_dir = Some(
-                        args.next()
-                            .expect("--checkpoint-dir needs a PATH value")
-                            .into(),
-                    );
-                }
-                "--resume-from" => {
-                    opts.resume_from = Some(
-                        args.next()
-                            .expect("--resume-from needs a PATH value")
-                            .into(),
-                    );
-                }
                 "--workload" => {
                     opts.workload = args.next().expect("--workload needs a NAME value");
                 }
@@ -252,11 +213,6 @@ impl Options {
                          calibrated analytic model (table1/fig09_speedup)\n         \
                          --calibration PATH         calibration table for --fidelity analytic\n                                    \
                          (default results/model/calibration.json)\n         \
-                         --checkpoint-every N       write a machine checkpoint every N simulated cycles\n                                    \
-                         (0 = never; results byte-identical either way)\n         \
-                         --checkpoint-dir PATH      checkpoint directory (default results/checkpoints)\n         \
-                         --resume-from PATH         verify this run against a checkpoint image\n                                    \
-                         (applies to every cell; hard-fails on divergence at its boundary)\n         \
                          --workload NAME            restrict a sweep to one workload (table1/fig09_speedup\n                                    \
                          only; the fleet gateway fans sweeps out with it)\n         \
                          --faults SPEC              inject deterministic faults (e.g. seed=7,horizon=100000,links=4x300;\n                                    \
@@ -276,16 +232,13 @@ impl Options {
     }
 
     /// The machine these options describe at another mesh shape —
-    /// every observer and durability flag applied, so an experiment
-    /// that varies the shape per cell cannot drop one.
+    /// every observer flag applied, so an experiment that varies the
+    /// shape per cell cannot drop one.
     pub fn machine_at(&self, cols: u16, rows: u16) -> MachineConfig {
         let mut m = MachineConfig::small(cols, rows);
         m.sanitize = self.sanitize;
         m.faults = self.faults.clone();
         m.profile = self.profile;
-        m.checkpoint_every = self.checkpoint_every;
-        m.checkpoint_dir = self.checkpoint_dir.clone();
-        m.resume_from = self.resume_from.clone();
         m
     }
 
@@ -303,7 +256,6 @@ impl Options {
             .as_ref()
             .map(FaultPlan::to_spec)
             .unwrap_or_default();
-        spec.checkpoint_every = self.checkpoint_every;
         if !self.fidelity.is_cycle() {
             spec.fidelity = self.fidelity.to_string();
         }
@@ -319,8 +271,6 @@ impl Options {
             (self.prof_out.is_some(), "--prof-out"),
             (self.golden_dir.is_some(), "--golden-dir"),
             (self.calibration.is_some(), "--calibration"),
-            (self.checkpoint_dir.is_some(), "--checkpoint-dir"),
-            (self.resume_from.is_some(), "--resume-from"),
         ];
         given
             .iter()
@@ -461,12 +411,6 @@ pub fn spec_argv(spec: &JobSpec) -> Vec<String> {
     if !matches!(spec.fidelity.as_str(), "" | "cycle") {
         argv.extend(["--fidelity".to_string(), spec.fidelity.clone()]);
     }
-    if spec.checkpoint_every > 0 {
-        argv.extend([
-            "--checkpoint-every".to_string(),
-            spec.checkpoint_every.to_string(),
-        ]);
-    }
     argv
 }
 
@@ -491,14 +435,13 @@ mod tests {
         assert_eq!(round_trip(&plain), plain);
 
         // Every spec-shaping flag, one at a time, then all together.
-        let edits: [fn(&mut JobSpec); 7] = [
+        let edits: [fn(&mut JobSpec); 6] = [
             |s| s.scale = "tiny".into(),
             |s| (s.cols, s.rows) = (4, 2),
             |s| s.sanitize = true,
             |s| s.faults = "seed=7,horizon=1000,freeze=2x100".into(),
             |s| s.fidelity = "analytic".into(),
             |s| s.workload = "CilkSort".into(),
-            |s| s.checkpoint_every = 5000,
         ];
         let mut all = plain.clone();
         for edit in edits {
@@ -579,7 +522,8 @@ mod tests {
             // Zero simulated cost: goldens are byte-identical with the
             // profiler on or off (pinned by crates/bench/tests/prof.rs).
             profile: _,
-            // Durability only: checkpoints are taken at canonical event
+            // Write-only images, set by the host benchmark and no
+            // harness flag: checkpoints are taken at canonical event
             // boundaries the engine visits anyway, so results are
             // byte-identical at every cadence (pinned by
             // crates/bench/tests/checkpoint.rs).
@@ -587,10 +531,6 @@ mod tests {
             // Where images land on the host: cannot influence a single
             // simulated event.
             checkpoint_dir: _,
-            // Resume is verification only: the run re-executes from
-            // cycle 0 and hard-fails on any divergence from the image,
-            // so it never changes a completed run's numbers.
-            resume_from: _,
         } = opts.machine();
 
         assert_eq!(

@@ -520,7 +520,7 @@ mod tests {
     #[test]
     fn fig11_applies_every_flag_at_every_grid_point() {
         // Per-cell mesh shapes used to be built by hand and dropped
-        // --faults/--profile/--checkpoint-every on the floor.
+        // --faults/--profile on the floor.
         let exp = EXPERIMENTS
             .iter()
             .find(|e| e.info.name == "fig11_scaling")

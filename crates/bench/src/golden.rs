@@ -190,11 +190,15 @@ impl GoldenFile {
         let value = Json::parse(text)?;
         let obj = value.as_object("top level")?;
         let machine = obj.get("machine", "top level")?.as_object("machine")?;
+        let dim = |name: &str| -> Result<u16, String> {
+            let n = machine.get(name, "machine")?.as_u64()?;
+            u16::try_from(n).map_err(|_| format!("machine: {name} {n} exceeds {}", u16::MAX))
+        };
         let mut file = GoldenFile {
             experiment: obj.get("experiment", "top level")?.as_string()?,
             scale: obj.get("scale", "top level")?.as_string()?,
-            cols: machine.get("cols", "machine")?.as_u64()? as u16,
-            rows: machine.get("rows", "machine")?.as_u64()? as u16,
+            cols: dim("cols")?,
+            rows: dim("rows")?,
             cells: Vec::new(),
             counters: Vec::new(),
         };
@@ -400,6 +404,23 @@ mod tests {
         let g = sample();
         let parsed = GoldenFile::parse(&g.to_json()).unwrap();
         assert_eq!(parsed, g);
+    }
+
+    #[test]
+    fn out_of_range_mesh_shapes_are_rejected() {
+        let text = sample().to_json();
+        let shaped = |cols: &str, rows: &str| {
+            text.replace(
+                r#""machine": {"cols": 8, "rows": 4}"#,
+                &format!(r#""machine": {{"cols": {cols}, "rows": {rows}}}"#),
+            )
+        };
+        assert_eq!(GoldenFile::parse(&shaped("8", "4")).unwrap(), sample());
+        // Under `as u16`, 65544 would pass for the 8x4 file.
+        let err = GoldenFile::parse(&shaped("65544", "4")).unwrap_err();
+        assert!(err.contains("cols"), "{err}");
+        let err = GoldenFile::parse(&shaped("8", "65536")).unwrap_err();
+        assert!(err.contains("rows"), "{err}");
     }
 
     #[test]

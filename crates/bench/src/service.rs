@@ -152,14 +152,6 @@ impl Executor for BinExecutor {
             cmd.arg("--calibration").arg(table);
         }
         cmd.args(["--jobs", &self.child_jobs.to_string()]);
-        if spec.checkpoint_every > 0 {
-            // Durability knob: checkpoints land in the job's scratch
-            // directory, so a crashed child leaves its images behind
-            // for post-mortem while a clean run tidies them away with
-            // the rest of the scratch. The digest ignores the cadence;
-            // results are byte-identical either way.
-            cmd.arg("--checkpoint-dir").arg(scratch.join("checkpoints"));
-        }
         cmd.arg("--write-golden").arg("--golden-dir").arg(&scratch);
         cmd.stdin(Stdio::null())
             .stdout(Stdio::null())

@@ -22,7 +22,8 @@ pub struct HostFaultPlan {
     /// Milliseconds after the first execution begins at which the
     /// whole process aborts, `SIGKILL`-style — no unwinding, no drain,
     /// no journal flush beyond what is already durable (0 = never).
-    /// Exercises the journal-replay / checkpoint-resume recovery path.
+    /// Exercises journal replay plus the result cache, the only
+    /// recovery path (no job resumes from a checkpoint).
     pub kill_after_ms: u64,
     /// Milliseconds after *daemon boot* at which the whole process
     /// aborts (0 = never). Unlike `kill_after_ms` this is anchored at

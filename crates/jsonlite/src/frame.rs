@@ -1,14 +1,14 @@
-//! Binary-safe record framing for append-only logs and checkpoint
-//! files: `[payload_len: u32 LE][crc32: u32 LE][payload bytes]`.
+//! Binary-safe record framing for append-only logs:
+//! `[payload_len: u32 LE][crc32: u32 LE][payload bytes]`.
 //!
-//! The job journal in `mosaic-serve` and the checkpoint container in
-//! `mosaic-sim` both need to append records that survive a `kill -9`
-//! mid-write: a torn tail (a record whose length prefix, payload, or
-//! CRC never fully reached the disk) must be detectable and skippable
-//! without losing the intact records before it. This module is that one
-//! shared framing layer — length prefix to find record boundaries, a
-//! CRC-32 over the payload to reject partially-flushed bytes that
-//! happen to look complete.
+//! The job journal in `mosaic-serve` needs to append records that
+//! survive a `kill -9` mid-write: a torn tail (a record whose length
+//! prefix, payload, or CRC never fully reached the disk) must be
+//! detectable and skippable without losing the intact records before
+//! it. This module is that framing layer — length prefix to find
+//! record boundaries, a CRC-32 over the payload to reject
+//! partially-flushed bytes that happen to look complete. The
+//! checkpoint container in `mosaic-sim` uses only [`crc32`].
 //!
 //! [`decode_records`] is deliberately forgiving about the *tail* and
 //! strict about everything before it: the first frame that fails to

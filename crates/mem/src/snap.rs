@@ -3,11 +3,11 @@
 //! [`crate::DramModel`]).
 //!
 //! The encoding is deliberately trivial — fixed-width little-endian
-//! fields, no varints, no padding — because the checkpoint contract in
-//! `mosaic-sim` byte-compares snapshots across runs (`--resume-from`
-//! re-executes and compares at the image's boundary): two equal
-//! component states must produce identical bytes, always. Snapshots are
-//! write-only; nothing decodes them back into a component.
+//! fields, no varints, no padding — so two equal component states
+//! produce identical bytes, always: `mosaic-sim` checkpoint images are
+//! byte-identical from run to run. Snapshots are write-only; nothing
+//! decodes them, and they remain only because the host benchmark times
+//! the checkpoint writer that assembles them.
 
 pub(crate) fn put_u8(out: &mut Vec<u8>, v: u8) {
     out.push(v);

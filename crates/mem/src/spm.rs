@@ -181,8 +181,8 @@ mod tests {
             s.service(10);
             s
         };
-        // Identical states must serialize identically (byte-compared
-        // by the checkpoint verifier in mosaic-sim).
+        // Identical states must serialize identically (checkpoint
+        // images in mosaic-sim are byte-identical from run to run).
         assert_eq!(warm().snapshot(), warm().snapshot());
         assert_ne!(warm().snapshot(), Scratchpad::new(64).snapshot());
         // Timing state alone is visible in the bytes too.

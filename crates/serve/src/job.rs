@@ -40,17 +40,10 @@ pub struct JobSpec {
     /// faulted run is a different computation from a clean one and
     /// must never share a cache entry with it.
     pub faults: String,
-    /// Checkpoint cadence in simulated cycles
-    /// (`MachineConfig::checkpoint_every`); 0 = no checkpoints. A
-    /// host-side durability knob that rides the wire but is
-    /// **excluded from the digest**: checkpoint writes are
-    /// observationally free — the engine pops the same events and
-    /// produces byte-identical results at every cadence (asserted by
-    /// `digest_ignores_checkpoint_every`).
-    pub checkpoint_every: u64,
     /// Fidelity: `""`/`"cycle"` (cycle-accurate default) or
-    /// `"analytic"` (the calibrated model). Part of the digest: an analytic answer is a different computation from a
-    /// cycle-accurate one and must never share a cache entry with it.
+    /// `"analytic"` (the calibrated model). Part of the digest: an
+    /// analytic answer is a different computation from a cycle-accurate
+    /// one and must never share a cache entry with it.
     pub fidelity: String,
 }
 
@@ -68,14 +61,11 @@ impl JobSpec {
             seed: 0,
             sanitize: false,
             faults: String::new(),
-            checkpoint_every: 0,
             fidelity: String::new(),
         }
     }
 
-    /// Serialize the result-determining fields in canonical order —
-    /// the digest input. `checkpoint_every` is omitted on purpose: it
-    /// cannot change a single output byte (see the field docs).
+    /// Serialize every field in canonical order — the digest input.
     fn canonical_json(&self) -> Json {
         Json::obj()
             .field("experiment", self.experiment.as_str())
@@ -91,8 +81,8 @@ impl JobSpec {
             .build()
     }
 
-    /// Serialize the full wire/cache form: the canonical fields plus
-    /// host-side knobs that executors honor but the digest ignores.
+    /// Serialize the wire/cache form: the same fields as the digest
+    /// input, in the same order.
     pub fn to_json(&self) -> Json {
         Json::obj()
             .field("experiment", self.experiment.as_str())
@@ -105,20 +95,28 @@ impl JobSpec {
             .field("sanitize", self.sanitize)
             .field("faults", self.faults.as_str())
             .field("fidelity", self.fidelity.as_str())
-            .field("checkpoint_every", self.checkpoint_every)
             .build()
     }
 
-    /// Parse back from the wire / cache form.
+    /// Parse back from the wire / cache form. Unknown keys are ignored,
+    /// so records carrying a retired knob that never reached the digest
+    /// (the per-simulation thread count, `checkpoint_every`) parse to
+    /// the same spec under the same id.
     pub fn from_json(v: &Json) -> Result<JobSpec, String> {
         let obj = v.as_object("spec")?;
+        // Checked, not `as u16`: a truncated shape would run a job the
+        // caller never asked for.
+        let dim = |name: &str| -> Result<u16, String> {
+            let n = obj.get(name, "spec")?.as_u64()?;
+            u16::try_from(n).map_err(|_| format!("spec: {name} {n} exceeds {}", u16::MAX))
+        };
         Ok(JobSpec {
             experiment: obj.get("experiment", "spec")?.as_string()?,
             workload: obj.get("workload", "spec")?.as_string()?,
             config: obj.get("config", "spec")?.as_string()?,
             scale: obj.get("scale", "spec")?.as_string()?,
-            cols: obj.get("cols", "spec")?.as_u64()? as u16,
-            rows: obj.get("rows", "spec")?.as_u64()? as u16,
+            cols: dim("cols")?,
+            rows: dim("rows")?,
             seed: obj.get("seed", "spec")?.as_u64()?,
             sanitize: obj.get("sanitize", "spec")?.as_bool()?,
             // Absent in specs written before fault injection existed
@@ -126,12 +124,6 @@ impl JobSpec {
             faults: match obj.opt("faults") {
                 Some(f) => f.as_string()?,
                 None => String::new(),
-            },
-            // Absent in specs from before crash durability existed:
-            // no checkpoints, exactly as those clients ran.
-            checkpoint_every: match obj.opt("checkpoint_every") {
-                Some(c) => c.as_u64()?,
-                None => 0,
             },
             // Absent in specs from before the dual-fidelity backends:
             // cycle-accurate, exactly as those clients ran.
@@ -144,8 +136,7 @@ impl JobSpec {
 
     /// Stable content digest: FNV-1a/64 over the canonical JSON form,
     /// as 16 lowercase hex digits. Used as the job id, the cache key,
-    /// and the on-disk cache file name. The host-side knob that cannot
-    /// affect results (`checkpoint_every`) is not part of it.
+    /// and the on-disk cache file name.
     pub fn digest(&self) -> String {
         format!("{:016x}", fnv1a64(self.canonical_json().write().as_bytes()))
     }
@@ -259,42 +250,67 @@ mod tests {
         s.seed = 7;
         s.sanitize = true;
         s.faults = "seed=3,horizon=5000,freeze=2x100".into();
-        s.checkpoint_every = 50_000;
         s.fidelity = "analytic".into();
         assert_eq!(JobSpec::from_json(&s.to_json()).unwrap(), s);
     }
 
     #[test]
     fn records_with_the_retired_thread_knob_still_parse() {
-        // Journals, cache entries and old clients carry the key of the
-        // per-simulation thread-count knob the engine used to have. It
-        // never reached the digest, so dropping the field must leave
-        // such a record parsing to the same spec under the same id.
+        // Journals, cache entries and old clients carry the keys of the
+        // per-simulation thread-count knob the engine used to have and
+        // of the retired checkpoint cadence. Neither reached the digest,
+        // so dropping the fields must leave such a record parsing to the
+        // same spec under the same id.
         // (Spelled in two halves: CI greps the tree for the old name.)
-        let key = concat!("host", "_threads");
+        let threads = concat!("host", "_threads");
         let spec = JobSpec::new("table1", "tiny");
-        let mut wire = spec.to_json().write();
-        assert!(!wire.contains(key), "the wire form no longer carries it");
-        assert_eq!(wire.pop(), Some('}'));
-        wire.push_str(&format!(",\"{key}\":4}}"));
-        let parsed = JobSpec::from_json(&Json::parse(&wire).unwrap()).unwrap();
-        assert_eq!(parsed, spec);
-        assert_eq!(parsed.digest(), spec.digest());
+        for extra in [
+            format!("\"{threads}\":4"),
+            format!("\"{threads}\":4,\"checkpoint_every\":50000"),
+        ] {
+            let mut wire = spec.to_json().write();
+            assert!(
+                !wire.contains(threads),
+                "the wire form no longer carries it"
+            );
+            assert!(!wire.contains("checkpoint_every"), "nor this one");
+            assert_eq!(wire.pop(), Some('}'));
+            wire.push_str(&format!(",{extra}}}"));
+            let parsed = JobSpec::from_json(&Json::parse(&wire).unwrap()).unwrap();
+            assert_eq!(parsed, spec);
+            assert_eq!(parsed.digest(), spec.digest());
+        }
+        // Job ids are on-disk cache keys and journal entries: a wire
+        // edit that moves them orphans every cached result.
+        assert_eq!(spec.digest(), "09822b157e1f2afc");
     }
 
-    /// Digest-exemption parity: every `JobSpec` field must either change
-    /// the digest when perturbed or be on the exemption list below,
-    /// with its reason. Adding a field without deciding which side it
-    /// lands on fails here three ways: the exhaustive destructure below
-    /// stops compiling, the wire-form key count stops matching the
-    /// mutator table, and the per-field digest assertions catch a field
-    /// the canonical serializer silently drops.
+    #[test]
+    fn out_of_range_mesh_shapes_are_rejected() {
+        let wire = |cols: u64, rows: u64| {
+            let mut w = JobSpec::new("table1", "tiny").to_json().write();
+            w = w.replace("\"cols\":0", &format!("\"cols\":{cols}"));
+            w.replace("\"rows\":0", &format!("\"rows\":{rows}"))
+        };
+        let parse = |w: String| JobSpec::from_json(&Json::parse(&w).unwrap());
+        assert_eq!(parse(wire(65_535, 4)).unwrap().cols, u16::MAX);
+        // Under `as u16`, 65544 would run an 8-column mesh, and 65536
+        // the experiment's default shape under the default spec's id.
+        let err = parse(wire(65_544, 4)).unwrap_err();
+        assert!(err.contains("cols"), "{err}");
+        let err = parse(wire(8, 65_536)).unwrap_err();
+        assert!(err.contains("rows"), "{err}");
+        assert!(parse(wire(65_536, 65_536)).is_err());
+    }
+
+    /// Digest coverage: every `JobSpec` field must change the digest
+    /// when perturbed. Adding a field fails here three ways until it is
+    /// covered: the exhaustive destructure below stops compiling, the
+    /// wire-form key count stops matching the mutator table, and the
+    /// per-field digest assertions catch a field the canonical
+    /// serializer silently drops.
     #[test]
     fn jobspec_fields_stay_digest_covered_or_exempt() {
-        // Fields that ride the wire but are byte-identity-irrelevant to
-        // results; each carries its reason in the destructure below.
-        const EXEMPT: &[&str] = &["checkpoint_every"];
-
         let base = JobSpec::new("table1", "tiny");
         // Exhaustive destructure: a new JobSpec field is a compile error
         // here, forcing an entry in the mutator table below.
@@ -309,13 +325,6 @@ mod tests {
             sanitize: _,
             faults: _,
             fidelity: _,
-            // Exempt: checkpoint writes are observationally free — the
-            // engine pops the same events and produces byte-identical
-            // results at every cadence, so a checkpointed run must share
-            // its cache entry with the plain one (pinned by
-            // `digest_ignores_checkpoint_every` and the crash-recovery CI
-            // job).
-            checkpoint_every: _,
         } = base.clone();
 
         type Mutator = fn(&mut JobSpec);
@@ -332,7 +341,6 @@ mod tests {
                 s.faults = "seed=1,horizon=1000,links=1x10".into()
             }),
             ("fidelity", |s| s.fidelity = "analytic".into()),
-            ("checkpoint_every", |s| s.checkpoint_every = 25_000),
         ];
 
         // The wire form must carry every field under its own name, and
@@ -356,44 +364,13 @@ mod tests {
             let mut spec = base.clone();
             mutate(&mut spec);
             assert_ne!(&spec, &base, "mutator for {field} is a no-op");
-            if EXEMPT.contains(field) {
-                assert_eq!(
-                    base.digest(),
-                    spec.digest(),
-                    "{field} is exempt (results are byte-identical across it) but \
-                     changes the digest — it would fragment the result cache"
-                );
-            } else {
-                assert_ne!(
-                    base.digest(),
-                    spec.digest(),
-                    "{field} does not reach the digest: two different computations \
-                     would share a cache entry — serialize it in canonical_json or \
-                     exempt it here with a justification"
-                );
-            }
+            assert_ne!(
+                base.digest(),
+                spec.digest(),
+                "{field} does not reach the digest: two different computations \
+                 would share a cache entry — serialize it in canonical_json"
+            );
         }
-    }
-
-    #[test]
-    fn digest_ignores_checkpoint_every() {
-        // Checkpoint writes never change what the engine computes, so
-        // a checkpointed run must share its cache entry with the plain
-        // one — a crash-recovered sweep then converges onto the exact
-        // payloads the uninterrupted run would have cached.
-        let a = JobSpec::new("table1", "tiny");
-        let mut b = a.clone();
-        b.checkpoint_every = 10_000;
-        assert_eq!(a.digest(), b.digest());
-        assert_ne!(
-            a.to_json().write(),
-            b.to_json().write(),
-            "wire form still carries it"
-        );
-        assert_eq!(
-            JobSpec::from_json(&b.to_json()).unwrap().checkpoint_every,
-            10_000
-        );
     }
 
     #[test]

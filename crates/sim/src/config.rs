@@ -53,21 +53,15 @@ pub struct MachineConfig {
     /// Checkpoint cadence in simulated cycles: the engine serializes
     /// the machine at the first event boundary at or past every
     /// multiple (see `crate::checkpoint`). `0` (the default) disables
-    /// checkpointing. A host durability knob: excluded from job
-    /// digests, and every simulated number is byte-identical whatever
-    /// the cadence.
+    /// checkpointing. Write-only: nothing reads an image back; the
+    /// host benchmark sets it to time the hook. Every simulated number
+    /// is byte-identical whatever the cadence (pinned by
+    /// crates/bench/tests/checkpoint.rs).
     pub checkpoint_every: Cycle,
     /// Directory checkpoint files are written into when
     /// `checkpoint_every > 0` (created on demand; default
     /// `results/checkpoints` when unset).
     pub checkpoint_dir: Option<std::path::PathBuf>,
-    /// Verified-resume input: a checkpoint file from an earlier
-    /// (interrupted) run of the *same* job. The engine re-executes
-    /// deterministically from cycle zero and hard-fails with
-    /// [`SimError::CheckpointDivergence`](crate::SimError) unless
-    /// machine state at the recorded event boundary is byte-identical
-    /// to the file — chaos seeds make resume verifiable.
-    pub resume_from: Option<std::path::PathBuf>,
 }
 
 impl MachineConfig {
@@ -123,7 +117,6 @@ impl MachineConfig {
             faults: None,
             checkpoint_every: 0,
             checkpoint_dir: None,
-            resume_from: None,
         }
     }
 
@@ -184,7 +177,6 @@ mod tests {
         let c = MachineConfig::small(4, 2);
         assert_eq!(c.checkpoint_every, 0);
         assert!(c.checkpoint_dir.is_none());
-        assert!(c.resume_from.is_none());
     }
 
     #[test]

@@ -107,24 +107,12 @@ pub enum SimError {
         /// Per-core state plus active fault windows.
         diagnostics: String,
     },
-    /// A checkpoint file could not be written (cadenced checkpointing)
-    /// or read/decoded (`resume_from`).
+    /// A cadenced checkpoint file could not be written.
     CheckpointIo {
         /// The offending file (or directory).
         path: String,
-        /// The underlying I/O or decode error.
+        /// The underlying I/O error.
         message: String,
-    },
-    /// Verified resume failed: deterministic re-execution did not
-    /// reproduce the `resume_from` checkpoint byte-for-byte at its
-    /// recorded event boundary — the resumed run is **not** the run
-    /// that wrote the checkpoint (different job, different build, or a
-    /// determinism bug) and its results must not be trusted.
-    CheckpointDivergence {
-        /// The checkpoint's recorded boundary cycle.
-        cycle: Cycle,
-        /// The checkpoint's recorded boundary sequence number.
-        seq: u64,
     },
 }
 
@@ -152,12 +140,6 @@ impl std::fmt::Display for SimError {
             SimError::CheckpointIo { path, message } => {
                 write!(f, "checkpoint i/o failed at {path}: {message}")
             }
-            SimError::CheckpointDivergence { cycle, seq } => write!(
-                f,
-                "resume verification failed: machine state at event boundary \
-                 (cycle {cycle}, seq {seq}) does not match the checkpoint — \
-                 this is not a resumption of the run that wrote it"
-            ),
         }
     }
 }
@@ -497,18 +479,6 @@ struct EventLoop {
     /// Next cadence threshold: a checkpoint is written at the first
     /// event boundary whose cycle reaches this.
     next_checkpoint: Cycle,
-    /// Loaded `resume_from` state awaiting byte-verification at its
-    /// recorded event boundary; cleared once verified.
-    resume: Option<ResumeVerify>,
-}
-
-/// A decoded `resume_from` checkpoint held until deterministic
-/// re-execution reaches its recorded `(cycle, seq)` boundary, where the
-/// live machine must serialize to exactly `body`.
-struct ResumeVerify {
-    cycle: Cycle,
-    seq: u64,
-    body: Vec<u8>,
 }
 
 impl EventLoop {
@@ -537,15 +507,11 @@ impl EventLoop {
             cores,
             checkpoint_every: machine.config().checkpoint_every,
             next_checkpoint: machine.config().checkpoint_every,
-            resume: None,
             machine,
         }
     }
 
     fn run(mut self) -> Result<Report, SimError> {
-        if let Some(path) = self.machine.config().resume_from.clone() {
-            self.resume = Some(self.load_resume(&path)?);
-        }
         for core in 0..self.cores.len() {
             let at = if self.faults {
                 self.machine.freeze_adjust(core, 0)
@@ -571,11 +537,8 @@ impl EventLoop {
             }
             // Checkpoint boundary: immediately after the canonical pop,
             // before any machine mutation for this event. The boundary
-            // is named by `(cycle, seq)`, so a write and the later
-            // resume-verification land on the same machine bytes.
-            if self.resume.is_some() {
-                self.verify_resume(cycle, seq)?;
-            }
+            // is named by `(cycle, seq)`, so the same boundary writes the
+            // same machine bytes in every run.
             if self.checkpoint_every > 0 && cycle >= self.next_checkpoint {
                 self.write_checkpoint(cycle, seq)?;
                 self.next_checkpoint = (cycle / self.checkpoint_every + 1) * self.checkpoint_every;
@@ -611,16 +574,6 @@ impl EventLoop {
             });
         }
 
-        if let Some(r) = &self.resume {
-            // The run completed without ever reaching the checkpoint's
-            // recorded boundary: the event sequence differs from the
-            // run that wrote it.
-            return Err(SimError::CheckpointDivergence {
-                cycle: r.cycle,
-                seq: r.seq,
-            });
-        }
-
         if self.faults {
             // All cores halted: land the at-end bit flips in the final
             // payload, after the last write.
@@ -634,60 +587,11 @@ impl EventLoop {
         })
     }
 
-    /// Read and decode the `resume_from` checkpoint, validating it
-    /// against this machine before the run starts.
-    fn load_resume(&self, path: &std::path::Path) -> Result<ResumeVerify, SimError> {
-        let io = |message: String| SimError::CheckpointIo {
-            path: path.display().to_string(),
-            message,
-        };
-        let bytes = std::fs::read(path).map_err(|e| io(e.to_string()))?;
-        let (header, body) = crate::checkpoint::decode(&bytes).map_err(io)?;
-        let cfg = self.machine.config();
-        if header.cols != cfg.cols as u64
-            || header.rows != cfg.rows as u64
-            || header.seed != cfg.seed
-        {
-            return Err(io(format!(
-                "checkpoint is for a {}x{} machine with seed {:#x}; \
-                 this run is {}x{} with seed {:#x}",
-                header.cols, header.rows, header.seed, cfg.cols, cfg.rows, cfg.seed
-            )));
-        }
-        Ok(ResumeVerify {
-            cycle: header.cycle,
-            seq: header.seq,
-            body: body.to_vec(),
-        })
-    }
-
-    /// At the first event boundary at or past the resume checkpoint's
-    /// recorded `(cycle, seq)`, require the live machine to serialize
-    /// to exactly the checkpoint's bytes. Reaching a *later* boundary
-    /// first means the recorded one never occurred in this run — also
-    /// divergence.
-    fn verify_resume(&mut self, cycle: Cycle, seq: u64) -> Result<(), SimError> {
-        let Some(r) = &self.resume else { return Ok(()) };
-        if (cycle, seq) < (r.cycle, r.seq) {
-            return Ok(());
-        }
-        let matched = (cycle, seq) == (r.cycle, r.seq) && self.machine.checkpoint_body() == r.body;
-        if !matched {
-            return Err(SimError::CheckpointDivergence {
-                cycle: r.cycle,
-                seq: r.seq,
-            });
-        }
-        self.resume = None;
-        Ok(())
-    }
-
     /// Write the cadenced checkpoint for boundary `(cycle, seq)` with
     /// full crash-safety discipline: write to a `.tmp` sibling, fsync
     /// it, rename into place, fsync the directory. A crash at any point
     /// leaves either the old complete file set or the new one — never a
-    /// half-written checkpoint under its final name (and a torn `.tmp`
-    /// is rejected by decode anyway).
+    /// half-written checkpoint under its final name.
     fn write_checkpoint(&self, cycle: Cycle, seq: u64) -> Result<(), SimError> {
         let dir = self
             .machine

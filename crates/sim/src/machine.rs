@@ -613,10 +613,9 @@ impl Machine {
             dram,
             dram_brk,
             faults,
-            // Immutable for the machine's lifetime and pinned by the
-            // header's cols/rows/seed check: `--resume-from` rejects an
-            // image from a differently-configured machine before
-            // comparing a byte.
+            // Immutable for the machine's lifetime; the header line
+            // names its cols/rows/seed. No image is read back, so no
+            // config is ever compared against one.
             config: _,
             // A pure function of the (checked) config, rebuilt
             // identically by `Machine::new`.
@@ -626,10 +625,9 @@ impl Machine {
             core_nodes: _,
             llc_nodes: _,
             // Host-side observers: they charge no simulated cycle and
-            // never feed timing back, so verified runs are
-            // byte-identical without them (the profiler's zero cost is
-            // pinned by crates/bench/tests/prof.rs); a verifying run
-            // attaches its own.
+            // never feed timing back, so the image is byte-identical
+            // with or without them (the profiler's zero cost is pinned
+            // by crates/bench/tests/prof.rs).
             latency_probe: _,
             sanitizer: _,
             profiler: _,
@@ -901,10 +899,19 @@ mod tests {
         // The header names the boundary and the machine; the body is
         // what `checkpoint_body` wrote.
         let image = warm.checkpoint(1234, 99);
-        let (header, body) = crate::checkpoint::decode(&image).unwrap();
-        assert_eq!((header.cycle, header.seq), (1234, 99));
-        assert_eq!((header.cols, header.rows), (4, 2));
-        assert_eq!(body, &warm.checkpoint_body()[..]);
+        let body = warm.checkpoint_body();
+        let (line, rest) = image.split_at(image.len() - body.len());
+        assert_eq!(rest, &body[..]);
+        let line = std::str::from_utf8(line).unwrap();
+        assert_eq!(line.find('\n'), Some(line.len() - 1), "{line}");
+        for key in [
+            r#""cycle":1234"#,
+            r#""seq":99"#,
+            r#""cols":4"#,
+            r#""rows":2"#,
+        ] {
+            assert!(line.contains(key), "{line}");
+        }
         // The DRAM bump pointer is machine state too.
         let mut bumped = machine();
         bumped.dram_alloc(4);
