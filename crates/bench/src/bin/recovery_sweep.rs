@@ -9,8 +9,8 @@
 //!
 //! 1. **Golden** — a clean daemon runs the experiment set; payloads
 //!    are collected as the fault-free reference.
-//! 2. **Chaos** — a fresh daemon with `--chaos-host kill=AFTER_MS`
-//!    (plus slowness so the kill lands mid-job) gets the same
+//! 2. **Chaos** — a fresh daemon with `--chaos-host slow=S,kill=K`
+//!    (K < S, so the kill lands inside the first job) gets the same
 //!    submissions, then aborts itself `SIGKILL`-style mid-sweep.
 //! 3. **Recover** — the daemon restarts on the same cache and journal
 //!    directories, replays the journal (asserted: `replayed_jobs` and
@@ -20,207 +20,47 @@
 //! Any divergence, missing replay, or unexpected daemon survival is a
 //! hard failure (exit 1) — this is the CI `crash-recovery` gate.
 
-use mosaic_serve::{Client, JobSpec, JobState, RetryPolicy, SubmitReply};
-use std::collections::BTreeMap;
-use std::io::BufRead;
-use std::path::Path;
-use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use mosaic_bench::recovery::{
+    collect_payloads, connect, fail, metric, require_identical, scratch_dir, submit_all, Daemon,
+};
 
 /// The sweep: cheap tiny-scale experiments with distinct harnesses.
 const EXPERIMENTS: &[&str] = &["fig07_fib_microbench", "chaos_sweep", "profile"];
 
-fn fail(msg: &str) -> ! {
-    eprintln!("recovery_sweep: FAIL: {msg}");
-    std::process::exit(1);
-}
-
-struct Daemon {
-    child: Child,
-    addr: String,
-}
-
-/// Spawn the sibling `serve` binary on an ephemeral port and scrape
-/// the bound address from its stdout.
-fn spawn_serve(cache: &Path, journal: &Path, chaos: Option<&str>) -> Daemon {
-    let exe_dir = std::env::current_exe()
-        .ok()
-        .and_then(|p| p.parent().map(Path::to_path_buf))
-        .unwrap_or_else(|| fail("cannot locate the directory holding the serve binary"));
-    let mut cmd = Command::new(exe_dir.join("serve"));
-    cmd.arg("--addr")
-        .arg("127.0.0.1:0")
-        .arg("--cache-dir")
-        .arg(cache)
-        .arg("--journal-dir")
-        .arg(journal)
-        .args(["--workers", "1"]);
-    if let Some(spec) = chaos {
-        cmd.args(["--chaos-host", spec]);
-    }
-    cmd.stdin(Stdio::null())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit());
-    let mut child = cmd
-        .spawn()
-        .unwrap_or_else(|e| fail(&format!("launch serve: {e}")));
-    let stdout = child.stdout.take().expect("serve stdout captured");
-    let mut addr = String::new();
-    std::io::BufReader::new(stdout)
-        .read_line(&mut addr)
-        .unwrap_or_else(|e| fail(&format!("read serve address: {e}")));
-    let addr = addr.trim().to_string();
-    if addr.is_empty() {
-        fail("serve exited before printing its address");
-    }
-    Daemon { child, addr }
-}
-
-fn connect(addr: &str) -> Client {
-    // The daemon already printed its address, so it is up; the
-    // deadline is pure paranoia against a wedged accept loop.
-    Client::connect_with_deadline(
-        addr,
-        &RetryPolicy::with_attempts(20),
-        Duration::from_secs(30),
-    )
-    .unwrap_or_else(|e| fail(&format!("connect to serve at {addr}: {e}")))
-}
-
-fn specs() -> Vec<JobSpec> {
-    EXPERIMENTS
-        .iter()
-        .map(|e| JobSpec::new(e, "tiny"))
-        .collect()
-}
-
-fn submit_all(client: &mut Client) -> Vec<String> {
-    specs()
-        .iter()
-        .map(|spec| {
-            match client
-                .submit(spec)
-                .unwrap_or_else(|e| fail(&format!("submit {}: {e}", spec.experiment)))
-            {
-                SubmitReply::Accepted { id, .. } => id,
-                other => fail(&format!("submit {}: {other:?}", spec.experiment)),
-            }
-        })
-        .collect()
-}
-
-fn collect_payloads(client: &mut Client, ids: &[String]) -> BTreeMap<String, String> {
-    ids.iter()
-        .map(|id| {
-            let res = client
-                .wait_result(id)
-                .unwrap_or_else(|e| fail(&format!("wait {id}: {e}")));
-            if res.state != JobState::Done {
-                fail(&format!(
-                    "job {id} ended {}: {}",
-                    res.state.as_str(),
-                    res.error.unwrap_or_default()
-                ));
-            }
-            (id.clone(), res.payload.unwrap_or_default())
-        })
-        .collect()
-}
-
-fn metric(client: &mut Client, name: &str) -> u64 {
-    let v = client
-        .metrics()
-        .unwrap_or_else(|e| fail(&format!("metrics: {e}")));
-    let Ok(obj) = v.as_object("metrics") else {
-        return 0;
-    };
-    obj.opt(name).and_then(|f| f.as_u64().ok()).unwrap_or(0)
-}
-
-fn drain(mut client: Client, mut daemon: Daemon) {
-    client
-        .shutdown()
-        .unwrap_or_else(|e| fail(&format!("shutdown: {e}")));
-    let status = daemon
-        .child
-        .wait()
-        .unwrap_or_else(|e| fail(&format!("wait for serve: {e}")));
-    if !status.success() {
-        fail(&format!("serve exited {status} on a clean drain"));
-    }
-}
+/// The chaos daemon aborts this long after its first job starts...
+const KILL_MS: u64 = 800;
+/// ...which every job outlasts, so the kill always lands mid-job.
+const SLOW_MS: u64 = 3000;
+const _: () = assert!(KILL_MS < SLOW_MS);
 
 fn main() {
-    let mut kill_after_ms: u64 = 800;
-    let mut slow_ms: u64 = 3000;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-        };
-        match a.as_str() {
-            "--kill-after-ms" => {
-                kill_after_ms = value("--kill-after-ms")
-                    .parse()
-                    .expect("--kill-after-ms must be an integer");
-            }
-            "--slow-ms" => {
-                slow_ms = value("--slow-ms")
-                    .parse()
-                    .expect("--slow-ms must be an integer");
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "kill-and-recover chaos harness\n\
-                     options: --kill-after-ms N   abort the daemon N ms after its first job starts (default 800)\n         \
-                     --slow-ms N         per-job injected slowness so the kill lands mid-job (default 3000)"
-                );
-                std::process::exit(0);
-            }
-            other => panic!("unknown option {other:?} (try --help)"),
-        }
+    if let Some(arg) = std::env::args().nth(1) {
+        panic!("unknown option {arg:?} (recovery_sweep takes none)");
     }
-    if slow_ms <= kill_after_ms {
-        fail("--slow-ms must exceed --kill-after-ms or the kill may miss every running job");
-    }
-
-    let scratch = std::env::temp_dir().join(format!("mosaic-recovery-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
-    let golden_cache = scratch.join("golden-cache");
-    let golden_journal = scratch.join("golden-journal");
-    let cache = scratch.join("cache");
-    let journal = scratch.join("journal");
+    let scratch = scratch_dir("recovery");
 
     // Phase 1: fault-free golden reference.
     eprintln!("recovery_sweep: phase 1: golden (fault-free) sweep");
-    let daemon = spawn_serve(&golden_cache, &golden_journal, None);
+    let daemon = Daemon::serve(&scratch.join("golden"), None);
     let mut client = connect(&daemon.addr);
-    let ids = submit_all(&mut client);
+    let ids = submit_all(&mut client, EXPERIMENTS);
     let golden = collect_payloads(&mut client, &ids);
-    drain(client, daemon);
+    daemon.drain("serve");
 
     // Phase 2: the same sweep, murdered mid-flight.
-    eprintln!("recovery_sweep: phase 2: chaos sweep (kill={kill_after_ms}ms, slow={slow_ms}ms)");
-    let chaos = format!("slow={slow_ms},kill={kill_after_ms}");
-    let mut daemon = spawn_serve(&cache, &journal, Some(&chaos));
-    let mut client = connect(&daemon.addr);
-    let chaos_ids = submit_all(&mut client);
-    if chaos_ids != ids {
+    let chaos = format!("slow={SLOW_MS},kill={KILL_MS}");
+    eprintln!("recovery_sweep: phase 2: chaos sweep ({chaos})");
+    let dir = scratch.join("chaos");
+    let daemon = Daemon::serve(&dir, Some(&chaos));
+    if submit_all(&mut connect(&daemon.addr), EXPERIMENTS) != ids {
         fail("job ids changed between phases — the spec digest is unstable");
     }
-    let status = daemon
-        .child
-        .wait()
-        .unwrap_or_else(|e| fail(&format!("wait for killed serve: {e}")));
-    if status.success() {
-        fail("the chaos daemon exited cleanly — the kill fault never fired");
-    }
+    let status = daemon.expect_killed("the chaos daemon");
     eprintln!("recovery_sweep: daemon died as planned ({status})");
 
     // Phase 3: restart on the same directories and converge.
     eprintln!("recovery_sweep: phase 3: restart and recover");
-    let daemon = spawn_serve(&cache, &journal, None);
+    let daemon = Daemon::serve(&dir, None);
     let mut client = connect(&daemon.addr);
     let replayed = metric(&mut client, "replayed_jobs");
     let deaths = metric(&mut client, "worker_deaths");
@@ -233,20 +73,11 @@ fn main() {
     eprintln!("recovery_sweep: journal replayed {replayed} jobs ({deaths} caught mid-run)");
     // Resubmitting coalesces with the re-admitted jobs (or hits the
     // cache for anything that completed before the kill).
-    let recovered_ids = submit_all(&mut client);
+    let recovered_ids = submit_all(&mut client, EXPERIMENTS);
     let recovered = collect_payloads(&mut client, &recovered_ids);
-    drain(client, daemon);
+    daemon.drain("serve");
 
-    let mut diverged = 0;
-    for id in &ids {
-        if golden[id] != recovered[id] {
-            eprintln!("recovery_sweep: payload for {id} diverged from the fault-free run");
-            diverged += 1;
-        }
-    }
-    if diverged > 0 {
-        fail(&format!("{diverged} payload(s) diverged after recovery"));
-    }
+    require_identical(&golden, &recovered, "recovery");
     let _ = std::fs::remove_dir_all(&scratch);
     println!(
         "recovery_sweep: ok: {} jobs byte-identical after kill-and-recover \

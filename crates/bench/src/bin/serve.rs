@@ -17,8 +17,7 @@
 
 use mosaic_bench::cli::CALIBRATION_PATH;
 use mosaic_bench::service::BinExecutor;
-use mosaic_chaos::HostFaultPlan;
-use mosaic_serve::{Executor, FaultyExecutor, SchedConfig, Server, ServerConfig};
+use mosaic_serve::{Executor, FaultyExecutor, HostFaultPlan, SchedConfig, Server, ServerConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -93,10 +92,10 @@ fn main() {
                      --journal-dir PATH     crash-safety job journal (default results/journal)\n         \
                      --no-journal           disable the journal (a kill loses queued/running jobs)\n         \
                      --retries N            attempts per job incl. the first (default 1 = no retry)\n         \
-                     --chaos-host SPEC      inject host faults, e.g. panics=2,slow=100,kill=500,node_kill=2000\n                                \
+                     --chaos-host SPEC      inject host faults, e.g. panics=2,slow=100,kill=500\n                                \
                      (testing the isolation/retry/crash-recovery machinery;\n                                \
-                     node_kill aborts the whole daemon N ms after boot;\n                                \
-                     see mosaic-chaos)\n         \
+                     kill aborts the whole daemon N ms after its first job starts;\n                                \
+                     see mosaic_serve::inject)\n         \
                      --calibration PATH     calibration table forwarded to analytic-fidelity children\n                                \
                      (default results/model/calibration.json when present)"
                 );
@@ -142,17 +141,7 @@ fn main() {
         Arc::new(executor)
     } else {
         eprintln!("serve: CHAOS host faults active ({})", chaos_host.to_spec());
-        // The whole-node kill is anchored at boot, not at the first
-        // job, so it belongs to the daemon, not the executor wrapper.
-        chaos_host.arm_node_kill();
-        Arc::new(
-            FaultyExecutor::new(
-                Arc::new(executor),
-                chaos_host.panic_attempts,
-                Duration::from_millis(chaos_host.slow_ms),
-            )
-            .kill_after(Duration::from_millis(chaos_host.kill_after_ms)),
-        )
+        Arc::new(FaultyExecutor::new(Arc::new(executor), chaos_host))
     };
     let server = Server::start(cfg, executor).expect("bind serve daemon");
     // Stdout carries exactly the bound address so scripts can scrape

@@ -22,7 +22,8 @@
 //! `calibrate` fits the analytic model, `serve`/`gateway` front the
 //! `mosaic-serve` subsystem (see [`service`], [`fleet`]) with
 //! `mosaic-client` as their CLI, and `recovery_sweep`/`recovery_fleet`
-//! are the kill-and-recover gates.
+//! are the kill-and-recover gates: two scenarios over the one daemon
+//! driver in [`recovery`].
 
 pub mod chaos;
 pub mod cli;
@@ -30,6 +31,7 @@ pub mod experiment;
 pub mod fleet;
 pub mod golden;
 pub mod prof;
+pub mod recovery;
 pub mod sanitize;
 pub mod service;
 pub mod sweep;

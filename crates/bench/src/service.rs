@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 /// a 19–21 ms child against a 20 ms step made its tail latency read
 /// 25 or 41 ms. The children it times (`trace_run` 4x2 tiny, 4 ms; 8x4
 /// small, 19–21 ms pinned) must stay clear of a step. ROADMAP item
-/// 9(b) replaces the poll with a blocking wait.
+/// 12(b) replaces the poll with a blocking wait.
 const CHILD_POLL: Duration = Duration::from_millis(15);
 
 /// Executor that runs experiment harness binaries as child processes.

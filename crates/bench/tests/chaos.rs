@@ -14,9 +14,8 @@
 //!    every plan one accepts round-trips and materializes.
 
 use mosaic_bench::chaos;
-use mosaic_chaos::{
-    DivergenceChecker, FaultBurst, FaultGeometry, FaultPlan, HostFaultPlan, SpikeBurst,
-};
+use mosaic_chaos::{DivergenceChecker, FaultBurst, FaultGeometry, FaultPlan, SpikeBurst};
+use mosaic_serve::HostFaultPlan;
 use mosaic_sim::MachineConfig;
 use mosaic_workloads::Scale;
 use proptest::prelude::*;

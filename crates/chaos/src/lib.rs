@@ -2,12 +2,13 @@
 #![warn(clippy::float_arithmetic)]
 //! # mosaic-chaos
 //!
-//! Deterministic, seeded fault injection for the Mosaic stack.
+//! Deterministic, seeded fault injection for the Mosaic simulator.
 //!
 //! The paper's core claim is that a work-stealing runtime stays
 //! *correct* when timing is unpredictable: steals, SPM overflows, and
 //! NoC hot spots are all timing-dependent code paths. A [`FaultPlan`]
-//! makes that property testable by scheduling three fault families:
+//! makes that property testable inside the simulated machine by
+//! scheduling two fault families:
 //!
 //! - **timing faults** — NoC link stall windows, LLC-bank / DRAM
 //!   latency spikes, and per-core freeze (pipeline hiccup) windows.
@@ -18,24 +19,24 @@
 //!   corrupt state and must be *detected*: the [`DivergenceChecker`]
 //!   reruns the workload fault-free and diffs the payloads, so a flip
 //!   is never silently absorbed into a "passing" run.
-//! - **host faults** — executor panics and artificial slowness
-//!   injected into the serve stack ([`HostFaultPlan`]), exercising
-//!   panic isolation, timeouts, and retry-with-backoff policies.
 //!
 //! Everything is derived from one seed with a splitmix64 generator, so
 //! a plan is fully described by its canonical [spec
 //! string](FaultPlan::to_spec) (what `--faults` accepts) and can be
 //! digested into a job's cache key: same plan ⇒ byte-identical
 //! simulation, same as every other simulation input.
+//!
+//! Faults in the host around the simulator (executor panics,
+//! slowness, process kills) are the serve stack's own, in
+//! `mosaic_serve::inject`. This crate is simulator-side code and, like
+//! the simulator, spawns no thread.
 
 pub mod divergence;
-pub mod host;
 pub mod plan;
 pub mod rng;
 pub mod schedule;
 
 pub use divergence::{payload_digest, DivergenceChecker, DivergenceReport, RunDigest};
-pub use host::HostFaultPlan;
 pub use plan::{BitFlip, FaultBurst, FaultPlan, FlipTarget, SpikeBurst};
 pub use rng::SplitMix64;
 pub use schedule::{FaultGeometry, FaultSchedule, ScheduledFlip, SpikeWindow, Window};

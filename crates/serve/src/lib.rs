@@ -53,7 +53,7 @@ pub use cache::ResultCache;
 pub use client::{Client, ResultReply, SubmitReply};
 pub use fleet::gateway::{Fanout, FleetExecutor, SubJob};
 pub use fleet::ring::HashRing;
-pub use inject::FaultyExecutor;
+pub use inject::{FaultyExecutor, HostFaultPlan};
 pub use job::{JobSpec, JobState};
 pub use journal::{Journal, Replay, ReplayJob};
 pub use metrics::Metrics;

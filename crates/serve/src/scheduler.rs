@@ -192,9 +192,15 @@ impl JobRecord {
         })
     }
 
-    /// Current snapshot.
+    /// Current snapshot (clones the payload; read [`state`](Self::state)
+    /// when that is all you need).
     pub fn view(&self) -> JobView {
         lock(&self.inner).view.clone()
+    }
+
+    /// Current lifecycle state.
+    pub fn state(&self) -> JobState {
+        lock(&self.inner).view.state
     }
 
     /// Whether cancellation has been requested.
@@ -338,13 +344,13 @@ impl Scheduler {
         // Coalesce onto an in-flight duplicate before consulting the
         // cache, so a spec that is mid-run counts neither hit nor miss.
         if let Some(existing) = g.jobs.get(&id) {
-            if !existing.view().state.is_terminal() {
+            if !existing.state().is_terminal() {
                 return Submit::InFlight(Arc::clone(existing));
             }
         }
         if let Some(payload) = self.cache.lookup(&id) {
             let record = JobRecord::new(spec, JobState::Done);
-            record.set_state(|v| v.payload = Some(payload.clone()));
+            record.set_state(|v| v.payload = Some(payload));
             g.jobs.insert(id, Arc::clone(&record));
             return Submit::Cached(record);
         }
@@ -379,7 +385,7 @@ impl Scheduler {
     pub fn cancel(&self, id: &str) -> Option<JobState> {
         let mut g = lock(&self.inner);
         let record = g.jobs.get(id).cloned()?;
-        let state = record.view().state;
+        let state = record.state();
         match state {
             JobState::Queued => {
                 g.queue.retain(|j| j.id != id);
@@ -575,19 +581,13 @@ impl Scheduler {
         {
             let job = Arc::clone(job);
             let executor = Arc::clone(&self.executor);
-            let journal = self.cfg.journal.clone();
             std::thread::Builder::new()
                 .name(format!("serve-job-{}", job.id))
                 .spawn(move || {
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
                         executor.run(
                             &job.spec,
-                            &|done, total, msg| {
-                                if let Some(j) = &journal {
-                                    j.record_progress(&job.id, done, total);
-                                }
-                                job.push_event(done, total, msg);
-                            },
+                            &|done, total, msg| job.push_event(done, total, msg),
                             &job.cancelled,
                         )
                     }))

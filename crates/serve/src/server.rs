@@ -198,15 +198,13 @@ fn handle_conn(stream: TcpStream, sched: &Arc<Scheduler>) -> std::io::Result<()>
         match req {
             Request::Submit { spec } => {
                 let resp = match sched.submit(spec) {
-                    Submit::Cached(job) => protocol::resp_accepted(&job.id, job.view().state, true),
+                    Submit::Cached(job) => protocol::resp_accepted(&job.id, job.state(), true),
                     // Admitted means queued, whether or not a worker has
                     // already picked the job up.
                     Submit::Enqueued(job) => {
                         protocol::resp_accepted(&job.id, JobState::Queued, false)
                     }
-                    Submit::InFlight(job) => {
-                        protocol::resp_accepted(&job.id, job.view().state, false)
-                    }
+                    Submit::InFlight(job) => protocol::resp_accepted(&job.id, job.state(), false),
                     Submit::Overloaded { depth, cap } => protocol::resp_overloaded(depth, cap),
                     Submit::Draining => protocol::resp_draining(),
                 };

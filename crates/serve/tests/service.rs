@@ -4,8 +4,8 @@
 //! hostile request lines.
 
 use mosaic_serve::{
-    Client, Executor, FaultyExecutor, JobSpec, JobState, RetryPolicy, SchedConfig, Server,
-    ServerConfig, SubmitReply,
+    Client, Executor, FaultyExecutor, HostFaultPlan, JobSpec, JobState, RetryPolicy, SchedConfig,
+    Server, ServerConfig, SubmitReply,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -310,7 +310,8 @@ fn injected_host_panics_recover_through_the_retry_policy() {
         cache_dir: None,
         journal_dir: None,
     };
-    let faulty = FaultyExecutor::new(Arc::new(TestExec), 2, Duration::from_millis(10));
+    let plan = HostFaultPlan::parse("panics=2,slow=10").expect("plan");
+    let faulty = FaultyExecutor::new(Arc::new(TestExec), plan);
     let server = Server::start(cfg, Arc::new(faulty)).expect("start server");
 
     // Connect-with-retry also covers the client half of resilience.
